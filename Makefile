@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchdiff kernel compare serve-smoke cluster-smoke obs-smoke cache-smoke qos-smoke loadtest chaos
+.PHONY: build test check bench benchdiff kernel compare svcbench serve-smoke cluster-smoke obs-smoke cache-smoke qos-smoke loadtest chaos
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ bench:
 # when any ns/op or ns/interaction metric regresses by more than 10%.
 benchdiff:
 	./scripts/benchdiff.sh $(REF)
+
+# One untraced run of the end-to-end service benchmark's cold workload
+# (BENCHMARK.json); prints the metrics as one JSON line.
+svcbench:
+	bash svcbench/run.sh --workload cold --seed 1 --seconds 15 --trace 0
 
 # Boot popserved, run one job through POST /v1/simulate, check the NDJSON
 # stream and a clean SIGTERM drain.

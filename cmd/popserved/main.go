@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	popserved [-addr HOST:PORT] [-queue N] [-workers N] [-fleet-workers N]
-//	          [-job-timeout D] [-min-job-timeout D] [-drain D] [-max-n N]
+//	popserved [-addr HOST:PORT] [-queue N] [-workers N] [-job-timeout D]
+//	          [-min-job-timeout D] [-drain D] [-max-n N]
 //	          [-max-replicas N] [-journal DIR] [-retries N] [-store DIR]
 //	          [-store-max-bytes N] [-store-max-entries N] [-max-sweep-points N]
 //	          [-cost-model FILE] [-cost-budget D] [-tenant-weights T=W,...]
@@ -21,6 +21,11 @@
 // behind huge ones. -cost-budget rejects predictably hopeless jobs with a
 // structured 413; per-job deadlines derive from the prediction unless
 // -job-timeout pins a cap. Scheduling never changes output bytes.
+//
+// -workers sets the job slots, each running one replica at a time. A slot
+// with no dispatchable queued job runs unclaimed replicas of the oldest
+// running job, one at a time, so a lone multi-replica job still uses every
+// core and a newly queued job waits at most one replica for a slot.
 //
 // With -journal DIR, jobs that carry a job_id checkpoint each completed
 // replica to DIR/<job_id>.ndjson; re-POSTing the same (job_id, spec) —
@@ -87,8 +92,7 @@ func run() int {
 	var (
 		addr           = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		queue          = flag.Int("queue", 64, "job queue depth (full queue rejects with 429)")
-		workers        = flag.Int("workers", runtime.GOMAXPROCS(0), "jobs executing concurrently")
-		fleetWorkers   = flag.Int("fleet-workers", 1, "replica-fleet width per job (does not change results)")
+		workers        = flag.Int("workers", runtime.GOMAXPROCS(0), "job slots, each running one replica at a time (idle slots help running jobs)")
 		jobTimeout     = flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = derive per job from the cost model, capped at 15m; an explicit value caps the derived deadline)")
 		minJobTimeout  = flag.Duration("min-job-timeout", 0, "floor of the derived per-job deadline (0 → 10s)")
 		costModel      = flag.String("cost-model", "", "JSON ns-per-interaction grid overriding the baked-in cost model (popbench output)")
@@ -96,7 +100,7 @@ func run() int {
 		tenantWeights  = flag.String("tenant-weights", "", "comma-separated tenant=weight pairs for fair queueing, e.g. 'ci=1,research=4' (unlisted tenants weigh 1)")
 		maxTenants     = flag.Int("max-tenants", 0, "max distinct tenants with queued jobs before new tenants get 429 (0 → 64)")
 		whalePerTenant = flag.Int("whale-per-tenant", 0, "concurrently running whale-class jobs per tenant (0 → 1)")
-		whaleGlobal    = flag.Int("whale-global", 0, "concurrently running whale-class jobs overall (0 → workers−1, min 1)")
+		whaleGlobal    = flag.Int("whale-global", 0, "concurrently running whale-class jobs, plus slots lent to them, overall (0 → workers−1, min 1)")
 		drain          = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
 		maxN           = flag.Int("max-n", 5_000_000, "largest accepted population size")
 		maxReplicas    = flag.Int("max-replicas", 1024, "largest accepted replica count")
@@ -117,9 +121,9 @@ func run() int {
 		}
 		return 0
 	}
-	if *queue < 1 || *workers < 1 || *fleetWorkers < 1 || *maxN < 2 || *maxReplicas < 1 || *retries < 0 ||
+	if *queue < 1 || *workers < 1 || *maxN < 2 || *maxReplicas < 1 || *retries < 0 ||
 		*maxTenants < 0 || *whalePerTenant < 0 || *whaleGlobal < 0 || *jobTimeout < 0 || *minJobTimeout < 0 || *costBudget < 0 {
-		fmt.Fprintln(os.Stderr, "popserved: -queue, -workers, -fleet-workers, -max-replicas must be ≥ 1, -max-n ≥ 2, everything else ≥ 0")
+		fmt.Fprintln(os.Stderr, "popserved: -queue, -workers, -max-replicas must be ≥ 1, -max-n ≥ 2, everything else ≥ 0")
 		return 2
 	}
 	if err := fault.EnableFromEnv(); err != nil {
@@ -146,7 +150,6 @@ func run() int {
 	srv, err := serve.New(serve.Config{
 		QueueDepth:      *queue,
 		Workers:         *workers,
-		FleetWorkers:    *fleetWorkers,
 		MaxRetries:      *retries,
 		JournalDir:      *journalDir,
 		JobTimeout:      *jobTimeout,

@@ -40,7 +40,7 @@ func TestCoordinatorRepeatPostServedFromStore(t *testing.T) {
 	want := singleNodeBytes(t, testSpecJSON)
 
 	// A worker we can kill mid-test, unlike newWorker's test-scoped one.
-	ws := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2, FleetWorkers: 2})
+	ws := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
 	wts := httptest.NewServer(ws.Handler())
 	defer ws.Close()
 	defer wts.Close()
@@ -193,7 +193,7 @@ func TestCoordinatorSweepDedupesOverlap(t *testing.T) {
 // TestCoordinatorSweepNeedsWorkersOnlyForMisses: with every point cached, a
 // sweep completes against a dark fleet; an uncached point fails in-band.
 func TestCoordinatorSweepNeedsWorkersOnlyForMisses(t *testing.T) {
-	ws := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2, FleetWorkers: 2})
+	ws := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
 	wts := httptest.NewServer(ws.Handler())
 	defer ws.Close()
 	defer wts.Close()

@@ -22,7 +22,7 @@ const testSpecJSON = `{"protocol":"exactmajority","n":400,"seed":7,"replicas":12
 // newWorker boots an in-process popserved and returns its base URL.
 func newWorker(t *testing.T) string {
 	t.Helper()
-	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2, FleetWorkers: 2})
+	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -158,7 +158,7 @@ func (k *killWriter) Flush() {
 // newFlakyWorker boots a popserved that dies after streaming `lines` lines.
 func newFlakyWorker(t *testing.T, lines int64) (*flakyWorker, string) {
 	t.Helper()
-	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2, FleetWorkers: 2})
+	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
 	f := &flakyWorker{inner: s.Handler()}
 	f.lines.Store(lines)
 	ts := httptest.NewServer(f)

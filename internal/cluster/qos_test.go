@@ -92,7 +92,7 @@ func (k *recCutter) Flush() {
 
 func newRecordedWorker(t *testing.T, rec *headerRecorder) (*recordedWorker, string) {
 	t.Helper()
-	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2, FleetWorkers: 2})
+	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
 	d := &recordedWorker{inner: s.Handler(), rec: rec}
 	d.lines.Store(1 << 30)
 	ts := httptest.NewServer(d)

@@ -16,6 +16,11 @@
 // panicking (or fault-injected) replica is re-executed from its own seed —
 // because every attempt restarts the replica's entire RNG stream, a
 // recovered replica's value is byte-identical to one that never crashed.
+//
+// A running sweep can also be joined from outside its pool: with
+// Options.Join set, goroutines holding the sweep's Helper claim unclaimed
+// replicas through the same steal path and run them on their own stacks.
+// popserved's idle job slots lend themselves to running jobs this way.
 package fleet
 
 import (
@@ -69,8 +74,9 @@ type Result struct {
 	Value   any
 	Err     error
 	Elapsed time.Duration
-	// Worker is the index of the worker that ran the replica. It depends
-	// on scheduling — reproducible output must not consume it.
+	// Worker is the index of the worker that ran the replica; a replica a
+	// Helper ran reports the pool size. It depends on scheduling —
+	// reproducible output must not consume it.
 	Worker int
 	// Attempts is the number of executions the replica took (1 plus the
 	// retries consumed). Like Worker it is diagnostic: reproducible output
@@ -110,6 +116,12 @@ type Options struct {
 	// (jobs run, steals, retry attempts, busy time). Valid once Run
 	// returns; collecting stats never affects scheduling or results.
 	Stats *Stats
+	// Join, when non-nil, is called once on Run's goroutine, after each
+	// pool worker has claimed its first replica, with a Helper through
+	// which goroutines outside the pool can run the sweep's unclaimed
+	// replicas. Run returns only after every replica a helper claimed has
+	// reported.
+	Join func(*Helper)
 }
 
 // WorkerStats is one worker's tallies for a single Run call.
@@ -127,9 +139,20 @@ type WorkerStats struct {
 	Busy time.Duration `json:"busy_ns"`
 }
 
+func (ws *WorkerStats) add(r Result, stolen bool) {
+	ws.Jobs++
+	if stolen {
+		ws.Steals++
+	}
+	ws.Retries += uint64(r.Attempts - 1)
+	ws.Busy += r.Elapsed
+}
+
 // Stats aggregates per-worker tallies for one Run call. Each worker writes
 // only its own slot during the sweep, so no synchronization is needed to
-// read the stats after Run returns. Methods are nil-safe.
+// read the stats after Run returns. A sweep run with Options.Join has one
+// more slot, last, that the helping goroutines share; every replica a
+// helper ran counts there as a steal. Methods are nil-safe.
 type Stats struct {
 	workers []WorkerStats
 }
@@ -173,54 +196,126 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-
-	deques := newDeques(len(jobs), workers)
-	var done atomic.Int64
-	var inFlight atomic.Int64
+	s := &sweep{ctx: ctx, jobs: jobs, results: results, opts: opts, workers: workers,
+		deques: newDeques(len(jobs), workers)}
 
 	if opts.Stats != nil {
-		opts.Stats.workers = make([]WorkerStats, workers)
+		slots := workers
+		if opts.Join != nil {
+			slots++
+		}
+		opts.Stats.workers = make([]WorkerStats, slots)
 	}
 
 	if opts.Progress != nil {
-		stop := opts.Progress.start(len(jobs), &done, &inFlight)
+		stop := opts.Progress.start(len(jobs), &s.done, &s.inFlight)
 		defer stop()
 	}
 
+	// Claim each worker's first replica before any worker starts or a
+	// helper joins, so a helper never takes the replica a pool worker was
+	// about to start. Every deque starts non-empty (workers ≤ len(jobs)).
+	first := make([]int, workers)
+	for w := range first {
+		first[w], _ = s.deques.popFront(w)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w, idx int) {
 			defer wg.Done()
-			var ws *WorkerStats
-			if opts.Stats != nil {
-				ws = &opts.Stats.workers[w]
+			for stolen, ok := false, true; ok; idx, stolen, ok = s.deques.next(w) {
+				s.run(w, idx, stolen)
 			}
-			for {
-				idx, stolen, ok := deques.next(w)
-				if !ok {
-					return
-				}
-				inFlight.Add(1)
-				results[idx] = runOne(ctx, jobs[idx], w, opts.MaxRetries)
-				inFlight.Add(-1)
-				done.Add(1)
-				if ws != nil {
-					ws.Jobs++
-					if stolen {
-						ws.Steals++
-					}
-					ws.Retries += uint64(results[idx].Attempts - 1)
-					ws.Busy += results[idx].Elapsed
-				}
-				if opts.Sink != nil {
-					emit(opts.Sink, results[idx])
-				}
-			}
-		}(w)
+		}(w, first[w])
+	}
+	var h *Helper
+	if opts.Join != nil {
+		h = &Helper{s: s}
+		opts.Join(h)
 	}
 	wg.Wait()
+	h.close()
 	return results
+}
+
+// sweep is the shared state of one Run call.
+type sweep struct {
+	ctx      context.Context
+	jobs     []Job
+	results  []Result
+	opts     Options
+	workers  int
+	deques   *deques
+	done     atomic.Int64
+	inFlight atomic.Int64
+	// helperMu guards the helpers' shared Stats slot.
+	helperMu sync.Mutex
+}
+
+// run executes the claimed replica idx as worker w (w == workers for a
+// helper), then records, tallies and emits its result.
+func (s *sweep) run(w, idx int, stolen bool) {
+	s.inFlight.Add(1)
+	r := runOne(s.ctx, s.jobs[idx], w, s.opts.MaxRetries)
+	s.inFlight.Add(-1)
+	s.results[idx] = r
+	s.done.Add(1)
+	if st := s.opts.Stats; st != nil {
+		if w < s.workers {
+			st.workers[w].add(r, stolen)
+		} else {
+			s.helperMu.Lock()
+			st.workers[w].add(r, stolen)
+			s.helperMu.Unlock()
+		}
+	}
+	if s.opts.Sink != nil {
+		emit(s.opts.Sink, r)
+	}
+}
+
+// Helper lets goroutines outside a sweep's pool run its unclaimed
+// replicas. It is valid from the Options.Join call until Run returns;
+// after that RunOne does nothing. Safe for concurrent use.
+type Helper struct {
+	s      *sweep
+	mu     sync.Mutex
+	closed bool
+	active sync.WaitGroup
+}
+
+// RunOne claims one unclaimed replica through the work-stealing path (the
+// back of the fullest deque) and runs it on the calling goroutine, with the
+// sweep's context, retry budget, sink and stats. It returns once the result
+// is recorded and emitted. It returns false without running anything once
+// every replica has been claimed or Run has returned.
+func (h *Helper) RunOne() bool {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return false
+	}
+	h.active.Add(1)
+	h.mu.Unlock()
+	defer h.active.Done()
+	idx, _, ok := h.s.deques.next(h.s.workers)
+	if ok {
+		h.s.run(h.s.workers, idx, true)
+	}
+	return ok
+}
+
+// close stops new claims and waits for the claimed replicas to report.
+// Nil-safe.
+func (h *Helper) close() {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	h.closed = true
+	h.mu.Unlock()
+	h.active.Wait()
 }
 
 // emit delivers a result to the sink, swallowing sink panics: a crashing
@@ -326,10 +421,13 @@ func newDeques(jobs, workers int) *deques {
 
 // next claims the worker's next job index: its own deque front first, then
 // the back of the fullest victim. stolen reports whether the claim came
-// from a victim's deque; ok=false means the whole sweep is drained.
+// from a victim's deque; ok=false means the whole sweep is drained. A w
+// past the last deque (a Helper) owns none and only steals.
 func (d *deques) next(w int) (idx int, stolen, ok bool) {
-	if idx, ok := d.popFront(w); ok {
-		return idx, false, true
+	if w < len(d.words) {
+		if idx, ok := d.popFront(w); ok {
+			return idx, false, true
+		}
 	}
 	for {
 		victim, remaining := -1, 0

@@ -78,9 +78,10 @@ type QueueConfig struct {
 	// makes progress. Default 30s.
 	ChargeCap time.Duration
 	// WhalePerTenant / WhaleGlobal cap concurrently *running* whale-class
-	// jobs per tenant and across the queue. Defaults 1 and 1 — servers
-	// should raise WhaleGlobal to workers−1 so whales can never occupy
-	// every worker.
+	// jobs per tenant and across the queue; WhaleGlobal also counts slots
+	// lent to running whales (AcquireWhaleSlot). Defaults 1 and 1 —
+	// servers should raise WhaleGlobal to workers−1 so whales can never
+	// occupy every worker.
 	WhalePerTenant int
 	WhaleGlobal    int
 	// ShedDepth is the total queued size at or above which Overloaded
@@ -149,6 +150,9 @@ type Queue struct {
 
 	whales      map[string]int // running whale jobs per tenant
 	whalesTotal int
+	// whalesLent counts whale slots held through AcquireWhaleSlot; they
+	// count against WhaleGlobal alongside whalesTotal.
+	whalesLent int
 }
 
 // NewQueue builds a queue; see QueueConfig for defaults.
@@ -251,8 +255,44 @@ func (q *Queue) Next() (*Item, bool) {
 	}
 }
 
+// TryNext is the non-blocking Next: it returns a dispatchable item, or nil
+// when none is dispatchable right now. drained reports a closed, empty
+// queue — the point where Next returns false.
+func (q *Queue) TryNext() (it *Item, drained bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	it = q.pick()
+	return it, it == nil && q.closed && q.size == 0
+}
+
+// AcquireWhaleSlot takes one of the WhaleGlobal slots for whale work that
+// is not a dispatched item — a job slot lent to a running whale job — and
+// reports whether one was free. While held it counts against WhaleGlobal
+// exactly as a running whale does, so whale dispatch and whale lending
+// together never exceed the cap. Release it with ReleaseWhaleSlot.
+func (q *Queue) AcquireWhaleSlot() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.whalesTotal+q.whalesLent >= q.cfg.WhaleGlobal {
+		return false
+	}
+	q.whalesLent++
+	return true
+}
+
+// ReleaseWhaleSlot returns a slot AcquireWhaleSlot took.
+func (q *Queue) ReleaseWhaleSlot() {
+	q.mu.Lock()
+	if q.whalesLent > 0 {
+		q.whalesLent--
+	}
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
 // Done releases the resources the dispatch of it acquired (the whale
-// concurrency slot). Must be called exactly once per item Next returned.
+// concurrency slot). Must be called exactly once per item Next or TryNext
+// returned.
 func (q *Queue) Done(it *Item) {
 	if it.Class != ClassWhale {
 		return
@@ -291,7 +331,8 @@ func (q *Queue) Close() {
 //     (in rotating order) whose deficit covers its head's capped charge
 //     dispatches — weighted max-min fairness over predicted cost;
 //  3. whale heads are only eligible while their tenant and the queue as a
-//     whole are under the running-whale caps.
+//     whole are under the running-whale caps (the global cap also counts
+//     slots held through AcquireWhaleSlot).
 func (q *Queue) pick() *Item {
 	if q.size == 0 || len(q.order) == 0 {
 		return nil
@@ -306,7 +347,7 @@ func (q *Queue) pick() *Item {
 				continue
 			}
 			if class == ClassWhale &&
-				(q.whalesTotal >= q.cfg.WhaleGlobal || q.whales[t.name] >= q.cfg.WhalePerTenant) {
+				(q.whalesTotal+q.whalesLent >= q.cfg.WhaleGlobal || q.whales[t.name] >= q.cfg.WhalePerTenant) {
 				continue
 			}
 			eligible = append(eligible, idx)

@@ -49,8 +49,11 @@ type Metrics struct {
 	SweepPointsInfl  *obs.Counter
 	SweepPointsError *obs.Counter
 
-	// FleetSteals / FleetRetries aggregate the replica fleet's work-stealing
-	// traffic and crash-retry attempts across jobs (fleet.Stats totals).
+	// FleetSteals counts replicas run on a lent job slot — a slot with no
+	// dispatchable queued job that ran another job's unclaimed replica
+	// (each job's own fleet is one worker wide, so lending is the only
+	// stealing left). FleetRetries counts crash-retry attempts. Both are
+	// fleet.Stats totals summed across jobs.
 	FleetSteals  *obs.Counter
 	FleetRetries *obs.Counter
 	// ReplicaDuration is the per-replica wall-clock histogram, fed from
@@ -89,7 +92,7 @@ func NewMetrics(endpoints ...string) *Metrics {
 		SweepPointsMiss:      reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "miss")),
 		SweepPointsInfl:      reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "inflight")),
 		SweepPointsError:     reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "error")),
-		FleetSteals:          reg.Counter("popkit_fleet_steals_total", "replicas claimed from another fleet worker's deque"),
+		FleetSteals:          reg.Counter("popkit_fleet_steals_total", "replicas run on a lent job slot (an idle slot helping a running job)"),
 		FleetRetries:         reg.Counter("popkit_fleet_retries_total", "extra replica attempts consumed by crashes"),
 		ReplicaDuration:      reg.Histogram("popkit_fleet_replica_duration_seconds", "per-replica wall-clock time"),
 		queueDepth:           reg.Gauge("popkit_queue_depth", "accepted-but-not-started jobs"),

@@ -62,7 +62,7 @@ func TestPprofGating(t *testing.T) {
 // latency series exists, and a second render is consistent (counters
 // monotone, families in the same order).
 func TestMetricsPromFormat(t *testing.T) {
-	_, ts := newTestServer(t, Config{FleetWorkers: 2})
+	_, ts := newTestServer(t, Config{})
 	resp := postSpec(t, ts.URL, `{"protocol":"leader","n":64,"seed":1,"replicas":3}`)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -164,7 +164,7 @@ func TestMetricsJSONFieldOrder(t *testing.T) {
 // replica-duration histogram has one sample per replica and the fleet
 // tallies are present in the snapshot.
 func TestFleetTelemetryReachesMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{FleetWorkers: 4})
+	s, ts := newTestServer(t, Config{})
 	resp := postSpec(t, ts.URL, `{"protocol":"coalescence","n":2000,"seed":7,"replicas":6}`)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -185,7 +185,7 @@ func TestFleetTelemetryReachesMetrics(t *testing.T) {
 // workers are writing the shared registry — the -race check for the
 // registry-backed metrics path.
 func TestMetricsConcurrentWithJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, FleetWorkers: 4})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)

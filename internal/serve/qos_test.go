@@ -74,7 +74,7 @@ func TestJobDeadlineDerivation(t *testing.T) {
 // TestRetryAfterJitterBurst: the jitter stream is lock-free and still
 // produces bounded, non-identical hints across a concurrent 429 burst.
 func TestRetryAfterJitterBurst(t *testing.T) {
-	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 1, 0, NewMetrics(), nil, nil)
+	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 0, NewMetrics(), nil, nil)
 	defer p.close()
 	const burst = 64
 	vals := make([]int, burst)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,20 +71,31 @@ func (j *queuedJob) err() error {
 	return j.termErr
 }
 
-// pool is the per-tenant fair job queue plus the workers draining it. Each
-// worker runs one job at a time; a job's replicas fan out across
-// fleetWorkers fleet workers, so total simulation parallelism is
-// workers×fleetWorkers. Scheduling — class priority, weighted
-// deficit-round-robin across tenants, whale concurrency caps — lives in
-// qos.Queue; this type owns execution and the metrics feedback loops.
+// pool is the per-tenant fair job queue plus the job slots draining it.
+// Each of the workers slots runs one replica at a time. A slot that frees
+// dispatches a queued job if one is dispatchable and runs that job's
+// replicas; only when none is dispatchable does it lend itself to the
+// oldest running job, running that job's unclaimed replicas one at a time
+// and checking the queue again between them. So total replica parallelism
+// is exactly workers, and lending delays a newly dispatchable job by at
+// most one replica. A slot lent to a whale job holds one of the queue's
+// WhaleGlobal slots while it runs, so whales never fill every slot.
+// Scheduling — class priority, weighted deficit-round-robin across tenants,
+// whale concurrency caps — lives in qos.Queue; this type owns execution,
+// lending and the metrics feedback loops.
 type pool struct {
-	q            *qos.Queue
-	model        *qos.Model
-	qm           *qos.Metrics
-	workers      int
-	fleetWorkers int
-	maxRetries   int
-	metrics      *Metrics
+	q          *qos.Queue
+	model      *qos.Model
+	qm         *qos.Metrics
+	workers    int
+	maxRetries int
+	metrics    *Metrics
+
+	// mu guards running; cond wakes idle slots when a queued job may have
+	// become dispatchable, a job opens for lending, or the queue closes.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	running []*lendable
 
 	// hard aborts in-flight fleets when the drain deadline is blown.
 	hard     context.Context
@@ -97,12 +109,16 @@ type pool struct {
 	jitter atomic.Uint64
 }
 
-func newPool(qcfg qos.QueueConfig, workers, fleetWorkers, maxRetries int, metrics *Metrics, model *qos.Model, qm *qos.Metrics) *pool {
+// lendable is a running job that idle slots may help, until every one of
+// its replicas has been claimed.
+type lendable struct {
+	h     *fleet.Helper
+	whale bool
+}
+
+func newPool(qcfg qos.QueueConfig, workers, maxRetries int, metrics *Metrics, model *qos.Model, qm *qos.Metrics) *pool {
 	if workers < 1 {
 		workers = 1
-	}
-	if fleetWorkers < 1 {
-		fleetWorkers = 1
 	}
 	if model == nil {
 		model = qos.MustNewModel(qos.ModelOptions{})
@@ -112,16 +128,16 @@ func newPool(qcfg qos.QueueConfig, workers, fleetWorkers, maxRetries int, metric
 	}
 	hard, stop := context.WithCancel(context.Background())
 	p := &pool{
-		q:            qos.NewQueue(qcfg),
-		model:        model,
-		qm:           qm,
-		workers:      workers,
-		fleetWorkers: fleetWorkers,
-		maxRetries:   maxRetries,
-		metrics:      metrics,
-		hard:         hard,
-		hardStop:     stop,
+		q:          qos.NewQueue(qcfg),
+		model:      model,
+		qm:         qm,
+		workers:    workers,
+		maxRetries: maxRetries,
+		metrics:    metrics,
+		hard:       hard,
+		hardStop:   stop,
 	}
+	p.cond = sync.NewCond(&p.mu)
 	p.jitter.Store(1)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -139,12 +155,24 @@ func (p *pool) tryEnqueue(j *queuedJob) error {
 	if tenant == "" {
 		tenant = qos.DefaultTenant
 	}
-	return p.q.Enqueue(&qos.Item{
+	err := p.q.Enqueue(&qos.Item{
 		Tenant: tenant,
 		Class:  j.pred.Class,
 		Cost:   j.pred.Total,
 		Job:    j,
 	})
+	if err == nil {
+		p.wake()
+	}
+	return err
+}
+
+// wake rouses the idle slots to look at the queue and the running jobs
+// again.
+func (p *pool) wake() {
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 // depth samples the number of queued (not yet started) jobs.
@@ -206,7 +234,10 @@ func (p *pool) retryHint(sec int) int {
 // drained. Callers that need a deadline race close against a timer and then
 // call abort.
 func (p *pool) close() {
-	p.closeOnce.Do(func() { p.q.Close() })
+	p.closeOnce.Do(func() {
+		p.q.Close()
+		p.wake()
+	})
 	p.wg.Wait()
 }
 
@@ -214,19 +245,89 @@ func (p *pool) close() {
 // jobs are still drained (each sees its cancelled context immediately).
 func (p *pool) abort() { p.hardStop() }
 
+// worker is one job slot: it dispatches queued jobs first, lends itself to
+// running jobs when none is dispatchable, and sleeps when there is neither.
 func (p *pool) worker() {
 	defer p.wg.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		it, ok := p.q.Next()
-		if !ok {
+		it, drained := p.q.TryNext()
+		if it != nil {
+			p.mu.Unlock()
+			p.dispatch(it)
+			p.mu.Lock()
+			continue
+		}
+		if p.lend() {
+			continue
+		}
+		if drained {
 			return
 		}
-		j := it.Job.(*queuedJob)
-		p.qm.QueueWait(it.Tenant, time.Since(it.Enqueued))
-		p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
-		p.runJob(j)
-		p.q.Done(it)
-		p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
+		p.cond.Wait()
+	}
+}
+
+// dispatch runs one queued job on the calling slot.
+func (p *pool) dispatch(it *qos.Item) {
+	j := it.Job.(*queuedJob)
+	p.qm.QueueWait(it.Tenant, time.Since(it.Enqueued))
+	p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
+	p.runJob(j)
+	p.q.Done(it)
+	p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
+	if it.Class == qos.ClassWhale {
+		// A freed whale slot may make a queued whale dispatchable on
+		// another idle slot.
+		p.wake()
+	}
+}
+
+// lend runs one unclaimed replica of the oldest running job this slot may
+// help and reports whether it ran one. A whale job is helped only while a
+// WhaleGlobal slot is free. Jobs with nothing left to claim leave running.
+// Caller holds p.mu; it is released while the replica runs.
+func (p *pool) lend() bool {
+	for i := 0; i < len(p.running); {
+		l := p.running[i]
+		if l.whale && !p.q.AcquireWhaleSlot() {
+			i++
+			continue
+		}
+		p.mu.Unlock()
+		ran := l.h.RunOne()
+		p.mu.Lock()
+		if l.whale {
+			p.q.ReleaseWhaleSlot()
+			p.cond.Broadcast()
+		}
+		if ran {
+			return true
+		}
+		p.withdraw(l)
+		// running may have changed while p.mu was released.
+		i = 0
+	}
+	return false
+}
+
+// offer opens a running job's unclaimed replicas to idle slots.
+func (p *pool) offer(h *fleet.Helper, whale bool) *lendable {
+	l := &lendable{h: h, whale: whale}
+	p.mu.Lock()
+	p.running = append(p.running, l)
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	return l
+}
+
+// withdraw removes l from running. Caller holds p.mu. slices.Delete
+// clears the vacated tail slot, so a finished job's sweep and results are
+// not kept reachable from the backing array.
+func (p *pool) withdraw(l *lendable) {
+	if i := slices.Index(p.running, l); i >= 0 {
+		p.running = slices.Delete(p.running, i, i+1)
 	}
 }
 
@@ -255,12 +356,18 @@ func (p *pool) runJob(j *queuedJob) {
 	stop := context.AfterFunc(p.hard, cancel)
 	defer stop()
 
+	// The job's own slot runs its replicas in order; idle slots join
+	// through the helper.
 	var fstats fleet.Stats
+	var lent *lendable
 	opts := RunOptions{
-		Workers:    p.fleetWorkers,
+		Workers:    1,
 		MaxRetries: p.maxRetries,
 		Start:      j.start,
 		FleetStats: &fstats,
+		Join: func(h *fleet.Helper) {
+			lent = p.offer(h, j.pred.Class == qos.ClassWhale)
+		},
 		Observe: func(r fleet.Result) {
 			p.metrics.ReplicaDuration.Observe(r.Elapsed)
 			if j.pred.PerReplica > 0 {
@@ -290,6 +397,12 @@ func (p *pool) runJob(j *queuedJob) {
 			// worker forever.
 		}
 	})
+
+	if lent != nil {
+		p.mu.Lock()
+		p.withdraw(lent)
+		p.mu.Unlock()
+	}
 
 	tot := fstats.Totals()
 	p.metrics.FleetSteals.Add(tot.Steals)

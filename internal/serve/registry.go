@@ -143,6 +143,11 @@ type RunOptions struct {
 	// with /v1/sweep; "sweep" in older comments meant one job's replica
 	// fan-out, a usage retired when the parameter-grid sweep API arrived.)
 	FleetStats *fleet.Stats
+	// Join, when non-nil, receives the fleet's Helper once the job starts,
+	// so goroutines outside the fleet can run its unclaimed replicas
+	// (fleet.Options.Join) — how popserved's idle job slots lend
+	// themselves to a running job.
+	Join func(*fleet.Helper)
 }
 
 // Run executes the spec's replicas [opts.Start, spec.Replicas) across the
@@ -164,6 +169,7 @@ func (p *Protocol) Run(ctx context.Context, spec expt.JobSpec, opts RunOptions, 
 		MaxRetries: opts.MaxRetries,
 		Sink:       fanout,
 		Stats:      opts.FleetStats,
+		Join:       opts.Join,
 	})
 	for _, r := range results {
 		if r.Err != nil {

@@ -48,12 +48,12 @@ type Config struct {
 	// QueueDepth bounds the number of accepted-but-not-started jobs; a
 	// full queue rejects with 429. Default 64.
 	QueueDepth int
-	// Workers is the number of jobs executing concurrently. Default:
-	// runtime.GOMAXPROCS(0).
+	// Workers is the number of job slots, each running one replica at a
+	// time. A slot runs a dispatched job's replicas; when no queued job is
+	// dispatchable it runs unclaimed replicas of the oldest running job
+	// instead, so up to Workers jobs run at once and an idle slot still
+	// works. Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// FleetWorkers is the replica-fleet width per job (output is identical
-	// for any value — records stream in replica order). Default 1.
-	FleetWorkers int
 	// MaxRetries re-runs a replica that panicked or hit an injected fault,
 	// restarting it from its own seed so recovery is byte-identical.
 	// Default 0 (no retries).
@@ -89,8 +89,9 @@ type Config struct {
 	TenantWeights map[string]int
 	MaxTenants    int
 	// WhalePerTenant / WhaleGlobal cap concurrently running whale-class
-	// jobs per tenant and server-wide. Defaults: 1 per tenant; globally
-	// Workers−1 (min 1), so whales can never occupy every worker.
+	// jobs per tenant and server-wide; WhaleGlobal also counts job slots
+	// lent to running whales. Defaults: 1 per tenant; globally Workers−1
+	// (min 1), so whales can never occupy every slot.
 	WhalePerTenant int
 	WhaleGlobal    int
 	// MaxN caps the population size a request may ask for. Default 5e6.
@@ -129,9 +130,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.FleetWorkers == 0 {
-		c.FleetWorkers = 1
 	}
 	if c.MinJobTimeout == 0 {
 		c.MinJobTimeout = 10 * time.Second
@@ -211,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 		MaxTenants:     cfg.MaxTenants,
 		WhalePerTenant: cfg.WhalePerTenant,
 		WhaleGlobal:    cfg.WhaleGlobal,
-	}, cfg.Workers, cfg.FleetWorkers, cfg.MaxRetries, m, model, s.qosM)
+	}, cfg.Workers, cfg.MaxRetries, m, model, s.qosM)
 	if cfg.JournalDir != "" {
 		s.journals = newJournalSet(cfg.JournalDir)
 	}

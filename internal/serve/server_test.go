@@ -257,7 +257,7 @@ func TestJobTimeoutSurfacesError(t *testing.T) {
 // guarantee: the HTTP stream must be byte-identical to what the registry
 // (and therefore popsim -ndjson, which calls the same code) produces.
 func TestHTTPMatchesDirectRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{FleetWorkers: 3})
+	_, ts := newTestServer(t, Config{})
 	const body = `{"protocol":"exactmajority","n":2000,"seed":42,"replicas":4,"gap":1}`
 
 	resp := postSpec(t, ts.URL, body)
@@ -357,7 +357,7 @@ func TestPoolDrainAndAbort(t *testing.T) {
 	release := make(chan struct{})
 	reg := blockingRegistry(t, started, release)
 	m := NewMetrics()
-	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 1, 0, m, nil, nil)
+	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 0, m, nil, nil)
 	proto, _ := reg.Lookup("block")
 	j := &queuedJob{
 		spec:    expt.JobSpec{Protocol: "block", N: 10, Seed: 1, Replicas: 1},
