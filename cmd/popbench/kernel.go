@@ -134,32 +134,42 @@ func measureAggregate(n int64, targetInteractions uint64) kernelRow {
 }
 
 // measureDense times `target` scheduler activations of the same workload on
-// the per-agent dense runner, which cannot leap: every activation costs one
-// Step, firing or not.
+// the per-agent dense runner through the loop serving uses: a tracker on
+// the opinion and the stop condition handed to RunTracked, which steps with
+// the RNG state in registers and re-checks the condition only when the
+// tracked count moves. The runner cannot leap, so every activation counts,
+// firing or not. A population that decides before the budget is rebuilt
+// outside the timing.
 func measureDense(n int64, target uint64) kernelRow {
 	em := baseline.NewExactMajority4()
 	proto := engine.CompileProtocol(em.Rules())
 	a := em.Strong.Set(em.IsA.Set(bitmask.State{}, true), true)
 	b := em.Strong.Set(bitmask.State{}, true)
 	nA := int(n)/2 + 1
-	pop := engine.NewDenseInit(int(n), func(i int) bitmask.State {
-		if i < nA {
-			return a
-		}
-		return b
-	})
-	r := engine.NewRunner(proto, pop, engine.NewRNG(1))
-	t0 := time.Now()
-	for i := uint64(0); i < target; i++ {
-		r.Step()
+	rng := engine.NewRNG(1)
+	var busy time.Duration
+	var interactions uint64
+	for interactions < target {
+		pop := engine.NewDenseInit(int(n), func(i int) bitmask.State {
+			if i < nA {
+				return a
+			}
+			return b
+		})
+		r := engine.NewRunner(proto, pop, rng)
+		ta := r.Track("A", bitmask.Is(em.IsA))
+		decided := func() bool { c := int64(ta.Count()); return c == 0 || c == n }
+		t0 := time.Now()
+		r.RunTracked(decided, float64(target-interactions)/float64(n))
+		busy += time.Since(t0)
+		interactions += r.Interactions
 	}
-	busy := time.Since(t0)
-	ns := float64(busy.Nanoseconds()) / float64(target)
+	ns := float64(busy.Nanoseconds()) / float64(interactions)
 	return kernelRow{
 		Runner:           "dense",
 		N:                n,
-		Firings:          target,
-		Interactions:     target,
+		Firings:          interactions,
+		Interactions:     interactions,
 		NsPerFiring:      ns,
 		NsPerInteraction: ns,
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"popkit/internal/bitmask"
 	"popkit/internal/obs"
@@ -253,10 +254,13 @@ func resizeZero(s []int64, n int) []int64 {
 }
 
 // growZero extends s with zeros to length n, preserving existing entries.
-func growZero(s []int64, n int) []int64 {
-	for len(s) < n {
-		s = append(s, 0)
+func growZero[T any](s []T, n int) []T {
+	old := len(s)
+	if old >= n {
+		return s
 	}
+	s = slices.Grow(s, n-old)[:n]
+	clear(s[old:])
 	return s
 }
 

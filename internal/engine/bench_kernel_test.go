@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"popkit/internal/baseline"
+	"popkit/internal/bitmask"
 	"popkit/internal/engine"
+	"popkit/internal/frame"
+	"popkit/internal/obs"
+	"popkit/internal/protocols"
 )
 
 // Kernel step benchmarks. Each iteration is one LeapStep; for the count and
@@ -130,4 +134,113 @@ func BenchmarkAggregateStep(b *testing.B) {
 	}
 	b.StopTimer()
 	reportPerInteraction(b, interactions+ar.Interactions)
+}
+
+// BenchmarkDenseStep drives the per-agent dense kernel through the loops
+// serving runs, on the two kinds of job it carries: a counted protocol
+// below the dense crossover and a framework program, whose every leaf runs
+// on engine.Runner.
+func BenchmarkDenseStep(b *testing.B) {
+	b.Run("approxmajority-n800", benchDenseApproxMajority)
+	b.Run("majority-frame-n4400", benchDenseMajorityFrame)
+}
+
+// benchDenseApproxMajority runs the 3-state approximate majority at n = 800,
+// gap 1, as the serving registry does: trackers on both opinions and the
+// stop condition handed to RunTracked. Each iteration advances one parallel
+// round; converged populations are rebuilt outside the timer.
+func benchDenseApproxMajority(b *testing.B) {
+	am := baseline.NewApproxMajority()
+	proto := engine.CompileProtocol(am.Rules())
+	const n, gap = 800, 1
+	nB := (n - gap) / 2
+	sA := am.A.Set(bitmask.State{}, true)
+	sB := am.B.Set(bitmask.State{}, true)
+	rng := engine.NewRNG(1)
+	var r *engine.Runner
+	var done func() bool
+	build := func() {
+		pop := engine.NewDenseInit(n, func(i int) bitmask.State {
+			if i < n-nB {
+				return sA
+			}
+			return sB
+		})
+		r = engine.NewRunner(proto, pop, rng)
+		ta := r.Track("A", bitmask.Is(am.A))
+		tb := r.Track("B", bitmask.Is(am.B))
+		done = func() bool { return ta.Count() == 0 || tb.Count() == 0 }
+	}
+	build()
+	var interactions uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := r.RunTracked(done, 1); ok {
+			b.StopTimer()
+			interactions += r.Interactions
+			build()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	reportPerInteraction(b, interactions+r.Interactions)
+}
+
+// benchDenseMajorityFrame runs the framework Majority program (§3.2) at
+// n = 4400, gap 1 — every leaf an engine.Runner execution. Each iteration
+// is one framework iteration, bookkeeping leaves included; the executor is
+// rebuilt outside the timer every three iterations (the shape converges in
+// three), and interactions are summed from the leaves' trace events.
+func benchDenseMajorityFrame(b *testing.B) {
+	const n, gap = 4400, 1
+	prog := protocols.Majority(2)
+	var e *frame.Executor
+	var tr *obs.Trace
+	var interactions uint64
+	seed := uint64(0)
+	drain := func() {
+		if tr == nil {
+			return
+		}
+		if tr.Dropped() > 0 {
+			b.Fatal("leaf trace overflowed")
+		}
+		for _, ev := range tr.Events() {
+			if ev.Kind == "leaf" {
+				interactions += uint64(ev.Value)
+			}
+		}
+	}
+	build := func() {
+		drain()
+		seed++
+		var err error
+		if e, err = frame.New(prog, n, seed); err != nil {
+			b.Fatal(err)
+		}
+		tr = obs.NewTrace(1 << 16)
+		e.Trace = tr
+		a, _ := e.Space.LookupVar("A")
+		bv, _ := e.Space.LookupVar("B")
+		nA := n - (n-gap)/2
+		e.SetInput(func(i int, s bitmask.State) bitmask.State {
+			if i < nA {
+				return a.Set(s, true)
+			}
+			return bv.Set(s, true)
+		})
+	}
+	build()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.Iterations == 3 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
+		e.RunIteration()
+	}
+	b.StopTimer()
+	drain()
+	reportPerInteraction(b, interactions)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"popkit/internal/bitmask"
 	"popkit/internal/rules"
@@ -41,6 +42,9 @@ type groupIndex struct {
 	indexed        bool
 	careLo, careHi uint64
 	buckets        map[[2]uint64][]int32
+	// roles[0] and roles[1] are the group's distinct initiator and
+	// responder guards, which groupAdmits tests a species against.
+	roles [2][]bitmask.Guard
 }
 
 // CompileProtocol prepares a ruleset for simulation. The ruleset must be
@@ -74,6 +78,11 @@ func CompileProtocol(rs *rules.Ruleset) *Protocol {
 		p.ruleWeightF[i] = float64(p.ruleWeight[i])
 		p.ruleWeightN[i] = p.ruleWeightF[i] / float64(p.NumSlots())
 	}
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		g.roles[0] = distinctGuards(p.ruleG1[g.start:g.end])
+		g.roles[1] = distinctGuards(p.ruleG2[g.start:g.end])
+	}
 	return p
 }
 
@@ -104,6 +113,17 @@ func buildGroupIndex(rs *rules.Ruleset, g rules.Group) groupIndex {
 		idx.buckets[key] = append(idx.buckets[key], int32(i))
 	}
 	return idx
+}
+
+// distinctGuards returns the distinct guards among gs, in first-seen order.
+func distinctGuards(gs []bitmask.Guard) []bitmask.Guard {
+	var out []bitmask.Guard
+	for _, g := range gs {
+		if !slices.ContainsFunc(out, func(o bitmask.Guard) bool { return slices.Equal(o.Cubes, g.Cubes) }) {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // NumRules returns the number of distinct rules.
@@ -156,6 +176,26 @@ func (p *Protocol) matchGroup(gi int32, a, b bitmask.State) (int, *rules.Rule) {
 		}
 	}
 	return -1, nil
+}
+
+// groupAdmits reports whether some rule of group gi could fire with s in
+// the given role: its initiator guard (responder false) or its responder
+// guard (responder true) matches s.
+func (p *Protocol) groupAdmits(gi int32, s bitmask.State, responder bool) bool {
+	g := &p.groups[gi]
+	if g.indexed && !responder {
+		return len(g.buckets[[2]uint64{s.Lo & g.careLo, s.Hi & g.careHi}]) > 0
+	}
+	role := 0
+	if responder {
+		role = 1
+	}
+	for i := range g.roles[role] {
+		if g.roles[role][i].Match(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // GroupTally aggregates per-rule firing counts (indexed by rule, as

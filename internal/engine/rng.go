@@ -55,15 +55,23 @@ func NewReplicaRNG(root, replica uint64) *RNG {
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
-	result := bits.RotateLeft64(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var out uint64
+	out, s[0], s[1], s[2], s[3] = xoshiro(s[0], s[1], s[2], s[3])
+	return out
+}
+
+// xoshiro is one xoshiro256++ step on state passed by value, so a hot loop
+// (Runner's step loop) can keep the state in registers.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

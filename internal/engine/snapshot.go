@@ -61,8 +61,12 @@ func (d *Dense) WriteTo(w io.Writer) (int64, error) {
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(d.agents))); err != nil {
 		return 0, err
 	}
-	for _, s := range d.agents {
-		if err := binary.Write(bw, binary.LittleEndian, [2]uint64{s.Lo, s.Hi}); err != nil {
+	var rec [16]byte
+	for _, id := range d.agents {
+		s := d.states[id]
+		binary.LittleEndian.PutUint64(rec[:8], s.Lo)
+		binary.LittleEndian.PutUint64(rec[8:], s.Hi)
+		if _, err := bw.Write(rec[:]); err != nil {
 			return 0, err
 		}
 	}
@@ -85,13 +89,13 @@ func ReadDense(r io.Reader) (*Dense, error) {
 	if n < 2 || n > 1<<40 {
 		return nil, fmt.Errorf("engine: implausible snapshot population size %d", n)
 	}
-	d := &Dense{agents: make([]bitmask.State, n)}
+	d := NewDense(int(n))
 	for i := range d.agents {
 		var lanes [2]uint64
 		if err := binary.Read(br, binary.LittleEndian, &lanes); err != nil {
 			return nil, fmt.Errorf("engine: truncated snapshot at agent %d: %w", i, err)
 		}
-		d.agents[i] = bitmask.State{Lo: lanes[0], Hi: lanes[1]}
+		d.SetAgent(i, bitmask.State{Lo: lanes[0], Hi: lanes[1]})
 	}
 	return d, nil
 }

@@ -72,14 +72,16 @@ type RunnerCaps struct {
 	AggregatesFirings bool
 	// NsPerFiring is the measured cost of one rule firing on the E11
 	// exact-majority workload at n = 10^6 (dense: cost per interaction —
-	// it cannot leap, so quiescent activations cost the same).
+	// it cannot leap, so quiescent activations cost the same — measured
+	// on 2 shared vCPUs with the species-interned step; the counted rows
+	// come from results/BENCH_kernel.json, one 2.1 GHz core).
 	NsPerFiring float64
 }
 
 // CapabilityMatrix returns the runner capability table.
 func CapabilityMatrix() []RunnerCaps {
 	return []RunnerCaps{
-		{Kind: RunnerDense, OrderedGroups: true, NsPerFiring: 72},
+		{Kind: RunnerDense, OrderedGroups: true, NsPerFiring: 45},
 		{Kind: RunnerCounted, LeapsQuiescence: true, HugePopulations: true, StreamCompat: true, NsPerFiring: 115},
 		{Kind: RunnerBatch, LeapsQuiescence: true, HugePopulations: true, NsPerFiring: 107},
 		{Kind: RunnerAggregate, LeapsQuiescence: true, HugePopulations: true, AggregatesFirings: true, NsPerFiring: 111},
@@ -89,7 +91,9 @@ func CapabilityMatrix() []RunnerCaps {
 // denseCrossover is the population size below which per-interaction dense
 // stepping beats the counted kernels: the counted per-firing cost (~110 ns)
 // only pays off once leaps skip enough quiescent activations, which needs
-// room that toy populations don't have.
+// room that toy populations don't have. It stays at 1024 although the
+// dense step has since become cheaper: moving it changes which kernel runs
+// a spec, and so which bytes the spec returns.
 const denseCrossover = 1024
 
 // aggregateCrossover is the population size above which the aggregate
@@ -170,8 +174,9 @@ func (c denseCounter) Count() int64 { return int64(c.t.Count()) }
 
 // Driver runs one (protocol, population) pair on whichever runner
 // SelectRunner picked, behind a single tracker-based API. Stop conditions
-// must read trackers obtained from Track — that is what lets the counted
-// kernels skip re-evaluating the condition while no tracked count moves.
+// must read trackers obtained from Track — that is what lets every kernel,
+// dense included, skip re-evaluating the condition while no tracked count
+// moves.
 type Driver struct {
 	Kind RunnerKind
 
@@ -185,8 +190,6 @@ type Driver struct {
 	br      *engine.BatchRunner
 	ar      *engine.AggregateRunner
 	dr      *engine.Runner
-
-	denseSteps uint64
 
 	trace        *obs.Trace
 	traceReplica int
@@ -329,7 +332,9 @@ func (d *Driver) maybeTrace() {
 }
 
 // RunUntil advances until cond holds or maxRounds elapses, returning the
-// parallel time consumed and whether cond was met.
+// parallel time consumed and whether cond was met. With a trace attached,
+// "count" events are emitted when cond is evaluated, so like cond they
+// follow tracked-count changes.
 func (d *Driver) RunUntil(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
 	probe := cond
 	if d.trace != nil {
@@ -340,16 +345,7 @@ func (d *Driver) RunUntil(cond func() bool, maxRounds float64) (rounds float64, 
 	}
 	switch d.Kind {
 	case RunnerDense:
-		start := d.dr.Rounds()
-		steps := uint64(math.Ceil(maxRounds * float64(d.dense.N())))
-		for i := uint64(0); i < steps; i++ {
-			if probe() {
-				return d.dr.Rounds() - start, true
-			}
-			d.dr.Step()
-			d.denseSteps++
-		}
-		return d.dr.Rounds() - start, probe()
+		return d.dr.RunTracked(probe, maxRounds)
 	case RunnerCounted:
 		return d.cr.RunUntil(func(*engine.CountRunner) bool { return probe() }, maxRounds)
 	case RunnerAggregate:
@@ -378,7 +374,7 @@ func (d *Driver) Rounds() float64 {
 func (d *Driver) Interactions() uint64 {
 	switch d.Kind {
 	case RunnerDense:
-		return d.denseSteps
+		return d.dr.Interactions
 	case RunnerCounted:
 		return d.cr.Interactions
 	case RunnerAggregate:

@@ -134,12 +134,10 @@ func (o *Oscillator) InitState(base bitmask.State, species uint64, strong bool) 
 // InitUniform initializes every agent of the population with a uniformly
 // random weak species, leaving X and all other bits untouched.
 func (o *Oscillator) InitUniform(pop *engine.Dense, rng *engine.RNG) {
-	for i := 0; i < pop.N(); i++ {
-		s := pop.Agent(i)
-		s = o.Species.Set(s, uint64(rng.Intn(3)))
-		s = o.Strong.Set(s, false)
-		pop.SetAgent(i, s)
-	}
+	pop.Remap(3, func(int) int { return rng.Intn(3) }, func(s bitmask.State, species int) bitmask.State {
+		s = o.Species.Set(s, uint64(species))
+		return o.Strong.Set(s, false)
+	})
 }
 
 // RandSpecies returns a species drawn from the skewed distribution

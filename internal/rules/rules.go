@@ -46,7 +46,7 @@ func (r Rule) Matches(a, b bitmask.State) bool {
 // Apply returns the post-interaction states. It does not check Matches.
 // Bit copies run first (reading the pre-interaction state), then the mask
 // updates.
-func (r Rule) Apply(a, b bitmask.State) (bitmask.State, bitmask.State) {
+func (r *Rule) Apply(a, b bitmask.State) (bitmask.State, bitmask.State) {
 	return r.U1.Apply(applyCopies(a, r.Copy1)), r.U2.Apply(applyCopies(b, r.Copy2))
 }
 

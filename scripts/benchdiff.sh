@@ -19,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ref="${1:-HEAD~1}"
-pattern="${2:-BenchmarkCountStep|BenchmarkBatchStep|BenchmarkAggregateStep|BenchmarkAliasSample|BenchmarkFenwickSample}"
+pattern="${2:-BenchmarkCountStep|BenchmarkBatchStep|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample|BenchmarkFenwickSample}"
 count="${COUNT:-5}"
 benchtime="${BENCHTIME:-1s}"
 if [ "${QUICK:-0}" = "1" ]; then
