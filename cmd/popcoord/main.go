@@ -13,7 +13,9 @@
 //	         [-max-n N] [-max-replicas N] [-store DIR] [-store-max-bytes N]
 //	         [-store-max-entries N] [-max-sweep-points N] [-drain D] [-v]
 //
-// Admission and deadlines mirror popserved's: each job's cost is predicted
+// Requests go through popserved's own request front (serve.Front), so
+// decoding, the result store, admission, journals and streaming behave —
+// and fail — exactly as on a single popserved: each job's cost is predicted
 // from the ns-per-interaction model, -cost-budget turns predictably hopeless
 // jobs away with a structured 413, and the per-job deadline derives from the
 // prediction (capped by -job-timeout when set). Every shard dispatch — and
@@ -43,13 +45,14 @@
 // Endpoints:
 //
 //	POST /v1/jobs       run a job sharded across the cluster, stream NDJSON
+//	                    (?meta=1 prepends the metadata record)
 //	POST /v1/simulate   alias for /v1/jobs (drop-in for a single popserved)
 //	POST /v1/sweep      expand a parameter grid, dedupe against the result
 //	                    store and in-flight jobs, stream one manifest line
 //	                    per point plus a summary
 //	GET  /v1/workers    list registered workers and their health
 //	POST /v1/workers    register a worker: {"url": "http://host:port"}
-//	GET  /v1/protocols  list runnable protocols
+//	GET  /v1/protocols  list runnable protocols (popserved's document)
 //	GET  /healthz       coordinator liveness + live-worker count
 //	GET  /metrics       JSON counters (cluster size, shards, per-worker
 //	                    latency); ?format=prom for Prometheus text
@@ -139,7 +142,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "popcoord: %v\n", err)
 		return 2
 	}
-	coord.Start()
+	live := coord.Start()
 	defer coord.Stop()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -150,7 +153,6 @@ func run() int {
 	hs := &http.Server{Handler: coord.Handler()}
 
 	// The scripts parse this line to discover the bound port.
-	_, live := workerCounts(coord)
 	fmt.Fprintf(os.Stderr, "popcoord: listening on http://%s (workers=%d live=%d)\n",
 		ln.Addr(), len(cfg.Workers), live)
 
@@ -178,15 +180,4 @@ func run() int {
 	}
 	fmt.Fprintln(os.Stderr, "popcoord: drained, bye")
 	return code
-}
-
-// workerCounts samples (registered, live) from the coordinator's view.
-func workerCounts(c *cluster.Coordinator) (total, live int) {
-	for _, w := range c.Workers() {
-		total++
-		if w.Live {
-			live++
-		}
-	}
-	return total, live
 }

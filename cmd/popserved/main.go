@@ -122,7 +122,7 @@ func run() int {
 		return 0
 	}
 	if *queue < 1 || *workers < 1 || *maxN < 2 || *maxReplicas < 1 || *retries < 0 ||
-		*maxTenants < 0 || *whalePerTenant < 0 || *whaleGlobal < 0 || *jobTimeout < 0 || *minJobTimeout < 0 || *costBudget < 0 {
+		*maxTenants < 0 || *whalePerTenant < 0 || *whaleGlobal < 0 {
 		fmt.Fprintln(os.Stderr, "popserved: -queue, -workers, -max-replicas must be ≥ 1, -max-n ≥ 2, everything else ≥ 0")
 		return 2
 	}
@@ -168,6 +168,10 @@ func run() int {
 		StoreMaxEntries: *storeMaxEnts,
 		MaxSweepPoints:  *maxSweepPoints,
 	})
+	if errors.Is(err, serve.ErrNegativeLimit) {
+		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
+		return 2
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 		return 1

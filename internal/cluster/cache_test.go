@@ -91,6 +91,36 @@ func TestCoordinatorRepeatPostServedFromStore(t *testing.T) {
 	}
 }
 
+// TestMetaRecordMatchesPopserved: ?meta=1 on a store-backed coordinator
+// opens the stream with the same metadata record a store-backed popserved
+// sends — on a miss and on a hit — and the records after it match too.
+func TestMetaRecordMatchesPopserved(t *testing.T) {
+	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, StoreDir: t.TempDir()})
+	solo := newPopserved(t, serve.Config{StoreDir: t.TempDir()})
+	for _, cache := range []string{"miss", "hit"} {
+		got := postResp(t, base, "/v1/jobs?meta=1", testSpecJSON)
+		want := postResp(t, solo, "/v1/simulate?meta=1", testSpecJSON)
+		if got.Header.Get("X-Popkit-Cache") != cache || want.Header.Get("X-Popkit-Cache") != cache {
+			t.Fatalf("X-Popkit-Cache coordinator %q, popserved %q, want %s",
+				got.Header.Get("X-Popkit-Cache"), want.Header.Get("X-Popkit-Cache"), cache)
+		}
+		gb, wb := readBody(t, got), readBody(t, want)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: coordinator stream differs from popserved's:\n%s\nvs\n%s", cache, gb, wb)
+		}
+		var meta struct {
+			Meta struct {
+				SpecHash string `json:"spec_hash"`
+				Cached   bool   `json:"cached"`
+			} `json:"meta"`
+		}
+		if err := json.Unmarshal(gb[:bytes.IndexByte(gb, '\n')], &meta); err != nil ||
+			len(meta.Meta.SpecHash) != 64 || meta.Meta.Cached != (cache == "hit") {
+			t.Fatalf("%s: bad meta record (%v) in\n%s", cache, err, gb)
+		}
+	}
+}
+
 // postSweepC POSTs a sweep to the coordinator and decodes manifest + summary.
 func postSweepC(t *testing.T, base, body string) ([]expt.SweepResult, expt.SweepSummary) {
 	t.Helper()

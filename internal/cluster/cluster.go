@@ -1,6 +1,7 @@
 // Package cluster shards one simulation job across many popserved workers.
 //
-// The coordinator accepts the same expt.JobSpec as a single popserved
+// The coordinator is popserved's request front (serve.Front) over a
+// remote executor: it accepts the same expt.JobSpec as a single popserved
 // (POST /v1/jobs, with /v1/simulate as an alias), splits the job's replica
 // range [0, Replicas) into contiguous shards, dispatches each shard to a
 // registered worker as the same spec with a [Start, Replicas) window, and
@@ -33,17 +34,11 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"popkit/internal/expt"
-	"popkit/internal/qos"
 	"popkit/internal/serve"
-	"popkit/internal/store"
 )
 
 // Config sizes the coordinator.
@@ -118,10 +113,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// fillDefaults fills the dispatch settings; serve.NewFront fills the
+// front's.
 func (c *Config) fillDefaults() {
-	if c.Registry == nil {
-		c.Registry = serve.NewRegistry()
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -134,18 +128,6 @@ func (c *Config) fillDefaults() {
 	if c.DispatchRetries == 0 {
 		c.DispatchRetries = 4
 	}
-	if c.MinJobTimeout == 0 {
-		c.MinJobTimeout = 10 * time.Second
-	}
-	if c.MaxN == 0 {
-		c.MaxN = 5_000_000
-	}
-	if c.MaxReplicas == 0 {
-		c.MaxReplicas = 1024
-	}
-	if c.MaxSweepPoints == 0 {
-		c.MaxSweepPoints = 1024
-	}
 	if c.SweepWorkers == 0 {
 		c.SweepWorkers = 4
 	}
@@ -154,22 +136,15 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Coordinator shards jobs across the registered workers. Create with New,
-// start health probing with Start, and mount Handler on an http.Server.
+// Coordinator shards jobs across the registered workers: the request front
+// with the coordinator itself as its Executor. Create with New, start
+// health probing with Start, and mount Handler on an http.Server.
 type Coordinator struct {
-	cfg      Config
-	workers  *workerSet
-	journals *journalSet
-	metrics  *Metrics
-	// rstore is the coordinator-side result cache (nil unless StoreDir is
-	// set); flight single-flights concurrent identical jobs regardless.
-	rstore  *store.Store
-	flight  *store.Flight
+	*serve.Front
+	cfg     Config
+	workers *workerSet
+	metrics *Metrics
 	started time.Time
-	// model predicts job cost for admission and deadline derivation; qosM
-	// tallies per-tenant admission decisions on the shared metrics registry.
-	model *qos.Model
-	qosM  *qos.Metrics
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -184,50 +159,38 @@ func New(cfg Config) (*Coordinator, error) {
 		started: time.Now(),
 		stopCh:  make(chan struct{}),
 	}
-	names := make([]string, 0, 8)
-	for _, rt := range c.routes() {
-		names = append(names, rt.name)
-	}
-	c.metrics = NewMetrics(names...)
-	model, err := qos.NewModel(qos.ModelOptions{GridPath: cfg.CostModelPath})
+	front, err := serve.NewFront(serve.Config{
+		Registry:        cfg.Registry,
+		JournalDir:      cfg.JournalDir,
+		JobTimeout:      cfg.JobTimeout,
+		MinJobTimeout:   cfg.MinJobTimeout,
+		CostModelPath:   cfg.CostModelPath,
+		CostBudget:      cfg.CostBudget,
+		MaxN:            cfg.MaxN,
+		MaxReplicas:     cfg.MaxReplicas,
+		StoreDir:        cfg.StoreDir,
+		StoreMaxBytes:   cfg.StoreMaxBytes,
+		StoreMaxEntries: cfg.StoreMaxEntries,
+		MaxSweepPoints:  cfg.MaxSweepPoints,
+		SweepWorkers:    cfg.SweepWorkers,
+	}, "popkit_cluster_", "jobs", c,
+		serve.Route{Name: "workers", Pattern: "/v1/workers", Handler: c.handleWorkers},
+		serve.Route{Name: "healthz", Pattern: "/healthz", Handler: c.handleHealthz},
+		serve.Route{Name: "metrics", Pattern: "/metrics", Handler: c.handleMetrics})
 	if err != nil {
-		return nil, fmt.Errorf("cost model: %w", err)
+		return nil, err
 	}
-	c.model = model
-	c.qosM = qos.NewMetrics(c.metrics.reg)
+	c.Front = front
+	c.metrics = newMetrics(front.FrontMetrics())
 	c.workers = newWorkerSet(cfg.HTTPClient, cfg.ProbeTimeout, c.metrics)
 	for _, u := range cfg.Workers {
 		if err := c.workers.add(u); err != nil {
+			c.Stop()
 			return nil, err
 		}
-	}
-	if cfg.JournalDir != "" {
-		c.journals = &journalSet{dir: cfg.JournalDir, busy: make(map[string]bool)}
-	}
-	if cfg.StoreDir != "" {
-		sm := store.NewMetrics(c.metrics.reg)
-		st, err := store.Open(store.Options{
-			Dir:        cfg.StoreDir,
-			MaxBytes:   cfg.StoreMaxBytes,
-			MaxEntries: cfg.StoreMaxEntries,
-			Metrics:    sm,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.rstore = st
-		c.flight = store.NewFlight(sm)
-	} else {
-		c.flight = store.NewFlight(store.NewMetrics(nil))
 	}
 	return c, nil
 }
-
-// Store exposes the coordinator's result store (nil when disabled).
-func (c *Coordinator) Store() *store.Store { return c.rstore }
-
-// CostModel exposes the admission cost model (tests, embedding binaries).
-func (c *Coordinator) CostModel() *qos.Model { return c.model }
 
 // Metrics exposes the counter set (tests and embedding binaries).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
@@ -235,15 +198,12 @@ func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 // Workers lists the registered workers and their health.
 func (c *Coordinator) Workers() []WorkerInfo { return c.workers.snapshot() }
 
-// Register adds a worker at runtime; it starts receiving shards after its
-// first successful health probe.
-func (c *Coordinator) Register(url string) error { return c.workers.add(url) }
-
 // Start launches the background health-check loop (one concurrent probe
 // sweep per ProbeInterval), beginning with a synchronous sweep so callers
-// observe real liveness as soon as Start returns. Stop ends the loop.
-func (c *Coordinator) Start() {
-	c.ProbeNow()
+// observe real liveness as soon as Start returns; it returns that sweep's
+// live count. Stop ends the loop.
+func (c *Coordinator) Start() int {
+	live := c.ProbeNow()
 	go func() {
 		t := time.NewTicker(c.cfg.ProbeInterval)
 		defer t.Stop()
@@ -256,6 +216,7 @@ func (c *Coordinator) Start() {
 			}
 		}
 	}()
+	return live
 }
 
 // ProbeNow runs one synchronous health sweep and returns the live count.
@@ -268,8 +229,8 @@ func (c *Coordinator) ProbeNow() int {
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stopCh)
-		if c.rstore != nil {
-			c.rstore.Close()
+		if st := c.Store(); st != nil {
+			st.Close()
 		}
 	})
 }
@@ -278,40 +239,4 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
 	}
-}
-
-// journalSet mirrors popserved's: one expt.Journal per job ID under dir,
-// plus a process-local busy set serializing access per ID. After a
-// coordinator crash the new process starts idle; the journals on disk are
-// the only state that matters, which is exactly what makes restart-resume
-// work.
-type journalSet struct {
-	dir  string
-	mu   sync.Mutex
-	busy map[string]bool
-}
-
-var errJobBusy = fmt.Errorf("job already in flight")
-
-func (s *journalSet) acquire(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.busy[id] {
-		return errJobBusy
-	}
-	s.busy[id] = true
-	return nil
-}
-
-func (s *journalSet) release(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.busy, id)
-}
-
-func (s *journalSet) open(id string, spec expt.JobSpec) (*expt.Journal, [][]byte, error) {
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	return expt.LoadJournal(filepath.Join(s.dir, id+".ndjson"), spec)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +23,14 @@ const testSpecJSON = `{"protocol":"exactmajority","n":400,"seed":7,"replicas":12
 // newWorker boots an in-process popserved and returns its base URL.
 func newWorker(t *testing.T) string {
 	t.Helper()
-	s := serve.MustNew(serve.Config{QueueDepth: 16, Workers: 2})
+	return newPopserved(t, serve.Config{QueueDepth: 16, Workers: 2})
+}
+
+// newPopserved boots an in-process popserved with cfg and returns its base
+// URL.
+func newPopserved(t *testing.T, cfg serve.Config) string {
+	t.Helper()
+	s := serve.MustNew(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -315,28 +323,96 @@ func TestRegistrationLifecycle(t *testing.T) {
 	}
 }
 
-func TestValidationAndMethodErrors(t *testing.T) {
-	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}})
-	for _, tc := range []struct{ name, body string }{
-		{"malformed", `{"protocol":`},
-		{"unknown protocol", `{"protocol":"nosuch","n":100}`},
-		{"start with job_id", `{"protocol":"leader","n":100,"replicas":4,"start":2,"job_id":"x"}`},
-		{"start out of range", `{"protocol":"leader","n":100,"replicas":4,"start":4}`},
-	} {
-		if status, _ := post(t, base, "/v1/jobs", tc.body); status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, status)
-		}
-	}
-	resp, err := http.Get(base + "/v1/jobs")
+// answer is the part of a response a drop-in replacement must reproduce.
+type answer struct {
+	status                   int
+	contentType, allow, body string
+}
+
+// ask sends one request, with the tenant header when tenant is set.
+func ask(t *testing.T, method, url, tenant, body string) answer {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/jobs: status %d", resp.StatusCode)
+	if tenant != "" {
+		req.Header.Set("X-Popkit-Tenant", tenant)
 	}
-	if status, _ := post(t, base, "/v1/jobs", `{"protocol":"leader","n":100,"job_id":"x"}`); status != http.StatusBadRequest {
-		t.Fatal("job_id without -journal accepted")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return answer{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Allow"), string(b)}
+}
+
+// TestValidationAndMethodErrors proves popcoord is a drop-in for popserved
+// on every rejection the front makes: each case goes to the coordinator's
+// /v1/jobs and to a popserved's /v1/simulate, with the same cost budget,
+// and both answer with the same status, Content-Type, Allow and body
+// bytes. GET /v1/protocols is byte-identical too.
+func TestValidationAndMethodErrors(t *testing.T) {
+	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, CostBudget: time.Minute})
+	solo := newPopserved(t, serve.Config{CostBudget: time.Minute})
+	for _, tc := range []struct {
+		name, method, tenant, body string
+		want                       int
+	}{
+		{"malformed", http.MethodPost, "", `{"protocol":`, http.StatusBadRequest},
+		{"unknown protocol", http.MethodPost, "", `{"protocol":"nosuch","n":100}`, http.StatusBadRequest},
+		{"start with job_id", http.MethodPost, "", `{"protocol":"leader","n":100,"replicas":4,"start":2,"job_id":"x"}`, http.StatusBadRequest},
+		{"start out of range", http.MethodPost, "", `{"protocol":"leader","n":100,"replicas":4,"start":4}`, http.StatusBadRequest},
+		{"wrong method", http.MethodGet, "", "", http.StatusMethodNotAllowed},
+		{"bad tenant", http.MethodPost, "no spaces", testSpecJSON, http.StatusBadRequest},
+		{"unknown spec field", http.MethodPost, "", `{"protocol":"leader","n":100,"wat":1}`, http.StatusBadRequest},
+		{"job_id without -journal", http.MethodPost, "", `{"protocol":"leader","n":100,"job_id":"x"}`, http.StatusBadRequest},
+		{"over budget", http.MethodPost, "acme", `{"protocol":"exactmajority","n":2000000,"seed":1}`, http.StatusRequestEntityTooLarge},
+	} {
+		got := ask(t, tc.method, base+"/v1/jobs", tc.tenant, tc.body)
+		if got.status != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got.status, tc.want)
+		}
+		if want := ask(t, tc.method, solo+"/v1/simulate", tc.tenant, tc.body); got != want {
+			t.Errorf("%s: coordinator answered %+v, popserved %+v", tc.name, got, want)
+		}
+	}
+	got := ask(t, http.MethodGet, base+"/v1/protocols", "", "")
+	if want := ask(t, http.MethodGet, solo+"/v1/protocols", "", ""); got != want || got.status != http.StatusOK {
+		t.Errorf("GET /v1/protocols: coordinator answered %+v, popserved %+v", got, want)
+	}
+}
+
+// TestNegativeLimitsRejected: both binaries refuse a negative limit where
+// the shared front fills its settings, naming the flag — a negative
+// -max-sweep-points would otherwise lift the sweep grid cap.
+func TestNegativeLimitsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		flag  string
+		serve serve.Config
+		coord Config
+	}{
+		{"-job-timeout", serve.Config{JobTimeout: -time.Second}, Config{JobTimeout: -time.Second}},
+		{"-min-job-timeout", serve.Config{MinJobTimeout: -time.Second}, Config{MinJobTimeout: -time.Second}},
+		{"-cost-budget", serve.Config{CostBudget: -time.Second}, Config{CostBudget: -time.Second}},
+		{"-max-sweep-points", serve.Config{MaxSweepPoints: -1}, Config{MaxSweepPoints: -1}},
+	} {
+		if s, err := serve.New(tc.serve); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("popserved with negative %s: err = %v, want %v naming the flag", tc.flag, err, serve.ErrNegativeLimit)
+		}
+		if c, err := New(tc.coord); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
+			if c != nil {
+				c.Stop()
+			}
+			t.Errorf("popcoord with negative %s: err = %v, want %v naming the flag", tc.flag, err, serve.ErrNegativeLimit)
+		}
 	}
 }
 

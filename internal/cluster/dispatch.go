@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
 	"popkit/internal/client"
 	"popkit/internal/expt"
 	"popkit/internal/fleet"
+	"popkit/internal/qos"
+	"popkit/internal/serve"
 )
 
 // shard is one contiguous replica window [lo, hi) of a job.
@@ -57,12 +60,88 @@ type merged struct {
 	line []byte
 }
 
+// Refuse turns a job away before its journal is claimed when no worker is
+// live. Sweeps pass: their cached points need no worker.
+func (c *Coordinator) Refuse(pred *qos.Prediction) *serve.Rejection {
+	if pred == nil {
+		return nil
+	}
+	return c.noLiveWorkers()
+}
+
+// noLiveWorkers is the retryable 503 of a dark fleet: no worker is live,
+// even after a fresh probe sweep.
+func (c *Coordinator) noLiveWorkers() *serve.Rejection {
+	if _, live := c.workers.counts(); live > 0 || c.ProbeNow() > 0 {
+		return nil
+	}
+	return &serve.Rejection{
+		Status: http.StatusServiceUnavailable,
+		Msg:    "no live workers registered; retry later",
+		Count:  c.metrics.JobsRejectedNoWorkers,
+	}
+}
+
+// Submit starts dispatching j's replicas, or refuses as Refuse does when no
+// worker is live — a sweep point asks only here, so it fails at once
+// rather than after the dispatch retries. The merged lines travel to the
+// Stream's caller verbatim — never decoded and re-encoded — and Done runs
+// once every shard has settled.
+func (c *Coordinator) Submit(j *serve.Job) (serve.Stream, *serve.Rejection) {
+	if rej := c.noLiveWorkers(); rej != nil {
+		return nil, rej
+	}
+	lines := make(chan merged)
+	var err error
+	// The goroutine ends with the job, which j.Ctx bounds; the Stream waits
+	// for it when read to the end.
+	go func() {
+		defer close(lines)
+		dropped := false
+		err = c.execute(j.Ctx, j.Tenant, j.Spec, j.Start, j.Journal, func(m merged) {
+			if dropped {
+				return
+			}
+			select {
+			case lines <- m:
+			case <-j.Ctx.Done():
+				// The reader may be gone. The merge still journals, and the
+				// stream stays a gap-free prefix.
+				dropped = true
+			}
+		})
+		switch {
+		case err == nil:
+			c.metrics.JobsCompleted.Add(1)
+		case j.Ctx.Err() != nil:
+			c.metrics.JobsCancelled.Add(1)
+		default:
+			c.metrics.JobsFailed.Add(1)
+		}
+		if j.Done != nil {
+			j.Done()
+		}
+	}()
+	return func(emit func(expt.ReplicaRecord, []byte)) error {
+		for m := range lines {
+			emit(m.rec, m.line)
+		}
+		return err
+	}, nil
+}
+
+// RetryAfter is one probe interval plus a second — about when a worker
+// that is coming back will have been seen.
+func (c *Coordinator) RetryAfter(string) int {
+	return max(int(c.cfg.ProbeInterval/time.Second), 1) + 1
+}
+
 // execute dispatches replicas [start, spec.Replicas) across the live
-// workers and delivers every record line — in replica order, exactly once —
-// to write. With a journal, each line is made durable before it is written
-// to the client. Returns the first shard failure (cancellations included)
-// after all shards settle.
-func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobSpec, start int, journal *expt.Journal, write func([]byte)) error {
+// workers and delivers every merged record — in replica order, exactly
+// once — to write. With a journal, each line is made durable before it is
+// written. Returns the first shard failure (cancellations included) after
+// all shards settle.
+func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobSpec, start int, journal *expt.Journal, write func(merged)) error {
 	inner := fleet.SinkFunc(func(r fleet.Result) {
 		m := r.Value.(merged)
 		if journal != nil {
@@ -71,7 +150,7 @@ func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobS
 			journal.AppendLine(m.rec, m.line)
 		}
 		c.metrics.RecordsMerged.Inc()
-		write(m.line)
+		write(m)
 	})
 	ordered := fleet.NewOrderedSinkAt(inner, start)
 
@@ -155,7 +234,7 @@ func (c *Coordinator) runShard(ctx context.Context, tenant string, spec expt.Job
 					}
 					return fmt.Errorf("no live workers after %d attempts: %w", noProgress, lastErr)
 				}
-				if err := sleepCtx(ctx, dispatchBackoff(noProgress)); err != nil {
+				if err := dispatchBackoff(ctx, noProgress); err != nil {
 					return err
 				}
 			}
@@ -205,19 +284,12 @@ func (c *Coordinator) runShard(ctx context.Context, tenant string, spec expt.Job
 	return nil
 }
 
-// dispatchBackoff spaces the no-live-worker retries: 100ms, 200ms, …, capped
-// at 2s. Worker failures themselves re-dispatch immediately — there is a
-// healthy worker waiting — so this only paces a fully dark cluster.
-func dispatchBackoff(fails int) time.Duration {
-	d := time.Duration(fails) * 100 * time.Millisecond
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
+// dispatchBackoff spaces the no-live-worker retries — 100ms, 200ms, …,
+// capped at 2s — or returns ctx's error once it ends. Worker failures
+// themselves re-dispatch immediately — there is a healthy worker waiting —
+// so this only paces a fully dark cluster.
+func dispatchBackoff(ctx context.Context, fails int) error {
+	t := time.NewTimer(min(time.Duration(fails)*100*time.Millisecond, 2*time.Second))
 	defer t.Stop()
 	select {
 	case <-t.C:

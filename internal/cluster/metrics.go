@@ -1,40 +1,26 @@
 package cluster
 
 import (
-	"io"
+	"net/http"
 	"time"
 
 	"popkit/internal/obs"
 	"popkit/internal/qos"
+	"popkit/internal/serve"
 	"popkit/internal/store"
 )
 
-// Metrics is the coordinator's counter set, backed by a shared obs.Registry
-// so one set of atomics feeds both the JSON document (GET /metrics) and the
-// Prometheus exposition (GET /metrics?format=prom), mirroring popserved's
-// metrics surface.
+// Metrics is the coordinator's series set: the front's job, sweep and
+// latency series under popkit_cluster_* names, plus the cluster's own
+// dispatch and worker-health series, on one obs.Registry that feeds both
+// the JSON document (GET /metrics) and the Prometheus exposition (GET
+// /metrics?format=prom).
 type Metrics struct {
-	reg *obs.Registry
+	*serve.FrontMetrics
 
-	JobsAccepted        *obs.Counter
-	JobsCompleted       *obs.Counter
-	JobsFailed          *obs.Counter
-	JobsCancelled       *obs.Counter
-	JobsRejectedInvalid *obs.Counter
 	// JobsRejectedNoWorkers counts jobs turned away with 503 because no
 	// registered worker was live.
 	JobsRejectedNoWorkers *obs.Counter
-	// JobsResumed counts requests that replayed a journaled prefix after a
-	// coordinator restart (or a repeat POST of a finished job).
-	JobsResumed *obs.Counter
-
-	// Sweeps counts POST /v1/sweep requests that started streaming; the
-	// SweepPoints* family tallies grid points by cache resolution.
-	Sweeps           *obs.Counter
-	SweepPointsHit   *obs.Counter
-	SweepPointsMiss  *obs.Counter
-	SweepPointsInfl  *obs.Counter
-	SweepPointsError *obs.Counter
 
 	// ShardsDispatched counts every shard handed to a worker, re-dispatch
 	// attempts included; ShardsRedispatched counts only the dispatches that
@@ -53,31 +39,14 @@ type Metrics struct {
 	WorkersLost   *obs.Counter
 	Probes        *obs.Counter
 	ProbeFailures *obs.Counter
-
-	// latency histograms, keyed by endpoint name at construction.
-	latency map[string]*obs.Histogram
 }
 
-// NewMetrics returns a metrics set with one request-latency histogram per
-// endpoint, registered under popkit_cluster_* family names.
-func NewMetrics(endpoints ...string) *Metrics {
-	reg := obs.NewRegistry()
-	rejected := "jobs rejected by the coordinator, by reason"
-	sweepPoints := "sweep grid points resolved, by cache outcome"
-	m := &Metrics{
-		reg:                   reg,
-		JobsAccepted:          reg.Counter("popkit_cluster_jobs_accepted_total", "jobs admitted for shard dispatch"),
-		JobsCompleted:         reg.Counter("popkit_cluster_jobs_completed_total", "jobs whose every replica was merged"),
-		JobsFailed:            reg.Counter("popkit_cluster_jobs_failed_total", "jobs that ended with a shard error"),
-		JobsCancelled:         reg.Counter("popkit_cluster_jobs_cancelled_total", "jobs aborted by client disconnect or timeout"),
-		JobsRejectedInvalid:   reg.Counter("popkit_cluster_jobs_rejected_total", rejected, obs.L("reason", "invalid")),
-		JobsRejectedNoWorkers: reg.Counter("popkit_cluster_jobs_rejected_total", rejected, obs.L("reason", "no_workers")),
-		JobsResumed:           reg.Counter("popkit_cluster_jobs_resumed_total", "requests that replayed a journaled prefix"),
-		Sweeps:                reg.Counter("popkit_cluster_sweeps_total", "parameter-grid sweep requests accepted"),
-		SweepPointsHit:        reg.Counter("popkit_cluster_sweep_points_total", sweepPoints, obs.L("cache", "hit")),
-		SweepPointsMiss:       reg.Counter("popkit_cluster_sweep_points_total", sweepPoints, obs.L("cache", "miss")),
-		SweepPointsInfl:       reg.Counter("popkit_cluster_sweep_points_total", sweepPoints, obs.L("cache", "inflight")),
-		SweepPointsError:      reg.Counter("popkit_cluster_sweep_points_total", sweepPoints, obs.L("cache", "error")),
+// newMetrics extends the front's series with the cluster's own.
+func newMetrics(f *serve.FrontMetrics) *Metrics {
+	reg := f.Registry()
+	return &Metrics{
+		FrontMetrics:          f,
+		JobsRejectedNoWorkers: reg.Counter("popkit_cluster_jobs_rejected_total", "jobs rejected at admission, by reason", obs.L("reason", "no_workers")),
 		ShardsDispatched:      reg.Counter("popkit_cluster_shards_dispatched_total", "shard dispatches to workers, re-dispatches included"),
 		ShardsRedispatched:    reg.Counter("popkit_cluster_shards_redispatched_total", "shards re-routed after a worker failure"),
 		RecordsMerged:         reg.Counter("popkit_cluster_records_merged_total", "replica records merged in replica order"),
@@ -86,29 +55,16 @@ func NewMetrics(endpoints ...string) *Metrics {
 		WorkersLost:           reg.Counter("popkit_cluster_workers_lost_total", "live→down worker transitions"),
 		Probes:                reg.Counter("popkit_cluster_probes_total", "worker health probes sent"),
 		ProbeFailures:         reg.Counter("popkit_cluster_probe_failures_total", "worker health probes that failed"),
-		latency:               make(map[string]*obs.Histogram, len(endpoints)),
 	}
-	for _, e := range endpoints {
-		if _, dup := m.latency[e]; dup {
-			continue
-		}
-		m.latency[e] = reg.Histogram("popkit_cluster_http_request_duration_seconds",
-			"coordinator HTTP request latency by endpoint", obs.L("endpoint", e))
-	}
-	return m
 }
 
 // WorkerShardDuration returns (registering on first use) the per-worker
 // shard-attempt wall-clock histogram — the cluster's per-worker latency
 // series.
 func (m *Metrics) WorkerShardDuration(workerURL string) *obs.Histogram {
-	return m.reg.Histogram("popkit_cluster_shard_duration_seconds",
+	return m.Registry().Histogram("popkit_cluster_shard_duration_seconds",
 		"shard attempt wall-clock time by worker", obs.L("worker", workerURL))
 }
-
-// Latency returns the endpoint's request-latency histogram (nil for unknown
-// endpoints).
-func (m *Metrics) Latency(endpoint string) *obs.Histogram { return m.latency[endpoint] }
 
 // MetricsSnapshot is the coordinator's /metrics JSON document.
 type MetricsSnapshot struct {
@@ -145,7 +101,7 @@ type MetricsSnapshot struct {
 
 // Snapshot renders the counters; started anchors the uptime.
 func (m *Metrics) Snapshot(started time.Time) MetricsSnapshot {
-	s := MetricsSnapshot{
+	return MetricsSnapshot{
 		JobsAccepted:          int64(m.JobsAccepted.Load()),
 		JobsCompleted:         int64(m.JobsCompleted.Load()),
 		JobsFailed:            int64(m.JobsFailed.Load()),
@@ -167,17 +123,17 @@ func (m *Metrics) Snapshot(started time.Time) MetricsSnapshot {
 		Probes:                int64(m.Probes.Load()),
 		ProbeFailures:         int64(m.ProbeFailures.Load()),
 		UptimeSec:             time.Since(started).Seconds(),
-		Latency:               make(map[string]obs.HistogramSnapshot, len(m.latency)),
+		Latency:               m.LatencySnapshot(),
 	}
-	for name, h := range m.latency {
-		s.Latency[name] = h.Snapshot()
-	}
-	return s
 }
 
-// WriteProm renders the registry in the Prometheus text exposition format.
-func (m *Metrics) WriteProm(w io.Writer, started time.Time) error {
-	m.reg.GaugeFunc("popkit_cluster_uptime_seconds", "seconds since the coordinator started",
-		func() float64 { return time.Since(started).Seconds() })
-	return m.reg.WritePromTo(w)
+func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "prom" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		c.metrics.WriteProm(w, c.started)
+		return
+	}
+	snap := c.metrics.Snapshot(c.started)
+	snap.Store, snap.QoS = c.MetricsSections()
+	serve.WriteJSON(w, snap)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"popkit/internal/obs"
+	"popkit/internal/serve"
 )
 
 // WorkerInfo is the externally visible state of one registered worker, as
@@ -245,4 +247,61 @@ func (s *workerSet) probe(ctx context.Context, baseURL string) error {
 		return fmt.Errorf("healthz returned %s", resp.Status)
 	}
 	return nil
+}
+
+// registerDoc is the body of POST /v1/workers.
+type registerDoc struct {
+	URL string `json:"url"`
+}
+
+// handleWorkers is the registration surface: GET lists the workers and
+// their health; POST {"url": "http://host:port"} registers one and probes
+// it immediately so a healthy worker is routable as soon as the call
+// returns.
+func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+	case http.MethodPost:
+		var doc registerDoc
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			serve.WriteError(w, http.StatusBadRequest, "bad registration: %v", err)
+			return
+		}
+		if err := c.workers.add(doc.URL); err != nil {
+			serve.WriteError(w, http.StatusBadRequest, "bad registration: %v", err)
+			return
+		}
+		c.ProbeNow()
+	default:
+		w.Header().Set("Allow", "GET, POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		return
+	}
+	serve.WriteJSON(w, struct {
+		Workers []WorkerInfo `json:"workers"`
+	}{c.workers.snapshot()})
+}
+
+// handleHealthz reports the coordinator's own liveness plus the cluster
+// view: how many workers are registered and how many are passing probes. A
+// coordinator with zero live workers is degraded (503) — it cannot place
+// shards — but still answers, so operators can tell "coordinator down"
+// from "fleet down".
+func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	total, live := c.workers.counts()
+	status := "ok"
+	code := http.StatusOK
+	if live == 0 {
+		status = "degraded"
+		code = http.StatusServiceUnavailable
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(struct {
+		Status  string `json:"status"`
+		Workers int    `json:"workers"`
+		Live    int    `json:"workers_live"`
+	}{status, total, live})
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"popkit/internal/fault"
 )
@@ -131,7 +132,16 @@ func TestConcurrentIdenticalPostsSingleFlight(t *testing.T) {
 			bodies[i] = raw
 		}(i)
 	}
-	<-started // the leader is computing; followers are coalesced
+	<-started // the leader is computing
+	// Release the leader only once every follower has coalesced onto it: a
+	// follower that arrived after the commit would be a store hit instead.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Store().Metrics().Coalesced.Load() < concurrent-1 {
+		if time.Now().After(deadline) {
+			t.Fatal("followers never coalesced onto the in-flight leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 

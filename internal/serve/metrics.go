@@ -17,29 +17,25 @@ type Histogram = obs.Histogram
 // HistogramSnapshot summarizes a Histogram for the JSON metrics document.
 type HistogramSnapshot = obs.HistogramSnapshot
 
-// Metrics holds the service's counters, backed by a shared obs.Registry so
-// one set of atomics feeds both the JSON document (GET /metrics) and the
-// Prometheus text exposition (GET /metrics?format=prom). Everything is
-// monotonic except the gauges (queue depth, in-flight workers), which are
-// sampled at render time.
-type Metrics struct {
-	reg *obs.Registry
+// FrontMetrics are the series the request front keeps on both binaries —
+// the job and sweep counters and one request-latency histogram per route —
+// on the obs.Registry that each binary's own metrics extend, so one set of
+// atomics feeds both the JSON document (GET /metrics) and the Prometheus
+// text exposition (GET /metrics?format=prom).
+type FrontMetrics struct {
+	reg    *obs.Registry
+	prefix string
 
 	JobsAccepted        *obs.Counter
-	JobsRejectedFull    *obs.Counter
 	JobsRejectedInvalid *obs.Counter
-	// JobsRejectedDraining counts simulate requests turned away with 503
-	// because graceful shutdown had begun.
-	JobsRejectedDraining *obs.Counter
-	JobsCompleted        *obs.Counter
-	JobsFailed           *obs.Counter
-	JobsCancelled        *obs.Counter
+	// JobsCompleted/Failed/Cancelled are the executor's to count, when a
+	// job's last replica is done.
+	JobsCompleted *obs.Counter
+	JobsFailed    *obs.Counter
+	JobsCancelled *obs.Counter
 	// JobsResumed counts requests that found a journaled prefix for their
 	// job_id (including jobs served entirely from the journal).
-	JobsResumed       *obs.Counter
-	ReplicasCompleted *obs.Counter
-	Interactions      *obs.Counter
-	InFlight          *obs.GaugeInt
+	JobsResumed *obs.Counter
 
 	// Sweeps counts accepted /v1/sweep requests; SweepPointsHit/Miss/
 	// Inflight/Error break down how their grid points resolved.
@@ -48,6 +44,73 @@ type Metrics struct {
 	SweepPointsMiss  *obs.Counter
 	SweepPointsInfl  *obs.Counter
 	SweepPointsError *obs.Counter
+
+	// latency histograms, keyed by endpoint name at construction.
+	latency map[string]*Histogram
+}
+
+// NewFrontMetrics returns the front's series, registered on a fresh
+// obs.Registry under prefix ("popkit_" or "popkit_cluster_"), with one
+// latency histogram per endpoint.
+func NewFrontMetrics(prefix string, endpoints ...string) *FrontMetrics {
+	reg := obs.NewRegistry()
+	points := "sweep grid points by cache resolution"
+	m := &FrontMetrics{
+		reg:                 reg,
+		prefix:              prefix,
+		JobsAccepted:        reg.Counter(prefix+"jobs_accepted_total", "jobs admitted to run"),
+		JobsRejectedInvalid: reg.Counter(prefix+"jobs_rejected_total", "jobs rejected at admission, by reason", obs.L("reason", "invalid")),
+		JobsCompleted:       reg.Counter(prefix+"jobs_completed_total", "jobs that ran every replica"),
+		JobsFailed:          reg.Counter(prefix+"jobs_failed_total", "jobs that ended with an error"),
+		JobsCancelled:       reg.Counter(prefix+"jobs_cancelled_total", "jobs aborted by client disconnect or timeout"),
+		JobsResumed:         reg.Counter(prefix+"jobs_resumed_total", "requests that replayed a journaled prefix"),
+		Sweeps:              reg.Counter(prefix+"sweeps_total", "sweep requests accepted"),
+		SweepPointsHit:      reg.Counter(prefix+"sweep_points_total", points, obs.L("cache", "hit")),
+		SweepPointsMiss:     reg.Counter(prefix+"sweep_points_total", points, obs.L("cache", "miss")),
+		SweepPointsInfl:     reg.Counter(prefix+"sweep_points_total", points, obs.L("cache", "inflight")),
+		SweepPointsError:    reg.Counter(prefix+"sweep_points_total", points, obs.L("cache", "error")),
+		latency:             make(map[string]*Histogram, len(endpoints)),
+	}
+	for _, e := range endpoints {
+		if _, dup := m.latency[e]; dup {
+			continue
+		}
+		m.latency[e] = reg.Histogram(prefix+"http_request_duration_seconds",
+			"HTTP request latency by endpoint", obs.L("endpoint", e))
+	}
+	return m
+}
+
+// Registry exposes the underlying obs registry (embedding binaries that want
+// to add their own series to the same /metrics exposition).
+func (m *FrontMetrics) Registry() *obs.Registry { return m.reg }
+
+// Latency returns the endpoint's histogram (nil for unknown endpoints, so
+// instrumentation of an unregistered route is a no-op rather than a crash).
+func (m *FrontMetrics) Latency(endpoint string) *Histogram { return m.latency[endpoint] }
+
+// LatencySnapshot summarizes every endpoint's histogram, keyed by name.
+func (m *FrontMetrics) LatencySnapshot() map[string]HistogramSnapshot {
+	out := make(map[string]HistogramSnapshot, len(m.latency))
+	for name, h := range m.latency {
+		out[name] = h.Snapshot()
+	}
+	return out
+}
+
+// Metrics is popserved's series set: the front's, plus the job pool's.
+// Everything is monotonic except the gauges (queue depth, in-flight
+// workers), which are sampled at render time.
+type Metrics struct {
+	*FrontMetrics
+
+	JobsRejectedFull *obs.Counter
+	// JobsRejectedDraining counts simulate requests turned away with 503
+	// because graceful shutdown had begun.
+	JobsRejectedDraining *obs.Counter
+	ReplicasCompleted    *obs.Counter
+	Interactions         *obs.Counter
+	InFlight             *obs.GaugeInt
 
 	// FleetSteals counts replicas run on a lent job slot — a slot with no
 	// dispatchable queued job that ran another job's unclaimed replica
@@ -64,58 +127,33 @@ type Metrics struct {
 	// exposition; the JSON document samples them directly.
 	queueDepth *obs.GaugeInt
 	queueCap   *obs.GaugeInt
-
-	// latency histograms, keyed by endpoint name at construction.
-	latency map[string]*Histogram
 }
 
-// NewMetrics returns a metrics set with one latency histogram per endpoint,
-// all registered on a fresh obs.Registry under popkit_* family names.
+// NewMetrics returns popserved's metrics set with one latency histogram per
+// endpoint, all registered on a fresh obs.Registry under popkit_* family
+// names.
 func NewMetrics(endpoints ...string) *Metrics {
-	reg := obs.NewRegistry()
-	rejected := "jobs rejected before entering the queue, by reason"
-	m := &Metrics{
-		reg:                  reg,
-		JobsAccepted:         reg.Counter("popkit_jobs_accepted_total", "jobs admitted to the queue"),
+	return poolMetrics(NewFrontMetrics("popkit_", endpoints...))
+}
+
+// poolMetrics extends the front's series with the job pool's.
+func poolMetrics(f *FrontMetrics) *Metrics {
+	reg := f.reg
+	rejected := "jobs rejected at admission, by reason"
+	return &Metrics{
+		FrontMetrics:         f,
 		JobsRejectedFull:     reg.Counter("popkit_jobs_rejected_total", rejected, obs.L("reason", "queue_full")),
-		JobsRejectedInvalid:  reg.Counter("popkit_jobs_rejected_total", rejected, obs.L("reason", "invalid")),
 		JobsRejectedDraining: reg.Counter("popkit_jobs_rejected_total", rejected, obs.L("reason", "draining")),
-		JobsCompleted:        reg.Counter("popkit_jobs_completed_total", "jobs that ran every replica"),
-		JobsFailed:           reg.Counter("popkit_jobs_failed_total", "jobs that ended with a replica error"),
-		JobsCancelled:        reg.Counter("popkit_jobs_cancelled_total", "jobs aborted by client disconnect or timeout"),
-		JobsResumed:          reg.Counter("popkit_jobs_resumed_total", "requests that replayed a journaled prefix"),
 		ReplicasCompleted:    reg.Counter("popkit_replicas_completed_total", "replicas computed successfully"),
 		Interactions:         reg.Counter("popkit_interactions_total", "simulated scheduler activations served"),
 		InFlight:             reg.Gauge("popkit_jobs_inflight", "jobs currently executing"),
-		Sweeps:               reg.Counter("popkit_sweeps_total", "sweep requests accepted"),
-		SweepPointsHit:       reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "hit")),
-		SweepPointsMiss:      reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "miss")),
-		SweepPointsInfl:      reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "inflight")),
-		SweepPointsError:     reg.Counter("popkit_sweep_points_total", "sweep grid points by cache resolution", obs.L("cache", "error")),
 		FleetSteals:          reg.Counter("popkit_fleet_steals_total", "replicas run on a lent job slot (an idle slot helping a running job)"),
 		FleetRetries:         reg.Counter("popkit_fleet_retries_total", "extra replica attempts consumed by crashes"),
 		ReplicaDuration:      reg.Histogram("popkit_fleet_replica_duration_seconds", "per-replica wall-clock time"),
 		queueDepth:           reg.Gauge("popkit_queue_depth", "accepted-but-not-started jobs"),
 		queueCap:             reg.Gauge("popkit_queue_capacity", "job queue capacity"),
-		latency:              make(map[string]*Histogram, len(endpoints)),
 	}
-	for _, e := range endpoints {
-		if _, dup := m.latency[e]; dup {
-			continue
-		}
-		m.latency[e] = reg.Histogram("popkit_http_request_duration_seconds",
-			"HTTP request latency by endpoint", obs.L("endpoint", e))
-	}
-	return m
 }
-
-// Registry exposes the underlying obs registry (embedding binaries that want
-// to add their own series to the same /metrics exposition).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// Latency returns the endpoint's histogram (nil for unknown endpoints, so
-// instrumentation of an unregistered route is a no-op rather than a crash).
-func (m *Metrics) Latency(endpoint string) *Histogram { return m.latency[endpoint] }
 
 // MetricsSnapshot is the /metrics JSON document.
 type MetricsSnapshot struct {
@@ -187,13 +225,10 @@ func (m *Metrics) Snapshot(queueDepth, queueCap int, started time.Time) MetricsS
 		InFlightWorkers:      m.InFlight.Load(),
 		UptimeSec:            up,
 		ReplicaLatency:       m.ReplicaDuration.Snapshot(),
-		Latency:              make(map[string]HistogramSnapshot, len(m.latency)),
+		Latency:              m.LatencySnapshot(),
 	}
 	if up > 0 {
 		s.InteractionsPerSec = float64(s.Interactions) / up
-	}
-	for name, h := range m.latency {
-		s.Latency[name] = h.Snapshot()
 	}
 	return s
 }
@@ -204,7 +239,13 @@ func (m *Metrics) Snapshot(queueDepth, queueCap int, started time.Time) MetricsS
 func (m *Metrics) WriteProm(w io.Writer, queueDepth, queueCap int, started time.Time) error {
 	m.queueDepth.Set(int64(queueDepth))
 	m.queueCap.Set(int64(queueCap))
-	m.reg.GaugeFunc("popkit_uptime_seconds", "seconds since the server started",
+	return m.FrontMetrics.WriteProm(w, started)
+}
+
+// WriteProm renders the registry in the Prometheus text exposition format,
+// with the uptime gauge anchored at started.
+func (m *FrontMetrics) WriteProm(w io.Writer, started time.Time) error {
+	m.reg.GaugeFunc(m.prefix+"uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(started).Seconds() })
 	return m.reg.WritePromTo(w)
 }

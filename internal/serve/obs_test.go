@@ -25,8 +25,8 @@ func TestEveryRouteHasHistogram(t *testing.T) {
 		t.Fatalf("route table has %d entries with pprof on, want 9", len(rts))
 	}
 	for _, rt := range rts {
-		if s.Metrics().Latency(rt.name) == nil {
-			t.Errorf("route %q (%s) has no latency histogram", rt.name, rt.pattern)
+		if s.Metrics().Latency(rt.Name) == nil {
+			t.Errorf("route %q (%s) has no latency histogram", rt.Name, rt.Pattern)
 		}
 	}
 }

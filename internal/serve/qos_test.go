@@ -83,7 +83,7 @@ func TestRetryAfterJitterBurst(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i] = p.retryAfterSeconds()
+			vals[i] = p.retryAfterTenant("")
 		}(i)
 	}
 	wg.Wait()

@@ -12,55 +12,25 @@ import (
 	"popkit/internal/qos"
 )
 
-// jobStatus is a queued job's terminal outcome.
-type jobStatus int
-
-const (
-	jobCompleted jobStatus = iota
-	jobFailed
-	jobCancelled
-)
-
-// queuedJob is one accepted simulation job travelling from the HTTP handler
-// through the queue to a pool worker. The worker streams records into the
-// records channel (in replica order) and closes it; the terminal error, if
-// any, is then available from err().
+// queuedJob is one submitted Job travelling through the queue to a pool
+// worker. The worker journals each record as it completes, streams it into
+// the records channel (in replica order), closes the channel, and then
+// runs Job.Done; the terminal error, if any, is available from err() once
+// records is closed. Job.Tenant and Job.Pred drive QoS scheduling (fair
+// queueing, whale caps) and the prediction-error feedback loop; their zero
+// values — the default tenant, a zero-cost interactive prediction — are
+// what callers without an admission decision get.
 type queuedJob struct {
-	spec  expt.JobSpec
-	proto *Protocol
-	// ctx is the request-scoped context: client disconnect and the per-job
-	// deadline both cancel it, aborting not-yet-started replicas.
-	ctx     context.Context
+	*Job
 	records chan expt.ReplicaRecord
-
-	// tenant and pred drive QoS scheduling (fair queueing, whale caps) and
-	// the prediction-error feedback loop. The zero values — default tenant,
-	// zero-cost interactive prediction — are what internal callers without
-	// an admission decision get.
-	tenant string
-	pred   qos.Prediction
-
-	// start is the first replica to compute; records below it were already
-	// streamed from the journal by the handler.
-	start int
-	// journal, when non-nil, receives every completed record before it is
-	// offered to the stream, so a crash (of the client or the server)
-	// costs only the replicas past the journaled prefix. The worker owns
-	// it: closed after the job finishes.
-	journal *expt.Journal
-	// onDone, when non-nil, runs exactly once after the job finishes and
-	// the journal is closed — the handler uses it to release the job-ID
-	// lock only when nothing can touch the journal anymore.
-	onDone func()
 
 	mu      sync.Mutex
 	termErr error
-	status  jobStatus
 }
 
-func (j *queuedJob) finish(status jobStatus, err error) {
+func (j *queuedJob) finish(err error) {
 	j.mu.Lock()
-	j.status, j.termErr = status, err
+	j.termErr = err
 	j.mu.Unlock()
 }
 
@@ -69,6 +39,17 @@ func (j *queuedJob) err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.termErr
+}
+
+// stream is the job's Stream: each record with its wire line as the
+// worker delivers it, then the terminal error.
+func (j *queuedJob) stream(emit func(expt.ReplicaRecord, []byte)) error {
+	for rec := range j.records {
+		if line, err := rec.MarshalLine(); err == nil {
+			emit(rec, line)
+		}
+	}
+	return j.err()
 }
 
 // pool is the per-tenant fair job queue plus the job slots draining it.
@@ -151,14 +132,14 @@ func newPool(qcfg qos.QueueConfig, workers, maxRetries int, metrics *Metrics, mo
 // global depth, tenant cardinality, closed queue); callers map it to a
 // structured 429.
 func (p *pool) tryEnqueue(j *queuedJob) error {
-	tenant := j.tenant
+	tenant := j.Tenant
 	if tenant == "" {
 		tenant = qos.DefaultTenant
 	}
 	err := p.q.Enqueue(&qos.Item{
 		Tenant: tenant,
-		Class:  j.pred.Class,
-		Cost:   j.pred.Total,
+		Class:  j.Pred.Class,
+		Cost:   j.Pred.Total,
 		Job:    j,
 	})
 	if err == nil {
@@ -192,17 +173,13 @@ func (p *pool) tenantQueuedCharge(tenant string) time.Duration {
 // whalesRunning samples currently executing whale-class jobs.
 func (p *pool) whalesRunning() int { return p.q.WhalesRunning() }
 
-// retryAfterSeconds computes the Retry-After hint for a rejected request:
-// roughly the time for the backlog to clear one slot, scaled by queue depth
-// over worker count, plus jitter so a burst of rejected clients spreads its
-// return instead of stampeding in lockstep. Bounded to [1, 60].
-func (p *pool) retryAfterSeconds() int {
-	return p.retryHint(1 + 2*p.q.Depth()/p.workers)
-}
-
-// retryAfterTenant is the cost-aware variant: the base is the tenant's own
-// queued predicted cost spread across the workers, so a tenant with minutes
-// of backlog is told to come back later than one with none.
+// retryAfterTenant computes the Retry-After hint for a rejected request:
+// roughly the time for the backlog to clear one slot — the whole queue's
+// depth, or the tenant's own queued predicted cost, whichever is longer,
+// spread across the workers — plus jitter so a burst of rejected clients
+// spreads its return instead of stampeding in lockstep. A tenant with
+// minutes of backlog is told to come back later than one with none; the
+// empty tenant has none. Bounded to [1, 60].
 func (p *pool) retryAfterTenant(tenant string) int {
 	base := 1 + int(p.q.TenantQueuedCharge(tenant).Seconds())/p.workers
 	global := 1 + 2*p.q.Depth()/p.workers
@@ -333,17 +310,14 @@ func (p *pool) withdraw(l *lendable) {
 
 // runJob executes one job's replicas and streams its records. For
 // journaled jobs it also appends each completed record to the journal
-// before offering it to the (possibly disconnected) stream, closes the
-// journal when the fleet is done, and only then signals onDone — the
-// ordering that makes a resumed request safe to admit.
+// before offering it to the (possibly disconnected) stream, and runs Done
+// — which closes the journal — only once the fleet is done: the ordering
+// that makes a resumed request safe to admit.
 func (p *pool) runJob(j *queuedJob) {
 	defer func() {
 		close(j.records)
-		if j.journal != nil {
-			j.journal.Close()
-		}
-		if j.onDone != nil {
-			j.onDone()
+		if j.Done != nil {
+			j.Done()
 		}
 	}()
 	p.metrics.InFlight.Add(1)
@@ -351,7 +325,7 @@ func (p *pool) runJob(j *queuedJob) {
 
 	// Merge the request context with the pool's hard-stop so either aborts
 	// the fleet.
-	ctx, cancel := context.WithCancel(j.ctx)
+	ctx, cancel := context.WithCancel(j.Ctx)
 	defer cancel()
 	stop := context.AfterFunc(p.hard, cancel)
 	defer stop()
@@ -363,32 +337,32 @@ func (p *pool) runJob(j *queuedJob) {
 	opts := RunOptions{
 		Workers:    1,
 		MaxRetries: p.maxRetries,
-		Start:      j.start,
+		Start:      j.Start,
 		FleetStats: &fstats,
 		Join: func(h *fleet.Helper) {
-			lent = p.offer(h, j.pred.Class == qos.ClassWhale)
+			lent = p.offer(h, j.Pred.Class == qos.ClassWhale)
 		},
 		Observe: func(r fleet.Result) {
 			p.metrics.ReplicaDuration.Observe(r.Elapsed)
-			if j.pred.PerReplica > 0 {
+			if j.Pred.PerReplica > 0 {
 				// Feed the cost model's EWMA and the drift histogram from
 				// every completed replica — this is how a grid measured on
 				// other hardware converges onto this machine.
-				p.model.Observe(j.pred, r.Elapsed)
-				p.qm.ObservePrediction(j.pred.PerReplica, r.Elapsed)
+				p.model.Observe(j.Pred, r.Elapsed)
+				p.qm.ObservePrediction(j.Pred.PerReplica, r.Elapsed)
 			}
 		},
 	}
-	runErr := j.proto.Run(ctx, j.spec, opts, func(rec expt.ReplicaRecord) {
+	runErr := j.Proto.Run(ctx, j.Spec, opts, func(rec expt.ReplicaRecord) {
 		if rec.Err == "" {
 			p.metrics.ReplicasCompleted.Add(1)
 			p.metrics.Interactions.Add(rec.Interactions)
 		}
-		if j.journal != nil {
+		if j.Journal != nil {
 			// Journal first: the record is durable even if the stream's
 			// client is gone, which is exactly what a resumed request
 			// harvests.
-			j.journal.Append(rec)
+			j.Journal.Append(rec)
 		}
 		select {
 		case j.records <- rec:
@@ -410,13 +384,12 @@ func (p *pool) runJob(j *queuedJob) {
 
 	switch {
 	case runErr == nil:
-		j.finish(jobCompleted, nil)
 		p.metrics.JobsCompleted.Add(1)
 	case ctx.Err() != nil:
-		j.finish(jobCancelled, context.Cause(ctx))
+		j.finish(context.Cause(ctx))
 		p.metrics.JobsCancelled.Add(1)
 	default:
-		j.finish(jobFailed, runErr)
+		j.finish(runErr)
 		p.metrics.JobsFailed.Add(1)
 	}
 }

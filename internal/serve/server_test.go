@@ -360,9 +360,11 @@ func TestPoolDrainAndAbort(t *testing.T) {
 	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 0, m, nil, nil)
 	proto, _ := reg.Lookup("block")
 	j := &queuedJob{
-		spec:    expt.JobSpec{Protocol: "block", N: 10, Seed: 1, Replicas: 1},
-		proto:   proto,
-		ctx:     context.Background(),
+		Job: &Job{
+			Spec:  expt.JobSpec{Protocol: "block", N: 10, Seed: 1, Replicas: 1},
+			Proto: proto,
+			Ctx:   context.Background(),
+		},
 		records: make(chan expt.ReplicaRecord, 1),
 	}
 	if err := p.tryEnqueue(j); err != nil {

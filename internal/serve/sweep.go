@@ -16,39 +16,29 @@ import (
 // handleSweep is POST /v1/sweep: decode a grid spec, expand it server-side
 // into normalized JobSpecs, and resolve every point through the result
 // store with single-flight dedupe — hits stream straight from disk, misses
-// run on the worker pool (waiting politely when the bounded queue is full
-// instead of failing the sweep), and concurrent identical points coalesce
-// onto one computation. The response streams one NDJSON manifest line per
-// grid point, in point order, followed by a {"sweep": {...}} summary.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// run on the executor (waiting politely when it is full instead of failing
+// the sweep), and concurrent identical points coalesce onto one
+// computation. The response streams one NDJSON manifest line per grid
+// point, in point order, followed by a {"sweep": {...}} summary.
+func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.draining.Load() {
-		s.metrics.JobsRejectedDraining.Add(1)
-		s.writeBackoff(w, http.StatusServiceUnavailable, "server draining; retry (or fail over to another worker)")
-		return
-	}
-	tenant, ok := qos.CleanTenant(r.Header.Get(tenantHeader))
-	if !ok {
-		s.metrics.JobsRejectedInvalid.Add(1)
-		writeError(w, http.StatusBadRequest, "bad %s header: want ≤64 chars of [A-Za-z0-9._-]", tenantHeader)
+	if rej := f.exec.Refuse(nil); rej != nil {
+		f.reject(w, "", qos.Prediction{}, rej)
 		return
 	}
 	var sw expt.SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
-		s.metrics.JobsRejectedInvalid.Add(1)
-		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
+	tenant, ok := f.decode(w, r, &sw, "sweep spec")
+	if !ok {
 		return
 	}
-	specs, err := sw.Expand(s.cfg.MaxSweepPoints)
+	specs, err := sw.Expand(f.cfg.MaxSweepPoints)
 	if err != nil {
-		s.metrics.JobsRejectedInvalid.Add(1)
-		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
+		f.metrics.JobsRejectedInvalid.Add(1)
+		WriteError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
 	// Normalize per point, so one invalid grid point yields one manifest
@@ -56,51 +46,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	points := make([]store.Point, len(specs))
 	for i := range specs {
 		sp := specs[i]
-		if _, err := s.cfg.Registry.Normalize(&sp, s.cfg.MaxN, s.cfg.MaxReplicas); err != nil {
+		if _, err := f.cfg.Registry.Normalize(&sp, f.cfg.MaxN, f.cfg.MaxReplicas); err != nil {
 			points[i] = store.Point{Spec: specs[i], Err: err}
 			continue
 		}
 		points[i] = store.Point{Spec: sp}
 	}
-	s.metrics.Sweeps.Add(1)
+	f.metrics.Sweeps.Add(1)
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	sweeper := &store.Sweeper{
-		Store:   s.store,
-		Flight:  s.flight,
-		Workers: s.cfg.SweepWorkers,
+		Store:   f.store,
+		Flight:  f.flight,
+		Workers: f.cfg.SweepWorkers,
 		Execute: func(ctx context.Context, spec expt.JobSpec) ([][]byte, error) {
-			return s.executeJob(ctx, spec, tenant)
+			return f.executeJob(ctx, spec, tenant)
 		},
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	writeLine := func(line []byte) {
-		if _, err := w.Write(line); err != nil {
-			// Client gone; the request context cancels the sweep.
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeLine := openNDJSON(w)
 	sum := sweeper.Run(ctx, points, func(res expt.SweepResult) {
 		switch {
 		case res.Err != "":
-			s.metrics.SweepPointsError.Add(1)
+			f.metrics.SweepPointsError.Add(1)
 		case res.Cache == "hit":
-			s.metrics.SweepPointsHit.Add(1)
+			f.metrics.SweepPointsHit.Add(1)
 		case res.Cache == "miss":
-			s.metrics.SweepPointsMiss.Add(1)
+			f.metrics.SweepPointsMiss.Add(1)
 		case res.Cache == "inflight":
-			s.metrics.SweepPointsInfl.Add(1)
+			f.metrics.SweepPointsInfl.Add(1)
 		}
 		if line, err := json.Marshal(res); err == nil {
 			writeLine(append(line, '\n'))
@@ -111,71 +86,59 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// executeJob runs one normalized spec on the worker pool without an HTTP
-// stream — the sweep's miss path. The job enqueues under the sweep's own
-// tenant, so a sweeping tenant's misses bill against its DRR budget and
-// can never bypass fair queueing; a full queue (global or this tenant's
-// lane) means waiting for a slot (the request context bounds the wait)
-// rather than failing the sweep: inside one sweep, backpressure is pacing.
-// Returns the complete newline-terminated record lines in replica order.
-func (s *Server) executeJob(ctx context.Context, spec expt.JobSpec, tenant string) ([][]byte, error) {
+// executeJob runs one normalized spec on the executor without an HTTP
+// stream — the sweep's miss path. Each point is priced and admitted under
+// the sweep's own tenant, so a sweeping tenant's misses bill against its
+// fair-queueing budget and one over-budget point fails only its own
+// manifest line. A full executor means waiting for a slot (the request
+// context bounds the wait) rather than failing the sweep: inside one
+// sweep, backpressure is pacing. Returns the complete newline-terminated
+// record lines in replica order.
+func (f *Front) executeJob(ctx context.Context, spec expt.JobSpec, tenant string) ([][]byte, error) {
 	// Re-normalizing a normalized spec is the identity; it recovers the
 	// protocol handle without widening the Sweeper's Execute signature.
-	proto, err := s.cfg.Registry.Normalize(&spec, s.cfg.MaxN, s.cfg.MaxReplicas)
+	proto, err := f.cfg.Registry.Normalize(&spec, f.cfg.MaxN, f.cfg.MaxReplicas)
 	if err != nil {
 		return nil, err
 	}
-	pred := s.model.Predict(spec, proto.Kind)
-	if s.cfg.CostBudget > 0 && pred.Total > s.cfg.CostBudget {
-		s.qosM.Rejected(tenant, pred.Class, "over_budget")
-		return nil, fmt.Errorf("predicted cost %v exceeds the server budget %v",
-			pred.Total.Round(time.Millisecond), s.cfg.CostBudget)
+	pred := f.model.Predict(spec, proto.Kind)
+	if rej := f.overBudget(pred); rej != nil {
+		f.qosM.Rejected(tenant, pred.Class, rej.Reason)
+		return nil, errors.New(rej.Msg)
 	}
-	jctx, cancel := context.WithTimeout(ctx, s.jobDeadline(pred, nil))
+	jctx, cancel := context.WithTimeout(ctx, f.jobDeadline(pred, nil))
 	defer cancel()
-	j := &queuedJob{
-		spec:    spec,
-		proto:   proto,
-		ctx:     jctx,
-		records: make(chan expt.ReplicaRecord, spec.Replicas),
-		tenant:  tenant,
-		pred:    pred,
-	}
+	j := &Job{Spec: spec, Proto: proto, Ctx: jctx, Tenant: tenant, Pred: pred}
+	var stream Stream
 	for {
-		err := s.pool.tryEnqueue(j)
-		if err == nil {
+		var rej *Rejection
+		if stream, rej = f.exec.Submit(j); rej == nil {
 			break
 		}
-		if errors.Is(err, qos.ErrQueueClosed) {
-			return nil, err
+		if rej.Status != http.StatusTooManyRequests {
+			return nil, errors.New(rej.Msg)
 		}
 		if err := sleepCtx(jctx, 25*time.Millisecond); err != nil {
 			return nil, fmt.Errorf("waiting for a queue slot: %w", err)
 		}
 	}
-	s.metrics.JobsAccepted.Add(1)
-	s.qosM.Admitted(tenant, pred.Class)
+	f.metrics.JobsAccepted.Add(1)
+	f.qosM.Admitted(tenant, pred.Class)
 
 	lines := make([][]byte, 0, spec.Replicas)
 	var failed string
-	for rec := range j.records {
-		if rec.Err != "" {
-			if failed == "" {
-				failed = fmt.Sprintf("replica %d failed (%s): %s", rec.Replica, rec.ErrKind, rec.Err)
-			}
-			continue
+	err = stream(func(rec expt.ReplicaRecord, line []byte) {
+		if rec.Err == "" {
+			lines = append(lines, line)
+		} else if failed == "" {
+			failed = fmt.Sprintf("replica %d failed (%s): %s", rec.Replica, rec.ErrKind, rec.Err)
 		}
-		line, err := rec.MarshalLine()
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, line)
-	}
-	if err := j.err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if failed != "" {
-		return nil, fmt.Errorf("%s", failed)
+		return nil, errors.New(failed)
 	}
 	if len(lines) != spec.Replicas {
 		return nil, fmt.Errorf("job produced %d of %d records", len(lines), spec.Replicas)

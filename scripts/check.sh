@@ -66,11 +66,12 @@ jq -e '
     || { echo "check: compare smoke missing rows or unconverged cells" >&2; exit 1; }
 rm -rf "$tmpc"
 
-echo "== svcbench self-tests (its own module: shape guard, BENCHMARK.json metric sync, one smoke run per workload) =="
-# svcbench compiles against serve.Config, serve.RunOptions and fleet.Stats;
-# tier-1 `go test ./...` never builds it, so an API change would break the
-# benchmark unseen without this step.
-(cd svcbench && go test -count=1 .)
+echo "== svcbench vet + self-tests (its own module: shape guard, BENCHMARK.json metric sync, one smoke run per workload) =="
+# svcbench compiles against serve.Config, cluster.Config, serve.RunOptions,
+# fleet.Stats and both MetricsSnapshot types; root `go vet ./...` and tier-1
+# `go test ./...` stop at its module boundary, so an API change would break
+# the benchmark unseen without this step.
+(cd svcbench && go vet . && go test -count=1 .)
 
 echo "== popserved smoke =="
 ./scripts/serve-smoke.sh
