@@ -196,7 +196,11 @@ func (b *Base) buildConsensus(prefix string, weight int) {
 			}
 		}
 	}
-	b.rs.AddGroup(prefix+"consensus", weight, confirm...)
+	// At confirm threshold 1 an ahead clock adopts at once, so there is no
+	// pending confirmation to step or reset.
+	if len(confirm) > 0 {
+		b.rs.AddGroup(prefix+"consensus", weight, confirm...)
+	}
 	b.rs.AddGroup(prefix+"adopt", weight, adopt...)
 }
 

@@ -27,20 +27,16 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestQuickExperiments smoke-runs the cheap experiments end to end in
-// Quick mode with few seeds, checking each produces populated tables.
+// TestQuickExperiments smoke-runs every registered experiment end to end
+// in Quick mode with few seeds, checking each produces populated tables.
 func TestQuickExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are long")
 	}
 	cfg := Config{Seeds: 2, Quick: true}
-	for _, id := range []string{"E1", "E2", "E6", "E8", "E10", "E12", "F2"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, ok := Lookup(id)
-			if !ok {
-				t.Fatal("missing experiment")
-			}
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
 			res := e.Run(cfg)
 			if len(res.Tables) == 0 {
 				t.Fatal("no tables")
