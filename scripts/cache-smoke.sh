@@ -27,6 +27,8 @@ go build -o "$tmp/popserved" ./cmd/popserved
 
 start_server() {
     local log=$1
+    # Create the log before the port poll below can read it.
+    : > "$log"
     "$tmp/popserved" -addr 127.0.0.1:0 -store "$tmp/store" 2> "$log" &
     srv_pid=$!
     base=""

@@ -33,6 +33,8 @@ go build -race -o "$tmp/popserved" ./cmd/popserved
 
 start_server() {
     local log=$1; shift
+    # Create the log before the port poll below can read it.
+    : > "$log"
     "$tmp/popserved" -addr 127.0.0.1:0 "$@" 2> "$log" &
     srv_pid=$!
     base=""

@@ -27,6 +27,8 @@ go build -o "$tmp/popcoord" ./cmd/popcoord
 # $base (the announced URL) and $last_pid.
 start() {
     local log=$1; shift
+    # Create the log before the port poll below can read it.
+    : > "$log"
     "$@" 2> "$log" &
     last_pid=$!
     disown "$last_pid" # keep bash from reporting the later kill -9

@@ -40,6 +40,8 @@ go build -o "$tmp/popsim" ./cmd/popsim
 # $srv_pid and $base from the "listening on" line.
 start_server() {
     local log=$1; shift
+    # Create the log before the port poll below can read it.
+    : > "$log"
     "$tmp/popserved" -addr 127.0.0.1:0 "$@" 2> "$log" &
     srv_pid=$!
     base=""

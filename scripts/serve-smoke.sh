@@ -12,6 +12,8 @@ trap 'kill "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tm
 
 go build -o "$tmp/popserved" ./cmd/popserved
 go build -o "$tmp/popsim" ./cmd/popsim
+# Create the log before the port poll below can read it.
+: > "$tmp/log"
 # One executor plus a stream failpoint (400ms per record, first job only):
 # that pins the single worker on a slow job long enough to prove /healthz
 # answers without it.
