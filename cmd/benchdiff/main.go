@@ -32,7 +32,7 @@ type sampleSet map[string]map[string][]float64 // name → unit → samples
 
 // parseBench reads `go test -bench` output. Benchmark lines look like:
 //
-//	BenchmarkCountStep-8   9573058   114.9 ns/op   16 B/op   1 allocs/op
+//	BenchmarkBatchStep-8   9573058   114.9 ns/op   16 B/op   1 allocs/op
 //
 // The -8 GOMAXPROCS suffix is stripped so runs from different machines
 // still line up.

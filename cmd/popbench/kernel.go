@@ -16,16 +16,16 @@ import (
 
 // The -kernel mode measures the raw simulation kernels outside the testing
 // harness and commits the numbers: results/BENCH_kernel.json is the
-// authoritative source for the capability matrix in EXPERIMENTS.md and for
-// the per-firing costs quoted in internal/expt.CapabilityMatrix.
+// authoritative source for the per-firing costs in EXPERIMENTS.md's runner
+// table, for the crossovers in internal/expt and for the qos cost grid.
 
 // kernelRow is one (runner, n) measurement.
 type kernelRow struct {
 	Runner  string `json:"runner"`
 	N       int64  `json:"n"`
 	Firings uint64 `json:"firings"`
-	// Interactions includes the quiescent activations the counted kernels
-	// leap over; for the dense runner it equals Firings' activation count.
+	// Interactions includes the quiescent activations the leaping kernels
+	// skip; for the dense runner it equals Firings' activation count.
 	Interactions     uint64  `json:"interactions"`
 	NsPerFiring      float64 `json:"ns_per_firing"`
 	NsPerInteraction float64 `json:"ns_per_interaction"`
@@ -59,40 +59,26 @@ func cpuModel() string {
 	return ""
 }
 
-// measureCounted times `target` firings of the E11 exact-majority workload
-// on the counted or batched kernel, rebuilding the population whenever the
-// protocol reaches quiescence (rebuilds are excluded from the timing).
-func measureCounted(batch bool, n int64, target uint64) kernelRow {
+// measureBatch times `target` firings of the E11 exact-majority workload on
+// the batch kernel, rebuilding the population whenever the protocol reaches
+// quiescence (rebuilds are excluded from the timing).
+func measureBatch(n int64, target uint64) kernelRow {
 	em := baseline.NewExactMajority4()
 	proto := engine.CompileProtocol(em.Rules())
 	var busy time.Duration
 	var fired, interactions uint64
 	for fired < target {
 		pop := em.Population(n/2+1, n/2)
-		if batch {
-			br := engine.NewBatchRunner(proto, pop, engine.NewRNG(1))
-			t0 := time.Now()
-			for fired < target && br.LeapStep(0) {
-				fired++
-			}
-			busy += time.Since(t0)
-			interactions += br.Interactions
-		} else {
-			cr := engine.NewCountRunner(proto, pop, engine.NewRNG(1))
-			t0 := time.Now()
-			for fired < target && cr.LeapStep(0) {
-				fired++
-			}
-			busy += time.Since(t0)
-			interactions += cr.Interactions
+		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(1))
+		t0 := time.Now()
+		for fired < target && br.LeapStep(0) {
+			fired++
 		}
-	}
-	name := "counted"
-	if batch {
-		name = "batch"
+		busy += time.Since(t0)
+		interactions += br.Interactions
 	}
 	return kernelRow{
-		Runner:           name,
+		Runner:           "batch",
 		N:                n,
 		Firings:          fired,
 		Interactions:     interactions,
@@ -106,7 +92,7 @@ func measureCounted(batch bool, n int64, target uint64) kernelRow {
 // interactions rather than firings because the aggregate runner resolves
 // whole collision-free runs per step — ns_per_interaction is the number
 // the kernels compete on. Rebuilds on quiescence are excluded from the
-// timing, like measureCounted's.
+// timing, like measureBatch's.
 func measureAggregate(n int64, targetInteractions uint64) kernelRow {
 	em := baseline.NewExactMajority4()
 	proto := engine.CompileProtocol(em.Rules())
@@ -209,8 +195,7 @@ func runKernel(out string, quick bool) int {
 		kf.Rows = append(kf.Rows, measureDense(n, denseTarget))
 	}
 	for _, n := range []int64{1e4, 1e6, 1e8, 1e9} {
-		kf.Rows = append(kf.Rows, measureCounted(false, n, target))
-		kf.Rows = append(kf.Rows, measureCounted(true, n, target))
+		kf.Rows = append(kf.Rows, measureBatch(n, target))
 		kf.Rows = append(kf.Rows, measureAggregate(n, aggTarget(n)))
 	}
 	fmt.Printf("%-8s %12s %12s %14s %16s\n", "runner", "n", "firings", "ns/firing", "ns/interaction")

@@ -14,7 +14,7 @@
 // byte-identical for any worker count.
 //
 // -kernel skips the experiments and instead measures the raw simulation
-// kernels (dense / counted / batch) on the E11 exact-majority workload,
+// kernels (dense / batch / aggregate) on the E11 exact-majority workload,
 // writing BENCH_kernel.json into -out.
 //
 // -compare runs the related-work protocol library (gs18leader,

@@ -608,7 +608,7 @@ func runCompiled(ctx context.Context, proto string, n int, seed uint64, jsonOut 
 			Compiled:  true,
 			Rounds:    rounds,
 			Converged: ok,
-			Counts:    map[string]int{"L": tr.Count()},
+			Counts:    map[string]int{"L": int(tr.Count())},
 		})
 	} else {
 		fmt.Printf("compiled run: leaders=%d rounds=%.0f converged=%v\n", tr.Count(), rounds, ok)

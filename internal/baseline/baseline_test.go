@@ -17,9 +17,9 @@ func TestApproxMajorityLargeGap(t *testing.T) {
 	const seeds = 10
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := p.Population(n/2+3000, n/2-3000, 0)
-		cr := engine.NewCountRunner(proto, pop, engine.NewRNG(seed))
-		_, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-			return p.Winner(c.Pop) != 0
+		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		_, ok := br.RunTracked(func() bool {
+			return p.Winner(pop) != 0
 		}, 10000)
 		if !ok {
 			t.Fatalf("seed %d: no consensus", seed)
@@ -38,9 +38,9 @@ func TestApproxMajorityConvergesInLogTime(t *testing.T) {
 	proto := engine.CompileProtocol(p.Rules())
 	const n = 1 << 20
 	pop := p.Population(n/2+20000, n/2-20000, 0)
-	cr := engine.NewCountRunner(proto, pop, engine.NewRNG(1))
-	rounds, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-		return p.Winner(c.Pop) != 0
+	br := engine.NewBatchRunner(proto, pop, engine.NewRNG(1))
+	rounds, ok := br.RunTracked(func() bool {
+		return p.Winner(pop) != 0
 	}, 10000)
 	if !ok {
 		t.Fatal("no consensus")
@@ -60,9 +60,9 @@ func TestApproxMajorityTinyGapUnreliable(t *testing.T) {
 	const seeds = 40
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := p.Population(n/2+1, n/2-1, 0)
-		cr := engine.NewCountRunner(proto, pop, engine.NewRNG(seed))
-		if _, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-			return p.Winner(c.Pop) != 0
+		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		if _, ok := br.RunTracked(func() bool {
+			return p.Winner(pop) != 0
 		}, 1e6); !ok {
 			t.Fatalf("seed %d: no consensus", seed)
 		}
@@ -82,9 +82,9 @@ func TestExactMajority4AlwaysCorrect(t *testing.T) {
 	const n = 2000
 	for seed := uint64(0); seed < 10; seed++ {
 		pop := p.Population(n/2+1, n/2-1)
-		cr := engine.NewCountRunner(proto, pop, engine.NewRNG(seed))
-		if _, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-			d, _ := p.Decided(c.Pop)
+		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		if _, ok := br.RunTracked(func() bool {
+			d, _ := p.Decided(pop)
 			return d
 		}, 1e8); !ok {
 			t.Fatalf("seed %d: never decided", seed)
@@ -106,9 +106,9 @@ func TestExactMajority4TimeShape(t *testing.T) {
 		const seeds = 5
 		for seed := uint64(0); seed < seeds; seed++ {
 			pop := p.Population(n/2+1, n/2-1)
-			cr := engine.NewCountRunner(proto, pop, engine.NewRNG(seed))
-			rounds, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-				d, _ := p.Decided(c.Pop)
+			br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+			rounds, ok := br.RunTracked(func() bool {
+				d, _ := p.Decided(pop)
 				return d
 			}, 1e9)
 			if !ok {
@@ -133,9 +133,9 @@ func TestCoalescenceLeader(t *testing.T) {
 	var prev float64
 	for _, n := range []int64{1000, 8000} {
 		pop := p.Population(n)
-		cr := engine.NewCountRunner(proto, pop, engine.NewRNG(3))
-		rounds, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-			return p.Leaders(c.Pop) == 1
+		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(3))
+		rounds, ok := br.RunTracked(func() bool {
+			return p.Leaders(pop) == 1
 		}, 1e9)
 		if !ok {
 			t.Fatal("never converged")

@@ -9,7 +9,7 @@ import (
 )
 
 // AggregateRunner drives a Counted population through the same Markov chain
-// as Runner, CountRunner, and BatchRunner, but simulates whole *runs* of
+// as Runner and BatchRunner, but simulates whole *runs* of
 // interactions per step instead of one firing at a time. BatchRunner's
 // geometric leaps make non-firing interactions free; at n ≥ 10^8 the E11
 // workload is firing-dominated and the ~100 ns per individual firing
@@ -134,10 +134,19 @@ func (r *AggregateRunner) Rounds() float64 {
 	return float64(r.Interactions) / float64(r.Pop.n)
 }
 
+// InteractionCount returns Interactions.
+func (r *AggregateRunner) InteractionCount() uint64 { return r.Interactions }
+
+// SetStats attaches a per-rule firing tally (nil detaches).
+func (r *AggregateRunner) SetStats(s *obs.RuleStats) { r.Stats = s }
+
+// HistogramInto snapshots the population into dst (cleared first).
+func (r *AggregateRunner) HistogramInto(dst map[bitmask.State]int64) { r.Pop.HistogramInto(dst) }
+
 // Track registers a guard for incremental counting and returns its
-// tracker. RunUntil re-evaluates its stop condition only when some tracked
-// count moves.
-func (r *AggregateRunner) Track(name string, f bitmask.Formula) *CountTracker {
+// tracker. RunTracked re-evaluates its stop condition only when some
+// tracked count moves.
+func (r *AggregateRunner) Track(name string, f bitmask.Formula) *Tracker {
 	return r.idx.track(name, f)
 }
 
@@ -584,7 +593,7 @@ func (r *AggregateRunner) RunBatch(maxFirings, maxInteractions uint64) (fired ui
 	return r.FiredTotal - start, true
 }
 
-// RunUntil leaps until the condition holds or maxRounds elapses or the
+// RunTracked leaps until the condition holds or maxRounds elapses or the
 // protocol goes silent, returning the parallel time consumed and whether
 // the condition was met.
 //
@@ -594,7 +603,7 @@ func (r *AggregateRunner) RunBatch(maxFirings, maxInteractions uint64) (fired ui
 // run (E[ℓ] ≈ 0.63·√n interactions, well under one parallel round) later —
 // the hitting times the registry protocols measure are against absorbing
 // targets, where the boundary is exact up to that sub-round granularity.
-func (r *AggregateRunner) RunUntil(cond func(*AggregateRunner) bool, maxRounds float64) (rounds float64, ok bool) {
+func (r *AggregateRunner) RunTracked(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
 	start := r.Rounds()
 	n := float64(r.Pop.n)
 	budget := uint64(math.Ceil(maxRounds*n)) + r.Interactions
@@ -603,7 +612,7 @@ func (r *AggregateRunner) RunUntil(cond func(*AggregateRunner) bool, maxRounds f
 	for {
 		if check || !gated {
 			r.idx.trackersMoved = false
-			if cond(r) {
+			if cond() {
 				return r.Rounds() - start, true
 			}
 		}
@@ -612,7 +621,7 @@ func (r *AggregateRunner) RunUntil(cond func(*AggregateRunner) bool, maxRounds f
 		}
 		if !r.LeapStep(budget) {
 			// Silent: the configuration can never change again.
-			return r.Rounds() - start, cond(r)
+			return r.Rounds() - start, cond()
 		}
 		check = r.idx.trackersMoved
 	}

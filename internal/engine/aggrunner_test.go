@@ -73,7 +73,7 @@ func TestAggregateRunnerEpidemicCompletes(t *testing.T) {
 	r := NewAggregateRunner(proto, pop, NewRNG(99))
 	r.MinRunFirings = 0
 	tr := r.Track("i", isI)
-	rounds, ok := r.RunUntil(func(*AggregateRunner) bool { return tr.Count() == n }, 10000)
+	rounds, ok := r.RunTracked(func() bool { return tr.Count() == n }, 10000)
 	if !ok {
 		t.Fatal("epidemic did not saturate")
 	}

@@ -1,13 +1,10 @@
 package engine
 
-// Walker alias table: O(1) weighted draws after an O(#species) build. It
-// complements the Fenwick sampler in counted.go: the Fenwick tree absorbs
-// incremental weight updates at O(log S) per update and per draw, which is
-// the right trade for the stream-compatible CountRunner (one draw per
-// update). The aggregate runner's composition path inverts that ratio —
-// thousands of draws against a weight vector frozen for the whole batch —
-// so it rebuilds an alias table lazily whenever some count changed and then
-// samples at flat cost per draw.
+// Walker alias table: O(1) weighted draws after an O(#species) build. The
+// aggregate runner's composition path makes thousands of draws against a
+// weight vector frozen for the whole batch, so it rebuilds an alias table
+// lazily whenever some count changed and then samples at flat cost per
+// draw.
 
 // aliasTable holds the Walker small/large decomposition of a weight vector:
 // column i is split between outcome i (probability prob[i]) and outcome

@@ -10,10 +10,10 @@ import (
 	"popkit/internal/engine"
 )
 
-// Statistical equivalence suite: BatchRunner skips RNG draws whose outcome
-// is forced, so its streams differ from Runner's and CountRunner's — the
-// claim is equality in distribution, not per-seed equality. Each test runs
-// the same protocol under all three schedulers across a bank of seeds and
+// Statistical equivalence suite: BatchRunner and AggregateRunner skip RNG
+// draws whose outcome is forced, so their streams differ from Runner's —
+// the claim is equality in distribution, not per-seed equality. Each test
+// runs the same protocol under all three kernels across a bank of seeds and
 // compares hitting-time distributions with a two-sample KS statistic (and
 // outcome frequencies with a chi-square statistic where the outcome is
 // random). Seeds are fixed, so the tests are deterministic; the thresholds
@@ -107,10 +107,10 @@ func denseTimes(t *testing.T, hs hitSpec) []float64 {
 }
 
 // countedTimes measures hitting times under one of the counted kernels
-// ("count", "batch", or "aggregate"), through the tracker-gated RunUntil
-// path. The aggregate runner's leap fallback would make it identical to
-// BatchRunner at these population sizes, so MinRunFirings is forced to 0 —
-// every step exercises the run-decomposition path under test.
+// ("batch" or "aggregate"), through the tracker-gated RunTracked path. The
+// aggregate runner's leap fallback would make it identical to BatchRunner
+// at these population sizes, so MinRunFirings is forced to 0 — every step
+// exercises the run-decomposition path under test.
 func countedTimes(t *testing.T, hs hitSpec, kind string) []float64 {
 	t.Helper()
 	times := make([]float64, 0, equivSeeds)
@@ -118,35 +118,20 @@ func countedTimes(t *testing.T, hs hitSpec, kind string) []float64 {
 		pop := engine.NewCounted(hs.counts)
 		rng := engine.NewRNG(engine.SplitSeed(hs.seedRoot, seed))
 		n := pop.N64()
-		var rounds float64
-		var ok bool
-		switch kind {
-		case "batch":
-			run := engine.NewBatchRunner(hs.proto, pop, rng)
-			trs := make([]*engine.CountTracker, len(hs.track))
-			for ti, f := range hs.track {
-				trs[ti] = run.Track("t", f)
-			}
-			get := func(i int) int64 { return trs[i].Count() }
-			rounds, ok = run.RunUntil(func(*engine.BatchRunner) bool { return hs.done(get, n) }, hs.maxRounds)
-		case "aggregate":
-			run := engine.NewAggregateRunner(hs.proto, pop, rng)
-			run.MinRunFirings = 0
-			trs := make([]*engine.CountTracker, len(hs.track))
-			for ti, f := range hs.track {
-				trs[ti] = run.Track("t", f)
-			}
-			get := func(i int) int64 { return trs[i].Count() }
-			rounds, ok = run.RunUntil(func(*engine.AggregateRunner) bool { return hs.done(get, n) }, hs.maxRounds)
-		default:
-			run := engine.NewCountRunner(hs.proto, pop, rng)
-			trs := make([]*engine.CountTracker, len(hs.track))
-			for ti, f := range hs.track {
-				trs[ti] = run.Track("t", f)
-			}
-			get := func(i int) int64 { return trs[i].Count() }
-			rounds, ok = run.RunUntil(func(*engine.CountRunner) bool { return hs.done(get, n) }, hs.maxRounds)
+		var run engine.Kernel
+		if kind == "aggregate" {
+			ar := engine.NewAggregateRunner(hs.proto, pop, rng)
+			ar.MinRunFirings = 0
+			run = ar
+		} else {
+			run = engine.NewBatchRunner(hs.proto, pop, rng)
 		}
+		trs := make([]*engine.Tracker, len(hs.track))
+		for ti, f := range hs.track {
+			trs[ti] = run.Track("t", f)
+		}
+		get := func(i int) int64 { return trs[i].Count() }
+		rounds, ok := run.RunTracked(func() bool { return hs.done(get, n) }, hs.maxRounds)
 		if !ok {
 			t.Fatalf("%s: seed %d did not converge within %.0f rounds", kind, seed, hs.maxRounds)
 		}
@@ -163,7 +148,7 @@ func requireKS(t *testing.T, label string, a, b []float64) {
 }
 
 // TestBatchEquivCoalescence compares leader-coalescence hitting times
-// (leaders == 1) at n = 256 across all three schedulers. Coalescence has a
+// (leaders == 1) at n = 256 across all three kernels. Coalescence has a
 // single rule, so BatchRunner's deterministic-rule fast path carries the
 // whole run.
 func TestBatchEquivCoalescence(t *testing.T) {
@@ -181,19 +166,16 @@ func TestBatchEquivCoalescence(t *testing.T) {
 		seedRoot:  12345,
 	}
 	dense := denseTimes(t, hs)
-	count := countedTimes(t, hs, "count")
 	batch := countedTimes(t, hs, "batch")
 	agg := countedTimes(t, hs, "aggregate")
-	requireKS(t, "coalescence count-vs-batch", count, batch)
 	requireKS(t, "coalescence dense-vs-batch", dense, batch)
-	requireKS(t, "coalescence dense-vs-count", dense, count)
-	requireKS(t, "coalescence count-vs-aggregate", count, agg)
+	requireKS(t, "coalescence batch-vs-aggregate", batch, agg)
 	requireKS(t, "coalescence dense-vs-aggregate", dense, agg)
 }
 
 // TestBatchEquivExactMajority compares decision times of the 4-state exact
-// majority at n = 128, gap 4, and checks that every scheduler decides for
-// the true majority on every seed (the protocol is always correct).
+// majority at n = 128, gap 4, and checks that every kernel decides for the
+// true majority on every seed (the protocol is always correct).
 func TestBatchEquivExactMajority(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite")
@@ -216,20 +198,18 @@ func TestBatchEquivExactMajority(t *testing.T) {
 		seedRoot:  777,
 	}
 	dense := denseTimes(t, hs)
-	count := countedTimes(t, hs, "count")
 	batch := countedTimes(t, hs, "batch")
 	agg := countedTimes(t, hs, "aggregate")
-	requireKS(t, "exact-majority count-vs-batch", count, batch)
 	requireKS(t, "exact-majority dense-vs-batch", dense, batch)
-	requireKS(t, "exact-majority count-vs-aggregate", count, agg)
+	requireKS(t, "exact-majority batch-vs-aggregate", batch, agg)
 	requireKS(t, "exact-majority dense-vs-aggregate", dense, agg)
 }
 
 // TestBatchEquivApproxMajorityOutcome runs the 3-state approximate
 // majority at n = 128 with a gap too small to guarantee correctness, so
 // the winner is genuinely random, and compares both the winner frequencies
-// (chi-square) and the convergence-time distributions between the two
-// counted schedulers.
+// (chi-square) and the convergence-time distributions across the three
+// kernels.
 func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite")
@@ -241,42 +221,34 @@ func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 
 	sample := func(kind string) (aWins int, times []float64) {
 		for seed := uint64(0); seed < equivSeeds; seed++ {
-			pop := engine.NewCounted(map[bitmask.State]int64{sA: 66, sB: 62})
+			counts := map[bitmask.State]int64{sA: 66, sB: 62}
 			rng := engine.NewRNG(engine.SplitSeed(999, seed))
-			var rounds float64
-			var ok bool
-			var aLeft int64
+			var run engine.Kernel
 			switch kind {
 			case "batch":
-				run := engine.NewBatchRunner(proto, pop, rng)
-				ta := run.Track("a", bitmask.Is(am.A))
-				tb := run.Track("b", bitmask.Is(am.B))
-				rounds, ok = run.RunUntil(func(*engine.BatchRunner) bool {
-					return ta.Count() == 0 || tb.Count() == 0
-				}, 100_000)
-				aLeft = ta.Count()
+				run = engine.NewBatchRunner(proto, engine.NewCounted(counts), rng)
 			case "aggregate":
-				run := engine.NewAggregateRunner(proto, pop, rng)
-				run.MinRunFirings = 0
-				ta := run.Track("a", bitmask.Is(am.A))
-				tb := run.Track("b", bitmask.Is(am.B))
-				rounds, ok = run.RunUntil(func(*engine.AggregateRunner) bool {
-					return ta.Count() == 0 || tb.Count() == 0
-				}, 100_000)
-				aLeft = ta.Count()
+				ar := engine.NewAggregateRunner(proto, engine.NewCounted(counts), rng)
+				ar.MinRunFirings = 0
+				run = ar
 			default:
-				run := engine.NewCountRunner(proto, pop, rng)
-				ta := run.Track("a", bitmask.Is(am.A))
-				tb := run.Track("b", bitmask.Is(am.B))
-				rounds, ok = run.RunUntil(func(*engine.CountRunner) bool {
-					return ta.Count() == 0 || tb.Count() == 0
-				}, 100_000)
-				aLeft = ta.Count()
+				pop := engine.NewDenseInit(128, func(i int) bitmask.State {
+					if i < 66 {
+						return sA
+					}
+					return sB
+				})
+				run = engine.NewRunner(proto, pop, rng)
 			}
+			ta := run.Track("a", bitmask.Is(am.A))
+			tb := run.Track("b", bitmask.Is(am.B))
+			rounds, ok := run.RunTracked(func() bool {
+				return ta.Count() == 0 || tb.Count() == 0
+			}, 100_000)
 			if !ok {
 				t.Fatalf("seed %d did not converge", seed)
 			}
-			if aLeft > 0 {
+			if ta.Count() > 0 {
 				aWins++
 			}
 			times = append(times, rounds)
@@ -284,15 +256,15 @@ func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 		return aWins, times
 	}
 
-	cw, ct := sample("count")
+	dw, dt := sample("dense")
 	bw, bt := sample("batch")
 	aw, at := sample("aggregate")
-	requireKS(t, "approx-majority count-vs-batch times", ct, bt)
-	requireKS(t, "approx-majority count-vs-aggregate times", ct, at)
+	requireKS(t, "approx-majority dense-vs-batch times", dt, bt)
+	requireKS(t, "approx-majority dense-vs-aggregate times", dt, at)
 
 	// 3×2 chi-square on (runner × winner); χ²(2 dof) at α = 0.001 is 13.82.
 	obs := [3][2]float64{
-		{float64(cw), float64(equivSeeds - cw)},
+		{float64(dw), float64(equivSeeds - dw)},
 		{float64(bw), float64(equivSeeds - bw)},
 		{float64(aw), float64(equivSeeds - aw)},
 	}
@@ -308,8 +280,8 @@ func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 		}
 	}
 	if chi2 > 13.82 {
-		t.Errorf("approx-majority winner split: chi-square %.2f exceeds 13.82 (count %d, batch %d, aggregate %d A-wins of %d)",
-			chi2, cw, bw, aw, equivSeeds)
+		t.Errorf("approx-majority winner split: chi-square %.2f exceeds 13.82 (dense %d, batch %d, aggregate %d A-wins of %d)",
+			chi2, dw, bw, aw, equivSeeds)
 	}
 }
 

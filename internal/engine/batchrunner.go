@@ -8,8 +8,8 @@ import (
 )
 
 // BatchRunner drives a Counted population through the same Markov chain as
-// Runner and CountRunner, but fires whole runs of interactions between
-// stop-condition checks and strips every RNG draw whose outcome is forced.
+// Runner, but fires whole runs of interactions between stop-condition
+// checks and strips every RNG draw whose outcome is forced.
 // It is exact in distribution — leaps over non-firing interactions are
 // geometric races against the horizon (the exact analogue of binomial
 // τ-leap batching, without its approximation error), and a draw is skipped
@@ -20,10 +20,10 @@ import (
 //   - the initiator/responder picks, when the guard has exactly one
 //     occupied species (tracked incrementally as occ1/occ2).
 //
-// Unlike CountRunner it does NOT promise byte-identical RNG streams with
-// the historical kernel — skipped draws shift the stream. What it promises
-// instead is the same law: batch_equiv_test.go cross-validates its
-// hitting-time distributions against both exact runners at small n.
+// It does NOT reproduce the dense Runner's RNG stream — it draws per firing,
+// not per interaction, and skips forced draws. What it promises instead is
+// the same law: batch_equiv_test.go cross-validates its hitting-time
+// distributions against the dense Runner at small n.
 //
 // Fired[i] counts the firings of rule i, giving experiments per-rule
 // interaction accounting for free.
@@ -47,10 +47,11 @@ type BatchRunner struct {
 	pairsW []float64
 }
 
-// NewBatchRunner assembles a batched runner. Like NewCountRunner it rejects
-// protocols with ordered (first-match) groups and attaches to the
-// population's mutation hook, so a population can drive only one
-// incremental runner at a time.
+// NewBatchRunner assembles a batched runner. Protocols with ordered
+// (first-match) groups are rejected: their event rates are not sums of
+// per-rule matching counts. The runner attaches to the population's
+// mutation hook, so a population can drive only one incremental runner at
+// a time.
 func NewBatchRunner(p *Protocol, pop *Counted, rng *RNG) *BatchRunner {
 	return &BatchRunner{
 		P: p, Pop: pop, RNG: rng,
@@ -65,17 +66,20 @@ func (r *BatchRunner) Rounds() float64 {
 	return float64(r.Interactions) / float64(r.Pop.n)
 }
 
-// Track registers a guard for incremental counting and returns its
-// tracker. RunUntil re-evaluates its stop condition only when some tracked
-// count moves.
-func (r *BatchRunner) Track(name string, f bitmask.Formula) *CountTracker {
-	return r.idx.track(name, f)
-}
+// InteractionCount returns Interactions.
+func (r *BatchRunner) InteractionCount() uint64 { return r.Interactions }
 
-// matchingPairs returns the number of ordered pairs of distinct agents
-// matching rule i.
-func (r *BatchRunner) matchingPairs(i int) int64 {
-	return r.idx.matchingPairs(i)
+// SetStats attaches a per-rule firing tally (nil detaches).
+func (r *BatchRunner) SetStats(s *obs.RuleStats) { r.Stats = s }
+
+// HistogramInto snapshots the population into dst (cleared first).
+func (r *BatchRunner) HistogramInto(dst map[bitmask.State]int64) { r.Pop.HistogramInto(dst) }
+
+// Track registers a guard for incremental counting and returns its
+// tracker. RunTracked re-evaluates its stop condition only when some
+// tracked count moves.
+func (r *BatchRunner) Track(name string, f bitmask.Formula) *Tracker {
+	return r.idx.track(name, f)
 }
 
 // stepProbability returns the probability that a single scheduler
@@ -148,7 +152,7 @@ func (r *BatchRunner) RunBatch(maxFirings, maxInteractions uint64) (fired uint64
 	return fired, true
 }
 
-// RunUntil leaps until the condition holds or maxRounds elapses or the
+// RunTracked leaps until the condition holds or maxRounds elapses or the
 // protocol goes silent, returning the parallel time consumed and whether
 // the condition was met.
 //
@@ -157,7 +161,7 @@ func (r *BatchRunner) RunBatch(maxFirings, maxInteractions uint64) (fired uint64
 // in between form the batches. Conditions must therefore read registered
 // trackers (or state derived from them); with no trackers the condition
 // runs after every firing.
-func (r *BatchRunner) RunUntil(cond func(*BatchRunner) bool, maxRounds float64) (rounds float64, ok bool) {
+func (r *BatchRunner) RunTracked(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
 	start := r.Rounds()
 	n := float64(r.Pop.n)
 	budget := uint64(math.Ceil(maxRounds*n)) + r.Interactions
@@ -166,7 +170,7 @@ func (r *BatchRunner) RunUntil(cond func(*BatchRunner) bool, maxRounds float64) 
 	for {
 		if check || !gated {
 			r.idx.trackersMoved = false
-			if cond(r) {
+			if cond() {
 				return r.Rounds() - start, true
 			}
 		}
@@ -175,7 +179,7 @@ func (r *BatchRunner) RunUntil(cond func(*BatchRunner) bool, maxRounds float64) 
 		}
 		if !r.LeapStep(budget) {
 			// Silent: the configuration can never change again.
-			return r.Rounds() - start, cond(r)
+			return r.Rounds() - start, cond()
 		}
 		check = r.idx.trackersMoved
 	}

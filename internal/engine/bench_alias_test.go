@@ -6,8 +6,8 @@ import (
 	"popkit/internal/bitmask"
 )
 
-// benchSamplePop builds the shared sampler workload: 64 occupied species
-// with skewed counts.
+// benchSamplePop builds the sampler workload: 64 occupied species with
+// skewed counts.
 func benchSamplePop() *Counted {
 	counts := make(map[bitmask.State]int64, 64)
 	for i := 0; i < 64; i++ {
@@ -16,26 +16,9 @@ func benchSamplePop() *Counted {
 	return NewCounted(counts)
 }
 
-// BenchmarkFenwickSample measures one weighted species draw through the
-// Fenwick prefix-sum sampler — the stream-compatible sampler CountRunner
-// draws from, O(log S) per draw. The tree is built lazily on the first draw
-// and maintained incrementally afterwards, so steady-state draws are what
-// this measures. Run together with BenchmarkAliasSample to compare the two
-// samplers on the identical population.
-func BenchmarkFenwickSample(b *testing.B) {
-	pop := benchSamplePop()
-	rng := NewRNG(7)
-	var sink bitmask.State
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = pop.sample(rng, false, bitmask.State{})
-	}
-	_ = sink
-}
-
-// BenchmarkAliasSample measures the same draw through the Walker alias
-// table — O(1) per draw after an O(S) build, the sampler the aggregate
-// runner's per-agent composition path uses. Counts are static here, so the
+// BenchmarkAliasSample measures one weighted species draw through the Walker
+// alias table — O(1) per draw after an O(S) build, the sampler the
+// aggregate runner's per-agent composition path uses. Counts are static here, so the
 // lazy build amortizes to nothing and the steady-state two-draw lookup is
 // what this measures.
 func BenchmarkAliasSample(b *testing.B) {

@@ -11,9 +11,9 @@ import (
 	"popkit/internal/protocols"
 )
 
-// Kernel step benchmarks. Each iteration is one LeapStep; for the count and
-// batch runners that is one fired interaction (plus the geometric leap over
-// the non-matching stretch before it), for the aggregate runner one whole
+// Kernel step benchmarks. Each iteration is one LeapStep; for the batch
+// runner that is one fired interaction (plus the geometric leap over the
+// non-matching stretch before it), for the aggregate runner one whole
 // collision-free run. Since the units of work differ, every benchmark also
 // reports ns/interaction — simulated scheduler activations per wall-clock
 // nanosecond — which is the number the kernels compete on and the one
@@ -35,33 +35,9 @@ func reportPerInteraction(b *testing.B, interactions uint64) {
 // phase, matching how popbench -kernel measures the crossover table.
 const e11Horizon = 20
 
-// BenchmarkCountStep drives the counted kernel on the E11 4-state
+// BenchmarkBatchStep drives the batch kernel on the E11 4-state
 // exact-majority baseline [DV12] at n = 10^6, gap 1 — the workload whose
 // Θ(n log n) round count makes per-firing cost the wall-clock bottleneck.
-func BenchmarkCountStep(b *testing.B) {
-	em := baseline.NewExactMajority4()
-	proto := engine.CompileProtocol(em.Rules())
-	const n = 1_000_000
-	rng := engine.NewRNG(1)
-	pop := em.Population(n/2+1, n/2)
-	cr := engine.NewCountRunner(proto, pop, rng)
-	var interactions uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !cr.LeapStep(e11Horizon*n) || cr.Interactions >= e11Horizon*n {
-			b.StopTimer()
-			interactions += cr.Interactions
-			pop = em.Population(n/2+1, n/2)
-			cr = engine.NewCountRunner(proto, pop, rng)
-			b.StartTimer()
-		}
-	}
-	b.StopTimer()
-	reportPerInteraction(b, interactions+cr.Interactions)
-}
-
-// BenchmarkBatchStep is BenchmarkCountStep on the batched runner: same
-// chain, same workload, but forced picks skip their RNG draws.
 func BenchmarkBatchStep(b *testing.B) {
 	em := baseline.NewExactMajority4()
 	proto := engine.CompileProtocol(em.Rules())

@@ -17,11 +17,11 @@ import (
 //
 // Internally the species table is a slot array: keys[i] is the state of
 // slot i and cnt[i] its count, with index mapping states back to slots.
-// Slot order is the sampling order (sorted at construction, then insertion
-// order), so the Fenwick-tree sampler below reproduces byte-for-byte the
-// RNG stream of the original linear-scan sampler. Slots are only remapped
-// by compact(), which bumps compactGen so runners can invalidate their
-// slot-keyed caches; appends keep existing slot ids stable.
+// Slot order is the order the runners' pick walks scan (sorted at
+// construction, then insertion order), so it is part of every counted
+// kernel's stream. Slots are only remapped by compact(), which bumps
+// compactGen so runners can invalidate their slot-keyed caches; appends
+// keep existing slot ids stable.
 type Counted struct {
 	n     int64
 	keys  []bitmask.State         // slot → state
@@ -33,18 +33,11 @@ type Counted struct {
 	// their per-slot caches on it.
 	compactGen uint64
 
-	// fen is a Fenwick (binary indexed) tree over slot counts, used by
-	// sample for O(log #species) draws. It is rebuilt lazily — only when
-	// the occupancy set changed since the last draw (fenOK false) — and
-	// maintained incrementally by addSlot otherwise.
-	fen   []int64
-	fenOK bool
-
 	// alias is a Walker alias table over slot counts (see alias.go),
 	// rebuilt lazily by sampleSlotAlias when any count changed since the
 	// last build (aliasOK false). It serves draw-heavy static-weight
 	// consumers — the aggregate runner's per-agent composition path — at
-	// O(1) per draw, where the Fenwick tree would pay O(log S).
+	// O(1) per draw.
 	alias   aliasTable
 	aliasOK bool
 
@@ -182,7 +175,6 @@ func (c *Counted) compact() {
 	}
 	c.dirty = false
 	c.compactGen++
-	c.fenOK = false
 	c.aliasOK = false
 }
 
@@ -196,19 +188,12 @@ func (c *Counted) slotFor(s bitmask.State) int32 {
 	c.keys = append(c.keys, s)
 	c.cnt = append(c.cnt, 0)
 	c.index[s] = i
-	c.fenOK = false
 	c.aliasOK = false
 	return i
 }
 
-// add adjusts the count of state s by delta, registering new states.
-func (c *Counted) add(s bitmask.State, delta int64) {
-	c.addSlot(c.slotFor(s), delta)
-}
-
-// addSlot is the hot-path variant of add for callers that already know the
-// slot. It keeps the Fenwick sampler and the attached runner's incremental
-// tallies in sync.
+// addSlot adjusts the count of slot by delta. It keeps the alias sampler
+// and the attached runner's incremental tallies in sync.
 func (c *Counted) addSlot(slot int32, delta int64) {
 	now := c.cnt[slot] + delta
 	if now < 0 {
@@ -217,9 +202,6 @@ func (c *Counted) addSlot(slot int32, delta int64) {
 	c.cnt[slot] = now
 	if now == 0 {
 		c.dirty = true
-	}
-	if c.fenOK {
-		c.fenAdd(slot, delta)
 	}
 	c.aliasOK = false
 	if c.hook != nil {
@@ -237,93 +219,14 @@ func (c *Counted) attachHook(h func(slot int32, s bitmask.State, delta int64)) {
 	c.hook = h
 }
 
-// Fenwick tree over slot counts: fen is 1-based, node i covering the slot
-// range (i − lowbit(i), i].
-
-func (c *Counted) rebuildFen() {
-	if cap(c.fen) < len(c.cnt)+1 {
-		c.fen = make([]int64, len(c.cnt)+1)
-	} else {
-		c.fen = c.fen[:len(c.cnt)+1]
-		clear(c.fen)
-	}
-	for i, k := range c.cnt {
-		j := i + 1
-		c.fen[j] += k
-		if p := j + j&-j; p < len(c.fen) {
-			c.fen[p] += c.fen[j]
-		}
-	}
-	c.fenOK = true
-}
-
-func (c *Counted) fenAdd(slot int32, delta int64) {
-	for i := int(slot) + 1; i < len(c.fen); i += i & -i {
-		c.fen[i] += delta
-	}
-}
-
-// fenSearch returns the first slot whose cumulative count exceeds r — the
-// same slot the original linear scan over keys would return — in
-// O(log #species).
-func (c *Counted) fenSearch(r int64) int32 {
-	idx := 0
-	half := 1
-	for half < len(c.fen)-1 {
-		half <<= 1
-	}
-	for ; half > 0; half >>= 1 {
-		if next := idx + half; next < len(c.fen) && c.fen[next] <= r {
-			idx = next
-			r -= c.fen[next]
-		}
-	}
-	if idx >= len(c.cnt) {
-		return -1
-	}
-	return int32(idx)
-}
-
 // sampleSlotAlias returns a slot drawn proportionally to counts through
-// the lazily rebuilt alias table. Unlike sample it returns the slot (the
-// aggregate runner works in slot space) and makes no stream-compatibility
-// promise: it costs two RNG draws per sample regardless of the species
-// count, with the O(S) table build amortized over every draw between count
-// mutations.
+// the lazily rebuilt alias table. It costs two RNG draws per sample
+// regardless of the species count, with the O(S) table build amortized
+// over every draw between count mutations.
 func (c *Counted) sampleSlotAlias(rng *RNG) int32 {
 	if !c.aliasOK {
 		c.alias.build(c.cnt)
 		c.aliasOK = true
 	}
 	return c.alias.sample(rng)
-}
-
-// sample returns a state drawn proportionally to counts, excluding one
-// agent of state excl if exclOne is true. The draw consumes exactly one
-// Int63n and maps it to the same species as the historical linear scan, so
-// RNG streams are unchanged by the prefix-sum sampler.
-func (c *Counted) sample(rng *RNG, exclOne bool, excl bitmask.State) bitmask.State {
-	total := c.n
-	exclSlot := int32(-1)
-	if exclOne {
-		total--
-		if i, ok := c.index[excl]; ok {
-			exclSlot = i
-		}
-	}
-	if !c.fenOK {
-		c.rebuildFen()
-	}
-	if exclSlot >= 0 {
-		c.fenAdd(exclSlot, -1)
-	}
-	r := rng.Int63n(total)
-	slot := c.fenSearch(r)
-	if exclSlot >= 0 {
-		c.fenAdd(exclSlot, 1)
-	}
-	if slot < 0 {
-		panic("engine: sample walked off the species table")
-	}
-	return c.keys[slot]
 }

@@ -44,10 +44,10 @@ func TestCountedRejectsBadInput(t *testing.T) {
 	NewCounted(map[bitmask.State]int64{{}: -1, {Lo: 1}: 10})
 }
 
-// TestCountRunnerAgreesWithDense runs the same cancellation protocol on both
+// TestBatchRunnerAgreesWithDense runs the same cancellation protocol on both
 // engines with many seeds and compares the distribution of the absolute
 // survivor count. This is the exactness check for the counted engine.
-func TestCountRunnerAgreesWithDense(t *testing.T) {
+func TestBatchRunnerAgreesWithDense(t *testing.T) {
 	sp := bitmask.NewSpace()
 	a := sp.Bool("A")
 	b := sp.Bool("B")
@@ -92,8 +92,8 @@ func TestCountRunnerAgreesWithDense(t *testing.T) {
 		pop := NewCounted(map[bitmask.State]int64{
 			sA: nA, sB: nB, {}: n - nA - nB,
 		})
-		cr := NewCountRunner(p, pop, NewRNG(seed))
-		rounds, ok := cr.RunUntil(func(c *CountRunner) bool { return c.Pop.Count(gB) == 0 }, 1e6)
+		br := NewBatchRunner(p, pop, NewRNG(seed))
+		rounds, ok := br.RunTracked(func() bool { return pop.Count(gB) == 0 }, 1e6)
 		if !ok {
 			t.Fatalf("counted run %d did not absorb", seed)
 		}
@@ -111,29 +111,6 @@ func TestCountRunnerAgreesWithDense(t *testing.T) {
 	}
 }
 
-func TestCountRunnerStepEquivalence(t *testing.T) {
-	// Literal Step on the counted engine preserves population size and
-	// never goes negative across many random protocols steps.
-	sp := bitmask.NewSpace()
-	a := sp.Bool("A")
-	rs := rules.NewRuleset(sp)
-	rs.Add(bitmask.Is(a), bitmask.IsNot(a), bitmask.Is(a), bitmask.Is(a))
-	rs.Add(bitmask.IsNot(a), bitmask.Is(a), bitmask.IsNot(a), bitmask.IsNot(a))
-	p := CompileProtocol(rs)
-	sA := a.Set(bitmask.State{}, true)
-	pop := NewCounted(map[bitmask.State]int64{sA: 50, {}: 50})
-	cr := NewCountRunner(p, pop, NewRNG(42))
-	for i := 0; i < 5000; i++ {
-		cr.Step()
-		if got := pop.N(); got != 100 {
-			t.Fatalf("population size changed to %d", got)
-		}
-	}
-	if cr.Interactions != 5000 {
-		t.Errorf("Interactions = %d", cr.Interactions)
-	}
-}
-
 func TestLeapStepSilentDetection(t *testing.T) {
 	sp := bitmask.NewSpace()
 	a := sp.Bool("A")
@@ -142,9 +119,9 @@ func TestLeapStepSilentDetection(t *testing.T) {
 	p := CompileProtocol(rs)
 	sA := a.Set(bitmask.State{}, true)
 	pop := NewCounted(map[bitmask.State]int64{sA: 1, {}: 99})
-	cr := NewCountRunner(p, pop, NewRNG(1))
+	br := NewBatchRunner(p, pop, NewRNG(1))
 	// Only one A agent: the rule (A)+(A) can never fire.
-	if cr.LeapStep(0) {
+	if br.LeapStep(0) {
 		t.Error("LeapStep fired in a silent configuration")
 	}
 }
@@ -158,13 +135,13 @@ func TestLeapStepHonorsBudget(t *testing.T) {
 	sA := a.Set(bitmask.State{}, true)
 	// Two A's among 10^6: firing is rare, the budget hits first.
 	pop := NewCounted(map[bitmask.State]int64{sA: 2, {}: 1_000_000 - 2})
-	cr := NewCountRunner(p, pop, NewRNG(1))
+	br := NewBatchRunner(p, pop, NewRNG(1))
 	const budget = 1000
-	if !cr.LeapStep(budget) {
+	if !br.LeapStep(budget) {
 		t.Fatal("LeapStep reported silence with a fireable rule")
 	}
-	if cr.Interactions > budget {
-		t.Errorf("Interactions = %d exceeds budget %d", cr.Interactions, budget)
+	if br.Interactions > budget {
+		t.Errorf("Interactions = %d exceeds budget %d", br.Interactions, budget)
 	}
 }
 
@@ -185,11 +162,11 @@ func TestLeapMatchesTheory(t *testing.T) {
 	var total float64
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := NewCounted(map[bitmask.State]int64{sL: 2, {}: n - 2})
-		cr := NewCountRunner(p, pop, NewRNG(seed))
-		if !cr.LeapStep(0) {
+		br := NewBatchRunner(p, pop, NewRNG(seed))
+		if !br.LeapStep(0) {
 			t.Fatal("unexpected silence")
 		}
-		total += float64(cr.Interactions)
+		total += float64(br.Interactions)
 	}
 	mean := total / seeds
 	want := float64(n) * float64(n-1) / 2
@@ -207,9 +184,9 @@ func TestCountedHistogramAndCompact(t *testing.T) {
 	p := CompileProtocol(rs)
 	sA := a.Set(bitmask.State{}, true)
 	pop := NewCounted(map[bitmask.State]int64{{}: 10, sA: 10})
-	cr := NewCountRunner(p, pop, NewRNG(3))
+	br := NewBatchRunner(p, pop, NewRNG(3))
 	for i := 0; i < 200 && pop.CountState(bitmask.State{}) > 0; i++ {
-		if !cr.LeapStep(0) {
+		if !br.LeapStep(0) {
 			break
 		}
 	}
@@ -219,45 +196,5 @@ func TestCountedHistogramAndCompact(t *testing.T) {
 	}
 	if pop.NumSpecies() != 1 {
 		t.Errorf("NumSpecies = %d after compaction", pop.NumSpecies())
-	}
-}
-
-// TestCountedSamplingUniform: the pair sampler draws agents proportionally
-// to species counts, which shows up as matching-rate proportionality in a
-// two-species tagging protocol.
-func TestCountedSamplingUniform(t *testing.T) {
-	sp := bitmask.NewSpace()
-	a := sp.Bool("A")
-	h := sp.Bool("H")
-	rs := rules.NewRuleset(sp)
-	// Tag the initiator's H with the responder's A-ness.
-	rs.AddGroup("probe", 1,
-		rules.MustNew(bitmask.True(), bitmask.Is(a), bitmask.Is(h), bitmask.True()),
-		rules.MustNew(bitmask.True(), bitmask.IsNot(a), bitmask.IsNot(h), bitmask.True()),
-	)
-	p := CompileProtocol(rs)
-	sA := a.Set(bitmask.State{}, true)
-	// 30% A agents.
-	pop := NewCounted(map[bitmask.State]int64{sA: 300, {}: 700})
-	cr := NewCountRunner(p, pop, NewRNG(7))
-	hits := 0
-	const trials = 20000
-	gH := bitmask.Compile(bitmask.Is(h))
-	for i := 0; i < trials; i++ {
-		before := pop.Count(gH)
-		cr.Step()
-		after := pop.Count(gH)
-		if after > before {
-			hits++
-		}
-		// Reset the tag so each step is an independent probe.
-		_ = before
-	}
-	// The responder is A with probability ≈ 0.3; H-count transitions
-	// blank→tagged happen at a rate bounded by that. A crude bound: the
-	// steady-state fraction of H-tagged agents approaches 0.3.
-	frac := float64(pop.Count(gH)) / 1000
-	if frac < 0.2 || frac > 0.4 {
-		t.Errorf("steady-state tag fraction %.3f, want ≈ 0.3", frac)
 	}
 }

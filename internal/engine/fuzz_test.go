@@ -50,7 +50,7 @@ func fuzzProtocol(pick uint8) (*Protocol, [3]bitmask.State, bitmask.Formula) {
 
 // checkCounted verifies population conservation and non-negativity, plus
 // the incremental tallies and trackers against a full recomputation.
-func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, tr *CountTracker, want int64) {
+func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, tr *Tracker, want int64) {
 	t.Helper()
 	var sum int64
 	pop.ForEach(func(s bitmask.State, k int64) {
@@ -102,30 +102,10 @@ func FuzzRunnerConservation(f *testing.F) {
 		}
 		budget := uint64(steps % 512)
 
-		// Leaping CountRunner.
-		pop := NewCounted(counts)
-		cr := NewCountRunner(proto, pop, NewRNG(seed))
-		tr := cr.Track("a", trackF)
-		for i := uint64(0); i < budget; i++ {
-			if !cr.LeapStep(0) {
-				break
-			}
-		}
-		checkCounted(t, "CountRunner/leap", pop, cr.idx, tr, total)
-
-		// Literal-step CountRunner.
-		pop = NewCounted(counts)
-		cr = NewCountRunner(proto, pop, NewRNG(seed))
-		tr = cr.Track("a", trackF)
-		for i := uint64(0); i < budget; i++ {
-			cr.Step()
-		}
-		checkCounted(t, "CountRunner/step", pop, cr.idx, tr, total)
-
 		// BatchRunner.
-		pop = NewCounted(counts)
+		pop := NewCounted(counts)
 		br := NewBatchRunner(proto, pop, NewRNG(seed))
-		tr = br.Track("a", trackF)
+		tr := br.Track("a", trackF)
 		br.RunBatch(budget, 0)
 		checkCounted(t, "BatchRunner", pop, br.idx, tr, total)
 		var fired uint64

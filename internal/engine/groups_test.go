@@ -68,7 +68,7 @@ func TestGroupUniqueMatchSemantics(t *testing.T) {
 	}
 }
 
-func TestCountRunnerGroupWeights(t *testing.T) {
+func TestBatchRunnerGroupWeights(t *testing.T) {
 	// Two groups: a heavy counter group and a light toggler. The counted
 	// engine must weight events by group, not by rule count.
 	sp := bitmask.NewSpace()
@@ -93,14 +93,14 @@ func TestCountRunnerGroupWeights(t *testing.T) {
 	}
 
 	pop := NewCounted(map[bitmask.State]int64{{}: 100})
-	cr := NewCountRunner(p, pop, NewRNG(4))
+	br := NewBatchRunner(p, pop, NewRNG(4))
 	// Fire 4000 events. The counter group holds 3 of 4 slots and always
 	// matches; the toggler (1 slot) matches only while ¬A agents remain.
 	counterFires, togglerFires := 0, 0
 	gA := bitmask.Compile(bitmask.Is(a))
 	for i := 0; i < 4000; i++ {
 		beforeA := pop.Count(gA)
-		if !cr.LeapStep(0) {
+		if !br.LeapStep(0) {
 			break
 		}
 		if pop.Count(gA) != beforeA {
@@ -118,8 +118,8 @@ func TestCountRunnerGroupWeights(t *testing.T) {
 	}
 	// After saturation only 3/4 of slots can fire, so interactions must
 	// exceed events (leaping over the dead toggler slot).
-	if cr.Interactions <= 4000 {
-		t.Errorf("Interactions = %d, expected > 4000 with a quiet slot", cr.Interactions)
+	if br.Interactions <= 4000 {
+		t.Errorf("Interactions = %d, expected > 4000 with a quiet slot", br.Interactions)
 	}
 	// Population size is conserved throughout.
 	if pop.N() != 100 {
@@ -133,7 +133,7 @@ func TestMatchGroupReturnsNilOnMiss(t *testing.T) {
 	rs := rules.NewRuleset(sp)
 	rs.Add(bitmask.Is(a), bitmask.Is(a), bitmask.IsNot(a), bitmask.True())
 	p := CompileProtocol(rs)
-	if r := p.PickRule(NewRNG(1), bitmask.State{}, bitmask.State{}); r != nil {
-		t.Error("PickRule matched a rule whose guard fails")
+	if _, r := p.matchGroup(0, bitmask.State{}, bitmask.State{}); r != nil {
+		t.Error("matchGroup matched a rule whose guard fails")
 	}
 }

@@ -33,21 +33,6 @@ type stateRow struct {
 	r1, r2, r12 []int32
 }
 
-// A CountTracker incrementally maintains the number of agents matching a
-// guard in a counted population, the counterpart of the dense Runner's
-// Tracker. Stop conditions built on trackers are re-evaluated only when a
-// tracked count actually moves.
-type CountTracker struct {
-	Name  string
-	guard bitmask.Guard
-	count int64
-
-	slotMatch []bool // slot → guard match, synced with the population
-}
-
-// Count returns the current number of matching agents.
-func (t *CountTracker) Count() int64 { return t.count }
-
 // matchIndex binds one (Protocol, Counted) pair: per-rule m1/m2/m12
 // tallies, memoized dispatch rows, and registered trackers, all maintained
 // incrementally from count deltas.
@@ -86,8 +71,9 @@ type matchIndex struct {
 	flagStride int
 	nSlots     int // number of slots the flat arrays cover
 
-	trackers []*CountTracker
-	// trackersMoved is set whenever a tracker count changes; RunUntil
+	// trackers are indexed by slot (Tracker.match[slot]).
+	trackers []*Tracker
+	// trackersMoved is set whenever a tracker count changes; RunTracked
 	// clears it after re-evaluating its stop condition.
 	trackersMoved bool
 
@@ -173,7 +159,7 @@ func (ix *matchIndex) syncSlots() {
 	if ix.compactGen != pop.compactGen {
 		ix.nSlots = 0
 		for _, t := range ix.trackers {
-			t.slotMatch = t.slotMatch[:0]
+			t.match = t.match[:0]
 		}
 		ix.compactGen = pop.compactGen
 	}
@@ -184,7 +170,7 @@ func (ix *matchIndex) syncSlots() {
 		s := pop.keys[slot]
 		ix.rowOf(s)
 		for _, t := range ix.trackers {
-			t.slotMatch = append(t.slotMatch, t.guard.Match(s))
+			t.extend(s)
 		}
 	}
 	ix.nSlots = len(pop.keys)
@@ -268,7 +254,7 @@ func (ix *matchIndex) apply(slot int32, s bitmask.State, delta int64) {
 		ix.occBumpSlot(slot, 1)
 	}
 	for _, t := range ix.trackers {
-		if t.slotMatch[slot] {
+		if t.match[slot] != 0 {
 			t.count += delta
 			ix.trackersMoved = true
 		}
@@ -276,15 +262,12 @@ func (ix *matchIndex) apply(slot int32, s bitmask.State, delta int64) {
 }
 
 // track registers a guard for incremental counting.
-func (ix *matchIndex) track(name string, f bitmask.Formula) *CountTracker {
+func (ix *matchIndex) track(name string, f bitmask.Formula) *Tracker {
 	ix.syncSlots()
-	t := &CountTracker{Name: name, guard: bitmask.Compile(f)}
-	t.slotMatch = make([]bool, ix.nSlots)
+	t := &Tracker{Name: name, guard: bitmask.Compile(f)}
 	for slot, s := range ix.pop.keys {
-		if t.guard.Match(s) {
-			t.slotMatch[slot] = true
-			t.count += ix.pop.cnt[slot]
-		}
+		t.extend(s)
+		t.count += int64(t.match[slot]) * ix.pop.cnt[slot]
 	}
 	ix.trackers = append(ix.trackers, t)
 	return t
@@ -502,9 +485,7 @@ func (ix *matchIndex) resync() {
 	for _, t := range ix.trackers {
 		t.count = 0
 		for slot := range ix.pop.keys {
-			if t.slotMatch[slot] {
-				t.count += ix.pop.cnt[slot]
-			}
+			t.count += int64(t.match[slot]) * ix.pop.cnt[slot]
 		}
 	}
 }

@@ -138,25 +138,8 @@ func (p *Protocol) Rule(i int) *rules.Rule { return &p.Set.Rules[i] }
 // RuleWeight returns the scheduler weight of rule i's group.
 func (p *Protocol) RuleWeight(i int) int { return p.ruleWeight[i] }
 
-// PickRule draws a uniform scheduler slot and resolves it against the
-// ordered pair (a, b): it returns the matching rule of the picked group, or
-// nil if none matches (a non-firing interaction).
-func (p *Protocol) PickRule(rng *RNG, a, b bitmask.State) *rules.Rule {
-	_, r := p.PickRuleIndexed(rng, a, b)
-	return r
-}
-
-// PickRuleIndexed is PickRule also reporting the fired rule's index into
-// Set.Rules ((-1, nil) for a non-firing interaction), so instrumented
-// runners can tally per-rule firings without a pointer-to-index search. It
-// consumes exactly the same RNG draws as PickRule.
-func (p *Protocol) PickRuleIndexed(rng *RNG, a, b bitmask.State) (int, *rules.Rule) {
-	gi := p.slots[rng.Intn(len(p.slots))]
-	return p.matchGroup(gi, a, b)
-}
-
-// matchGroup finds the unique rule of group gi matching (a, b), or
-// (-1, nil).
+// matchGroup finds the unique rule of group gi matching (a, b), with its
+// index into Set.Rules, or (-1, nil).
 func (p *Protocol) matchGroup(gi int32, a, b bitmask.State) (int, *rules.Rule) {
 	g := &p.groups[gi]
 	if g.indexed {

@@ -39,7 +39,7 @@ func TestResyncTrackersAfterMutation(t *testing.T) {
 			{trB, bitmask.Is(b)},
 			{trAB, bitmask.And(bitmask.Is(a), bitmask.IsNot(b))},
 		} {
-			want := pop.Count(bitmask.Compile(tc.f))
+			want := int64(pop.Count(bitmask.Compile(tc.f)))
 			if got := tc.tr.Count(); got != want {
 				t.Fatalf("%s: tracker %s = %d, population holds %d", stage, tc.tr.Name, got, want)
 			}
@@ -116,7 +116,7 @@ func TestSnapshotRestoreTrackers(t *testing.T) {
 	r2 := NewRunner(p, restored, NewRNG(777))
 	trA2 := r2.Track("A", bitmask.Is(a))
 	trB2 := r2.Track("B", bitmask.Is(bvar))
-	if want := pop.Count(bitmask.Compile(bitmask.Is(a))); trA2.Count() != want {
+	if want := int64(pop.Count(bitmask.Compile(bitmask.Is(a)))); trA2.Count() != want {
 		t.Fatalf("restored tracker A=%d, want %d", trA2.Count(), want)
 	}
 

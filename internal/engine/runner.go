@@ -9,20 +9,6 @@ import (
 	"popkit/internal/obs"
 )
 
-// A Tracker incrementally maintains the number of agents matching a guard,
-// so stop conditions do not rescan the population every round.
-type Tracker struct {
-	Name  string
-	guard bitmask.Guard
-	count int
-	// match[id] is 1 when species id satisfies the guard, extended as the
-	// population interns new species.
-	match []uint8
-}
-
-// Count returns the current number of matching agents.
-func (t *Tracker) Count() int { return t.count }
-
 // Runner drives a Dense population under a compiled protocol with the
 // asynchronous sequential scheduler (uniform random ordered pairs) or the
 // random-matching parallel scheduler. One parallel round is n interactions
@@ -88,11 +74,20 @@ func (r *Runner) Rounds() float64 {
 	return float64(r.Interactions) / float64(r.Pop.N())
 }
 
+// InteractionCount returns Interactions.
+func (r *Runner) InteractionCount() uint64 { return r.Interactions }
+
+// SetStats attaches a per-rule firing tally (nil detaches).
+func (r *Runner) SetStats(s *obs.RuleStats) { r.Stats = s }
+
+// HistogramInto snapshots the population into dst (cleared first).
+func (r *Runner) HistogramInto(dst map[bitmask.State]int64) { r.Pop.HistogramInto(dst) }
+
 // Track registers a guard for incremental counting and returns its tracker.
 // Must be called before stepping (or counts resynced via ResyncTrackers).
 func (r *Runner) Track(name string, f bitmask.Formula) *Tracker {
 	t := &Tracker{Name: name, guard: bitmask.Compile(f)}
-	t.count = r.Pop.Count(t.guard)
+	t.count = int64(r.Pop.Count(t.guard))
 	r.trackers = append(r.trackers, t)
 	r.syncSpecies = -1 // the next sync fills the new tracker's memberships
 	return t
@@ -102,7 +97,7 @@ func (r *Runner) Track(name string, f bitmask.Formula) *Tracker {
 // Needed after out-of-band mutations (Dense.SetAgent / ApplyAll).
 func (r *Runner) ResyncTrackers() {
 	for _, t := range r.trackers {
-		t.count = r.Pop.Count(t.guard)
+		t.count = int64(r.Pop.Count(t.guard))
 	}
 }
 
@@ -131,11 +126,7 @@ func (r *Runner) sync() {
 	r.admit2 = growZero(r.admit2, len(d.states)*r.nGroups)
 	for _, t := range r.trackers {
 		for id := len(t.match); id < len(d.states); id++ {
-			m := uint8(0)
-			if t.guard.Match(d.states[id]) {
-				m = 1
-			}
-			t.match = append(t.match, m)
+			t.extend(d.states[id])
 		}
 	}
 }
@@ -222,7 +213,7 @@ func (r *Runner) fire(e *memoSlot, i, j int) bool {
 		a[i], a[j] = e.na, e.nb
 		for _, t := range r.trackers {
 			m := t.match
-			if dc := int(m[e.na]) + int(m[e.nb]) - int(m[oa]) - int(m[ob]); dc != 0 {
+			if dc := int64(m[e.na]) + int64(m[e.nb]) - int64(m[oa]) - int64(m[ob]); dc != 0 {
 				t.count += dc
 				r.moved = true
 			}
@@ -232,8 +223,7 @@ func (r *Runner) fire(e *memoSlot, i, j int) bool {
 	return true
 }
 
-// pickGroup draws a uniform scheduler slot (the same single draw as
-// Protocol.PickRuleIndexed).
+// pickGroup draws a uniform scheduler slot.
 func (r *Runner) pickGroup() int32 {
 	return r.P.slots[r.RNG.Intn(len(r.P.slots))]
 }
@@ -334,9 +324,9 @@ func (r *Runner) RunRounds(k float64) {
 // maxRounds elapses (⌈maxRounds·n⌉ interactions), returning the parallel
 // time consumed and whether cond was met. When trackers are registered the
 // condition is re-evaluated only after interactions that moved a tracked
-// count — the contract the counted runners' RunUntil follows — so it must
-// read registered trackers (or state derived from them); with no trackers
-// it runs after every interaction.
+// count — the Kernel contract every kernel's RunTracked follows — so it
+// must read registered trackers (or state derived from them); with no
+// trackers it runs after every interaction.
 func (r *Runner) RunTracked(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
 	start := r.Rounds()
 	budget := r.Interactions + uint64(math.Ceil(maxRounds*float64(r.Pop.N())))

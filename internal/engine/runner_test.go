@@ -59,7 +59,7 @@ func TestTrackerMatchesScan(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		r.Step()
 		if step%200 == 0 {
-			if scan := pop.Count(g); scan != tr.Count() {
+			if scan := int64(pop.Count(g)); scan != tr.Count() {
 				t.Fatalf("step %d: tracker %d != scan %d", step, tr.Count(), scan)
 			}
 		}

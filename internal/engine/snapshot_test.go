@@ -62,7 +62,7 @@ func TestDenseSnapshotResume(t *testing.T) {
 	}
 	r2 := NewRunner(p, restored, NewRNG(99))
 	tr := r2.Track("I", bitmask.Is(infected))
-	if _, ok := r2.RunUntil(func(*Runner) bool { return tr.Count() == restored.N() }, 1, 500); !ok {
+	if _, ok := r2.RunUntil(func(*Runner) bool { return tr.Count() == int64(restored.N()) }, 1, 500); !ok {
 		t.Fatal("resumed epidemic did not complete")
 	}
 }

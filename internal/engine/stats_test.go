@@ -50,26 +50,6 @@ func TestStatsDoNotPerturbRNG(t *testing.T) {
 	}
 }
 
-// TestCountRunnerStatsMatchDense cross-checks the counted kernel's tally:
-// with identical seeds, CountRunner.Step and Runner fire the same rules in
-// distribution, and the counted tally sums to the number of firings.
-func TestCountRunnerStats(t *testing.T) {
-	sp := bitmask.NewSpace()
-	p, a, _ := twoRuleProtocol(sp)
-	var sA, s0 bitmask.State
-	sA = a.Set(sA, true)
-	pop := NewCounted(map[bitmask.State]int64{sA: 10, s0: 290})
-	r := NewCountRunner(p, pop, NewRNG(9))
-	r.Stats = obs.NewRuleStats(p.NumRules())
-	rounds, _ := r.RunUntil(func(*CountRunner) bool { return false }, 10)
-	if rounds <= 0 {
-		t.Fatal("counted run did not advance")
-	}
-	if r.Stats.Total() == 0 {
-		t.Fatal("counted run recorded no firings")
-	}
-}
-
 // TestBatchRunnerStatsMirrorFired pins the batched kernel's dual tally:
 // Stats must agree exactly with the existing Fired array.
 func TestBatchRunnerStatsMirrorFired(t *testing.T) {
@@ -80,7 +60,7 @@ func TestBatchRunnerStatsMirrorFired(t *testing.T) {
 	pop := NewCounted(map[bitmask.State]int64{sA: 10, s0: 290})
 	r := NewBatchRunner(p, pop, NewRNG(11))
 	r.Stats = obs.NewRuleStats(p.NumRules())
-	r.RunUntil(func(*BatchRunner) bool { return false }, 10)
+	r.RunTracked(func() bool { return false }, 10)
 	fired := r.Stats.Fired()
 	for i, c := range r.Fired {
 		if fired[i] != c {
@@ -89,31 +69,6 @@ func TestBatchRunnerStatsMirrorFired(t *testing.T) {
 	}
 	if r.Stats.Total() == 0 {
 		t.Fatal("batched run recorded no firings")
-	}
-}
-
-// TestPickRuleIndexedAgreesWithPickRule verifies the indexed path returns
-// the address of Set.Rules[i] for every match, on both the hash-indexed and
-// scanning group layouts.
-func TestPickRuleIndexedAgreesWithPickRule(t *testing.T) {
-	sp := bitmask.NewSpace()
-	p, a, b := twoRuleProtocol(sp)
-	_ = b
-	var s0, s1 bitmask.State
-	s1 = a.Set(s1, true)
-	rng := NewRNG(3)
-	for trial := 0; trial < 200; trial++ {
-		x, y := s0, s1
-		if trial%2 == 0 {
-			x, y = y, x
-		}
-		i, r := p.PickRuleIndexed(rng, x, y)
-		if (r == nil) != (i < 0) {
-			t.Fatalf("index %d inconsistent with rule %v", i, r)
-		}
-		if r != nil && p.Rule(i) != r {
-			t.Fatalf("index %d does not address the returned rule", i)
-		}
 	}
 }
 

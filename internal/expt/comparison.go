@@ -47,7 +47,7 @@ func runE11(cfg Config) Result {
 		var rounds []float64
 		for s := 0; s < seeds; s++ {
 			counts := map[bitmask.State]int64{sA: int64(nMaj/2 + gap), sB: int64(nMaj / 2)}
-			drv := NewDriver(am.Rules(), proto, counts, engine.NewRNG(cfg.BaseSeed+uint64(gap+s)))
+			drv := NewDriver(proto, counts, engine.NewRNG(cfg.BaseSeed+uint64(gap+s)), RunnerHints{})
 			ta := drv.Track("A", bitmask.Is(am.A))
 			tb := drv.Track("B", bitmask.Is(am.B))
 			r, ok := drv.RunUntil(func() bool {
@@ -105,7 +105,7 @@ func runE11(cfg Config) Result {
 		var rounds []float64
 		for s := 0; s < seeds && s < 5; s++ {
 			counts := map[bitmask.State]int64{emA: n/2 + 1, emB: n / 2}
-			drv := NewDriver(em.Rules(), emProto, counts, engine.NewRNG(cfg.BaseSeed+uint64(n)+uint64(s)))
+			drv := NewDriver(emProto, counts, engine.NewRNG(cfg.BaseSeed+uint64(n)+uint64(s)), RunnerHints{})
 			// The annihilation rule preserves the opinion split, so the
 			// tracked count sits still through the whole Θ(n log n)
 			// annihilation phase and the condition is skipped with it.
@@ -162,7 +162,7 @@ func runE11(cfg Config) Result {
 		var rounds []float64
 		for s := 0; s < seeds && s < 5; s++ {
 			counts := map[bitmask.State]int64{clL: n}
-			drv := NewDriver(cl.Rules(), clProto, counts, engine.NewRNG(cfg.BaseSeed+uint64(7*n)+uint64(s)))
+			drv := NewDriver(clProto, counts, engine.NewRNG(cfg.BaseSeed+uint64(7*n)+uint64(s)), RunnerHints{})
 			tl := drv.Track("L", bitmask.Is(cl.L))
 			r, _ := drv.RunUntil(func() bool { return tl.Count() == 1 }, 1e9)
 			rounds = append(rounds, r)

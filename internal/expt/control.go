@@ -46,7 +46,7 @@ func twoMeetTime(n int64, eps float64, seed uint64) (rounds float64, finalX int6
 	rs := tm.Rules()
 	p := engine.CompileProtocol(rs)
 	sX := tm.InitAgent(bitmask.State{})
-	drv := NewDriver(rs, p, map[bitmask.State]int64{sX: n}, engine.NewRNG(seed))
+	drv := NewDriver(p, map[bitmask.State]int64{sX: n}, engine.NewRNG(seed), RunnerHints{})
 	tx := drv.Track("X", bitmask.Is(x))
 	target := math.Pow(float64(n), 1-eps)
 	r, _ := drv.RunUntil(func() bool {
@@ -113,7 +113,7 @@ func cascadeTime(n int64, k int, eps float64, seed uint64) (rounds float64, surv
 	rs := c.Rules()
 	p := engine.CompileProtocol(rs)
 	sInit := c.InitAgent(bitmask.State{})
-	drv := NewDriver(rs, p, map[bitmask.State]int64{sInit: n}, engine.NewRNG(seed))
+	drv := NewDriver(p, map[bitmask.State]int64{sInit: n}, engine.NewRNG(seed), RunnerHints{})
 	tx := drv.Track("X", bitmask.Is(x))
 	target := math.Pow(float64(n), 1-eps)
 	r, ok := drv.RunUntil(func() bool {
@@ -265,7 +265,7 @@ func runF2(cfg Config) Result {
 		x := sp.Bool("X")
 		rs, init := mk(sp, x)
 		proto := engine.CompileProtocol(rs)
-		drv := NewDriver(rs, proto, map[bitmask.State]int64{init: n}, engine.NewRNG(cfg.BaseSeed+5))
+		drv := NewDriver(proto, map[bitmask.State]int64{init: n}, engine.NewRNG(cfg.BaseSeed+5), RunnerHints{})
 		tx := drv.Track("X", bitmask.Is(x))
 		hist := make(map[bitmask.State]int64, 16)
 		out := map[float64]point{}

@@ -19,8 +19,8 @@ func TestDriverDenseLayoutDeterministic(t *testing.T) {
 	proto := engine.CompileProtocol(em.Rules())
 
 	run := func() (float64, uint64) {
-		drv := NewDriver(em.Rules(), proto,
-			map[bitmask.State]int64{emA: 151, emB: 149}, engine.NewRNG(42))
+		drv := NewDriver(proto,
+			map[bitmask.State]int64{emA: 151, emB: 149}, engine.NewRNG(42), RunnerHints{})
 		if drv.Kind != RunnerDense {
 			t.Fatalf("expected the dense runner at n=300, got %v", drv.Kind)
 		}

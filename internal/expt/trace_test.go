@@ -18,7 +18,7 @@ func traceTwoMeet(n int64, seed uint64, tr *obs.Trace) (int64, float64, *obs.Rul
 	rs := tm.Rules()
 	p := engine.CompileProtocol(rs)
 	sX := tm.InitAgent(bitmask.State{})
-	drv := NewDriver(rs, p, map[bitmask.State]int64{sX: n}, engine.NewRNG(seed))
+	drv := NewDriver(p, map[bitmask.State]int64{sX: n}, engine.NewRNG(seed), RunnerHints{})
 	tx := drv.Track("X", bitmask.Is(x))
 	var stats *obs.RuleStats
 	if tr != nil {

@@ -1,9 +1,9 @@
 package protocols_test
 
 // Statistical equivalence suite for the related-work protocols, mirroring
-// the engine's batch_equiv suite: the counted kernels (count, batch,
-// aggregate) skip RNG draws whose outcome is forced, so their streams
-// differ from the dense Runner's — the contract is equality in
+// the engine's batch_equiv suite: the counted kernels (batch, aggregate)
+// skip RNG draws whose outcome is forced, so their streams differ from the
+// dense Runner's — the contract is equality in
 // distribution. Hitting times are compared with the two-sample KS statistic
 // and categorical outcomes with a chi-square homogeneity statistic, at
 // fixed seed banks so the tests are deterministic. Alongside, the suite
@@ -135,7 +135,7 @@ func majorityTimes(t *testing.T, build func() majoritySpec, kind string, seedRoo
 			a = func() int64 { return ta.Count() }
 			b = func() int64 { return tb.Count() }
 			o = func() int64 { return to.Count() }
-			rounds, ok = run.RunUntil(func(*engine.BatchRunner) bool { return done() }, 2e6)
+			rounds, ok = run.RunTracked(done, 2e6)
 		case "aggregate":
 			pop := engine.NewCounted(spec.counts)
 			run := engine.NewAggregateRunner(proto, pop, rng)
@@ -146,15 +146,7 @@ func majorityTimes(t *testing.T, build func() majoritySpec, kind string, seedRoo
 			a = func() int64 { return ta.Count() }
 			b = func() int64 { return tb.Count() }
 			o = func() int64 { return to.Count() }
-			rounds, ok = run.RunUntil(func(*engine.AggregateRunner) bool { return done() }, 2e6)
-		default:
-			pop := engine.NewCounted(spec.counts)
-			run := engine.NewCountRunner(proto, pop, rng)
-			ta, tb, to := run.Track("a", spec.tokA), run.Track("b", spec.tokB), run.Track("o", spec.out)
-			a = func() int64 { return ta.Count() }
-			b = func() int64 { return tb.Count() }
-			o = func() int64 { return to.Count() }
-			rounds, ok = run.RunUntil(func(*engine.CountRunner) bool { return done() }, 2e6)
+			rounds, ok = run.RunTracked(done, 2e6)
 		}
 		if !ok {
 			t.Fatalf("%s: seed %d did not converge", kind, seed)
@@ -204,21 +196,18 @@ func requireChiSquare(t *testing.T, label string, rows ...[]int64) {
 // matrix and applies the KS, chi-square, and correctness gates.
 func runMajorityEquiv(t *testing.T, name string, build func() majoritySpec, seedRoot uint64) {
 	dense, sDense, cDense := majorityTimes(t, build, "dense", seedRoot)
-	count, sCount, cCount := majorityTimes(t, build, "count", seedRoot)
 	batch, sBatch, cBatch := majorityTimes(t, build, "batch", seedRoot)
 	agg, sAgg, cAgg := majorityTimes(t, build, "aggregate", seedRoot)
 
-	requireKS(t, name+" dense-vs-count", dense, count)
 	requireKS(t, name+" dense-vs-batch", dense, batch)
-	requireKS(t, name+" count-vs-batch", count, batch)
-	requireKS(t, name+" count-vs-aggregate", count, agg)
+	requireKS(t, name+" batch-vs-aggregate", batch, agg)
 	requireKS(t, name+" dense-vs-aggregate", dense, agg)
 
 	// The surviving-token distribution at the decision instant is a second,
 	// time-independent fingerprint of the dynamics: kernels must agree on it
 	// too, not just on when they finish.
 	requireChiSquare(t, name+" survivors dense-vs-batch", bucketSurvivors(sDense), bucketSurvivors(sBatch))
-	requireChiSquare(t, name+" survivors count-vs-aggregate", bucketSurvivors(sCount), bucketSurvivors(sAgg))
+	requireChiSquare(t, name+" survivors batch-vs-aggregate", bucketSurvivors(sBatch), bucketSurvivors(sAgg))
 
 	// Correctness-probability lower bound at the adversarial |A−B| = 1
 	// margin: the conserved weighted sum makes these protocols exact, so
@@ -226,7 +215,7 @@ func runMajorityEquiv(t *testing.T, name string, build func() majoritySpec, seed
 	for _, c := range []struct {
 		kernel  string
 		correct int
-	}{{"dense", cDense}, {"count", cCount}, {"batch", cBatch}, {"aggregate", cAgg}} {
+	}{{"dense", cDense}, {"batch", cBatch}, {"aggregate", cAgg}} {
 		if c.correct != equivSeeds {
 			t.Errorf("%s on %s: %d/%d seeds decided for the true majority; exact majority admits no errors",
 				name, c.kernel, c.correct, equivSeeds)
@@ -297,7 +286,7 @@ func TestGS18KernelEquivalence(t *testing.T) {
 				pop := engine.NewCounted(counts)
 				r := engine.NewBatchRunner(proto, pop, rng)
 				tl, tf := r.Track("l", isL), r.Track("f", isF)
-				r.RunUntil(func(*engine.BatchRunner) bool { return false }, horizon)
+				r.RunTracked(func() bool { return false }, horizon)
 				leaders = append(leaders, float64(tl.Count()))
 				flipping = append(flipping, float64(tf.Count()))
 			}

@@ -19,7 +19,7 @@ func driveCD(t *testing.T, n int, nA, nB int64, seed uint64) (bool, bool, float6
 	if err := m.Rules().Validate(); err != nil {
 		t.Fatalf("CDMajority ruleset invalid: %v", err)
 	}
-	drv := expt.NewDriver(m.Rules(), engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed), expt.RunnerHints{})
 	tokA := drv.Track("TokA", bitmask.And(bitmask.Is(m.Tok), bitmask.Is(m.OpA)))
 	tokB := drv.Track("TokB", bitmask.And(bitmask.Is(m.Tok), bitmask.IsNot(m.OpA)))
 	out := drv.Track("Out", bitmask.Is(m.Out))
@@ -39,7 +39,7 @@ func drivePR(t *testing.T, n int, nA, nB int64, seed uint64) (bool, bool, float6
 	if err := m.Rules().Validate(); err != nil {
 		t.Fatalf("PRMajority ruleset invalid: %v", err)
 	}
-	drv := expt.NewDriver(m.Rules(), engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed), expt.RunnerHints{})
 	tokA := drv.Track("TokA", bitmask.And(bitmask.Is(m.Tok), bitmask.Is(m.OpA)))
 	tokB := drv.Track("TokB", bitmask.And(bitmask.Is(m.Tok), bitmask.IsNot(m.OpA)))
 	out := drv.Track("Out", bitmask.Is(m.Out))
@@ -127,7 +127,7 @@ func TestGS18LeaderElectsUniqueLeader(t *testing.T) {
 		if total != int64(n) {
 			t.Fatalf("InitCounts placed %d agents, want %d", total, n)
 		}
-		drv := expt.NewDriverWithHints(g.Rules(), engine.CompileProtocol(g.Rules()), counts, rng, expt.RunnerHints{StateRich: true})
+		drv := expt.NewDriver(engine.CompileProtocol(g.Rules()), counts, rng, expt.RunnerHints{StateRich: true})
 		if drv.Kind != expt.RunnerDense {
 			t.Fatalf("GS18Leader must pin the dense runner, got %v", drv.Kind)
 		}
@@ -151,7 +151,7 @@ func TestGS18LeaderSublinear(t *testing.T) {
 	n := 2048
 	g := NewGS18Leader(n)
 	rng := engine.NewRNG(7)
-	drv := expt.NewDriverWithHints(g.Rules(), engine.CompileProtocol(g.Rules()), g.InitCounts(n, rng), rng, expt.RunnerHints{StateRich: true})
+	drv := expt.NewDriver(engine.CompileProtocol(g.Rules()), g.InitCounts(n, rng), rng, expt.RunnerHints{StateRich: true})
 	tl := drv.Track("L", bitmask.Is(g.L))
 	rounds, ok := drv.RunUntil(func() bool { return tl.Count() == 1 }, 1e4)
 	if !ok {
@@ -173,7 +173,7 @@ func TestGS18LeaderStable(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := NewGS18Leader(n)
 		rng := engine.NewRNG(seed)
-		drv := expt.NewDriverWithHints(g.Rules(), engine.CompileProtocol(g.Rules()), g.InitCounts(n, rng), rng, expt.RunnerHints{StateRich: true})
+		drv := expt.NewDriver(engine.CompileProtocol(g.Rules()), g.InitCounts(n, rng), rng, expt.RunnerHints{StateRich: true})
 		tl := drv.Track("L", bitmask.Is(g.L))
 		if _, ok := drv.RunUntil(func() bool { return tl.Count() == 1 }, 5e4); !ok {
 			t.Fatalf("seed %d: no convergence", seed)
@@ -223,8 +223,8 @@ func TestRunnerHintsPinDense(t *testing.T) {
 	if kind != expt.RunnerDense {
 		t.Fatalf("StateRich hint must pin dense, got %v (%s)", kind, reason)
 	}
-	drv := expt.NewDriverWithHints(m.Rules(), engine.CompileProtocol(m.Rules()), counts, engine.NewRNG(1), expt.RunnerHints{StateRich: true})
+	drv := expt.NewDriver(engine.CompileProtocol(m.Rules()), counts, engine.NewRNG(1), expt.RunnerHints{StateRich: true})
 	if drv.Kind != expt.RunnerDense {
-		t.Fatalf("NewDriverWithHints ignored the hint: got %v", drv.Kind)
+		t.Fatalf("NewDriver ignored the hint: got %v", drv.Kind)
 	}
 }

@@ -94,10 +94,6 @@ func defaultGrid() []gridRow {
 	return []gridRow{
 		{"dense", 1e4, 27.38},
 		{"dense", 1e6, 63.46},
-		{"counted", 1e4, 0.00376},
-		{"counted", 1e6, 6.54},
-		{"counted", 1e8, 10.90},
-		{"counted", 1e9, 11.10},
 		{"batch", 1e4, 0.00296},
 		{"batch", 1e6, 6.32},
 		{"batch", 1e8, 10.35},
@@ -329,14 +325,11 @@ func expectedRounds(protocol string, n float64) float64 {
 }
 
 // nsPerInteraction interpolates the grid log-log in n within a tier,
-// clamping outside the measured range. A tier absent from the grid falls
-// back to the most conservative measured tier ("counted"), then to 10 ns.
+// clamping outside the measured range. A tier absent from the grid is
+// priced at 10 ns.
 func (m *Model) nsPerInteraction(tier string, n float64) float64 {
 	m.mu.Lock()
 	rows := m.grid[tier]
-	if len(rows) == 0 {
-		rows = m.grid["counted"]
-	}
 	m.mu.Unlock()
 	if len(rows) == 0 {
 		return 10

@@ -50,16 +50,16 @@ func runCombo(t *testing.T, pred Predicate, counts []int64, filler int64, seed u
 		table[box.InitAgent(bitmask.State{}, -1)] += filler
 	}
 	pop := engine.NewCounted(table)
-	cr := engine.NewCountRunner(engine.CompileProtocol(box.Rules()), pop, engine.NewRNG(seed))
+	br := engine.NewBatchRunner(engine.CompileProtocol(box.Rules()), pop, engine.NewRNG(seed))
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	gD0 := bitmask.Compile(bitmask.Is(box.D0))
 	n := int64(pop.N())
 	countF := func(f bitmask.Formula) int64 { return pop.CountFormula(f) }
-	_, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
+	_, ok := br.RunTracked(func() bool {
 		if !box.Canonical(countF) {
 			return false
 		}
-		return c.Pop.Count(gD1) == n || c.Pop.Count(gD0) == n
+		return pop.Count(gD1) == n || pop.Count(gD0) == n
 	}, 1e7)
 	if !ok {
 		t.Fatal("combo never decided")

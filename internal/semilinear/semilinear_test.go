@@ -53,17 +53,17 @@ func runSlowBox(t *testing.T, pred Predicate, counts []int64, filler int64, seed
 	}
 	pop := engine.NewCounted(table)
 	p := engine.CompileProtocol(box.Rules())
-	cr := engine.NewCountRunner(p, pop, engine.NewRNG(seed))
+	br := engine.NewBatchRunner(p, pop, engine.NewRNG(seed))
 
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	gD0 := bitmask.Compile(bitmask.Is(box.D0))
 	n := int64(pop.N())
 	countF := func(f bitmask.Formula) int64 { return pop.CountFormula(f) }
-	r, _ := cr.RunUntil(func(c *engine.CountRunner) bool {
+	r, _ := br.RunTracked(func() bool {
 		if !box.Canonical(countF) {
 			return false
 		}
-		return c.Pop.Count(gD1) == n || c.Pop.Count(gD0) == n
+		return pop.Count(gD1) == n || pop.Count(gD0) == n
 	}, 1e7)
 	if pop.Count(gD1) == n {
 		return true, true, r
@@ -159,17 +159,17 @@ func TestSlowBoxStability(t *testing.T) {
 	}
 	pop := engine.NewCounted(table)
 	p := engine.CompileProtocol(box.Rules())
-	cr := engine.NewCountRunner(p, pop, engine.NewRNG(5))
+	br := engine.NewBatchRunner(p, pop, engine.NewRNG(5))
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	n := int64(pop.N())
 	countF := func(f bitmask.Formula) int64 { return pop.CountFormula(f) }
-	if _, ok := cr.RunUntil(func(c *engine.CountRunner) bool {
-		return box.Canonical(countF) && c.Pop.Count(gD1) == n
+	if _, ok := br.RunTracked(func() bool {
+		return box.Canonical(countF) && pop.Count(gD1) == n
 	}, 1e7); !ok {
 		t.Fatal("never decided")
 	}
 	// Keep running; the decision must not budge.
-	cr.RunUntil(func(*engine.CountRunner) bool { return false }, 5000)
+	br.RunTracked(func() bool { return false }, 5000)
 	if pop.Count(gD1) != n {
 		t.Errorf("decision destabilized: %d/%d still decided true", pop.Count(gD1), n)
 	}

@@ -468,7 +468,7 @@ func runApproxMajority(ctx context.Context, spec expt.JobSpec, replica int) (exp
 	sA := am.A.Set(bitmask.State{}, true)
 	sB := am.B.Set(bitmask.State{}, true)
 	nA, nB := splitGap(spec.N, spec.Gap)
-	drv := expt.NewDriver(am.Rules(), engine.CompileProtocol(am.Rules()), map[bitmask.State]int64{sA: nA, sB: nB}, engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(am.Rules()), map[bitmask.State]int64{sA: nA, sB: nB}, engine.NewRNG(seed), expt.RunnerHints{})
 	ta := drv.Track("A", bitmask.Is(am.A))
 	tb := drv.Track("B", bitmask.Is(am.B))
 	attachTrace(ctx, drv, replica)
@@ -494,7 +494,7 @@ func runExactMajority(ctx context.Context, spec expt.JobSpec, replica int) (expt
 	emA := em.Strong.Set(em.IsA.Set(bitmask.State{}, true), true)
 	emB := em.Strong.Set(bitmask.State{}, true)
 	nA, nB := splitGap(spec.N, spec.Gap)
-	drv := expt.NewDriver(em.Rules(), engine.CompileProtocol(em.Rules()), map[bitmask.State]int64{emA: nA, emB: nB}, engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(em.Rules()), map[bitmask.State]int64{emA: nA, emB: nB}, engine.NewRNG(seed), expt.RunnerHints{})
 	ta := drv.Track("A", bitmask.Is(em.IsA))
 	attachTrace(ctx, drv, replica)
 	n64 := int64(spec.N)
@@ -519,7 +519,7 @@ func runCoalescence(ctx context.Context, spec expt.JobSpec, replica int) (expt.R
 	rec := expt.ReplicaRecord{Replica: replica, Protocol: spec.Protocol, N: spec.N, Seed: seed}
 	cl := baseline.NewCoalescenceLeader()
 	sL := cl.L.Set(bitmask.State{}, true)
-	drv := expt.NewDriver(cl.Rules(), engine.CompileProtocol(cl.Rules()), map[bitmask.State]int64{sL: int64(spec.N)}, engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(cl.Rules()), map[bitmask.State]int64{sL: int64(spec.N)}, engine.NewRNG(seed), expt.RunnerHints{})
 	tl := drv.Track("L", bitmask.Is(cl.L))
 	attachTrace(ctx, drv, replica)
 	rounds, ok, err := driveSliced(ctx, drv, func() bool { return tl.Count() == 1 }, spec.MaxRounds)
@@ -555,7 +555,7 @@ func runCDMajority(ctx context.Context, spec expt.JobSpec, replica int) (expt.Re
 	rec := expt.ReplicaRecord{Replica: replica, Protocol: spec.Protocol, N: spec.N, Seed: seed}
 	m := protocols.NewCDMajority(spec.N)
 	nA, nB := splitGap(spec.N, spec.Gap)
-	drv := expt.NewDriver(m.Rules(), engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed), expt.RunnerHints{})
 	tokA := drv.Track("TokA", bitmask.And(bitmask.Is(m.Tok), bitmask.Is(m.OpA)))
 	tokB := drv.Track("TokB", bitmask.And(bitmask.Is(m.Tok), bitmask.IsNot(m.OpA)))
 	out := drv.Track("Out", bitmask.Is(m.Out))
@@ -578,7 +578,7 @@ func runPRMajority(ctx context.Context, spec expt.JobSpec, replica int) (expt.Re
 	rec := expt.ReplicaRecord{Replica: replica, Protocol: spec.Protocol, N: spec.N, Seed: seed}
 	m := protocols.NewPRMajority(spec.N)
 	nA, nB := splitGap(spec.N, spec.Gap)
-	drv := expt.NewDriver(m.Rules(), engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed))
+	drv := expt.NewDriver(engine.CompileProtocol(m.Rules()), m.InitCounts(nA, nB), engine.NewRNG(seed), expt.RunnerHints{})
 	tokA := drv.Track("TokA", bitmask.And(bitmask.Is(m.Tok), bitmask.Is(m.OpA)))
 	tokB := drv.Track("TokB", bitmask.And(bitmask.Is(m.Tok), bitmask.IsNot(m.OpA)))
 	out := drv.Track("Out", bitmask.Is(m.Out))
@@ -604,7 +604,7 @@ func runGS18Leader(ctx context.Context, spec expt.JobSpec, replica int) (expt.Re
 	// InitCounts draws the oscillator species from the same stream the
 	// driver then consumes — the whole replica derives from one seed.
 	counts := g.InitCounts(spec.N, rng)
-	drv := expt.NewDriverWithHints(g.Rules(), engine.CompileProtocol(g.Rules()), counts, rng, gs18Hints)
+	drv := expt.NewDriver(engine.CompileProtocol(g.Rules()), counts, rng, gs18Hints)
 	tl := drv.Track("L", bitmask.Is(g.L))
 	attachTrace(ctx, drv, replica)
 	rounds, ok, err := driveSliced(ctx, drv, func() bool { return tl.Count() == 1 }, spec.MaxRounds)
