@@ -144,7 +144,7 @@ func measureDense(n int64, target uint64) kernelRow {
 		})
 		r := engine.NewRunner(proto, pop, rng)
 		ta := r.Track("A", bitmask.Is(em.IsA))
-		decided := func() bool { c := int64(ta.Count()); return c == 0 || c == n }
+		decided := func() bool { c := ta.Count(); return c == 0 || c == n }
 		t0 := time.Now()
 		r.RunTracked(decided, float64(target-interactions)/float64(n))
 		busy += time.Since(t0)

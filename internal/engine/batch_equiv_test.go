@@ -88,7 +88,7 @@ func denseTimes(t *testing.T, hs hitSpec) []float64 {
 		for ti, f := range hs.track {
 			trs[ti] = run.Track("t", f)
 		}
-		get := func(i int) int64 { return int64(trs[i].Count()) }
+		get := func(i int) int64 { return trs[i].Count() }
 		steps := uint64(hs.maxRounds * float64(n))
 		ok := false
 		for step := uint64(0); step < steps; step++ {

@@ -163,7 +163,7 @@ func FuzzRunnerConservation(f *testing.F) {
 		if sum != total || dense.N() != int(total) {
 			t.Fatalf("Runner: population not conserved: %d agents, want %d", sum, total)
 		}
-		if got, want := int64(dtr.Count()), dense.CountFormula(trackF); got != int64(want) {
+		if got, want := dtr.Count(), dense.CountFormula(trackF); got != int64(want) {
 			t.Fatalf("Runner: tracker %d != scan %d", got, want)
 		}
 	})

@@ -116,9 +116,9 @@ func majorityTimes(t *testing.T, build func() majoritySpec, kind string, seedRoo
 			layoutDense(pop, spec.counts)
 			run := engine.NewRunner(proto, pop, rng)
 			ta, tb, to := run.Track("a", spec.tokA), run.Track("b", spec.tokB), run.Track("o", spec.out)
-			a = func() int64 { return int64(ta.Count()) }
-			b = func() int64 { return int64(tb.Count()) }
-			o = func() int64 { return int64(to.Count()) }
+			a = func() int64 { return ta.Count() }
+			b = func() int64 { return tb.Count() }
+			o = func() int64 { return to.Count() }
 			maxSteps := uint64(2e6) * uint64(n)
 			for step := uint64(0); step < maxSteps; step++ {
 				if done() {
