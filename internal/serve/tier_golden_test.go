@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
 	"testing"
 
 	"popkit/internal/expt"
+	"popkit/internal/obs"
 )
 
 // TestCountedTierGolden pins the NDJSON bytes of fixed-seed jobs on the
@@ -38,6 +40,50 @@ func TestCountedTierGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.spec.Protocol+"/"+tc.runner, func(t *testing.T) {
 			checkStreamDigest(t, tc.spec, tc.runner, tc.digest)
+		})
+	}
+}
+
+// TestCountedTraceGolden pins the traced timeline of counted jobs, not just
+// their records. The Driver emits its "count" events from inside the stop
+// condition, so the trace records exactly when a kernel re-polls it: a
+// kernel change that keeps the records but polls at other firings (or
+// reports other interaction totals at those polls) fails here.
+func TestCountedTraceGolden(t *testing.T) {
+	cases := []struct {
+		spec   expt.JobSpec
+		events int
+		digest string
+	}{
+		{expt.JobSpec{Protocol: "exactmajority", N: 2048, Seed: 22, Replicas: 2, Gap: 2}, 6392,
+			"0728301c77784d6463388b370aa59fbc93c519ce520d20d0c55cd69e50e302a5"},
+		{expt.JobSpec{Protocol: "coalescence", N: 4096, Seed: 23, Replicas: 2}, 228,
+			"e22c9aaaa150197e0e753888d2da8fc3c5c629f9345f9abb4c7d0f0e9792259c"},
+		{expt.JobSpec{Protocol: "coalescence", N: 10_000_000, Seed: 26, Replicas: 2}, 15114,
+			"e3c69027b16154fd1595aea3f7d03a8dc900c088f7d1fa07e338839c47db5865"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.spec.Protocol+"/"+strconv.Itoa(tc.spec.N), func(t *testing.T) {
+			proto, err := NewRegistry().Normalize(&tc.spec, 1<<30, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace(obs.DefaultTraceCap)
+			ctx := obs.WithTrace(context.Background(), tr)
+			if err := proto.Run(ctx, tc.spec, RunOptions{Workers: 1}, func(expt.ReplicaRecord) {}); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := tr.WriteNDJSON(&out); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Len(); got != tc.events || tr.Dropped() > 0 {
+				t.Errorf("trace holds %d events (%d dropped), want %d", got, tr.Dropped(), tc.events)
+			}
+			sum := sha256.Sum256(out.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.digest {
+				t.Errorf("trace digest %s, want %s", got, tc.digest)
+			}
 		})
 	}
 }
