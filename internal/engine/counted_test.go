@@ -175,6 +175,36 @@ func TestLeapMatchesTheory(t *testing.T) {
 	}
 }
 
+// TestLeapAtTinyRate covers leaps whose firing probability is below 2⁻⁵⁴,
+// where 1-p rounds to 1: coalescence at n = 10⁹ from 7 leaders to 1 takes
+// (n-1)·6/7 rounds in expectation, not the handful of interactions a
+// zero-length leap would report.
+func TestLeapAtTinyRate(t *testing.T) {
+	sp := bitmask.NewSpace()
+	l := sp.Bool("L")
+	rs := rules.NewRuleset(sp)
+	rs.Add(bitmask.Is(l), bitmask.Is(l), bitmask.Is(l), bitmask.IsNot(l))
+	p := CompileProtocol(rs)
+	sL := l.Set(bitmask.State{}, true)
+
+	const n = 1_000_000_000
+	const seeds = 200
+	var total float64
+	for seed := uint64(0); seed < seeds; seed++ {
+		pop := NewCounted(map[bitmask.State]int64{sL: 7, {}: n - 7})
+		br := NewBatchRunner(p, pop, NewRNG(seed))
+		if fired, _ := br.RunBatch(6, 0); fired != 6 {
+			t.Fatalf("seed %d: %d firings, want 6", seed, fired)
+		}
+		total += br.Rounds()
+	}
+	mean := total / seeds
+	want := float64(n-1) * 6 / 7
+	if math.Abs(mean-want) > 0.2*want {
+		t.Errorf("mean rounds from 7 leaders to 1 = %.3g, want ≈ %.3g", mean, want)
+	}
+}
+
 func TestCountedHistogramAndCompact(t *testing.T) {
 	sp := bitmask.NewSpace()
 	a := sp.Bool("A")

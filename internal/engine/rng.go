@@ -137,7 +137,14 @@ func (r *RNG) Geometric(p float64) uint64 {
 	}
 	// Inverse transform: floor(ln(U) / ln(1-p)) with U in (0,1].
 	u := 1 - r.Float64() // (0, 1]
-	k := math.Floor(math.Log(u) / math.Log(1-p))
+	lq := math.Log(1 - p)
+	if lq == 0 {
+		// 1-p rounds to 1 (p ≤ 2⁻⁵⁴), so ln(1-p) would be 0 and every
+		// leap 0; log1p keeps the mean near 1/p. Larger p keep ln(1-p)
+		// and with it every draw of the pinned stream.
+		lq = math.Log1p(-p)
+	}
+	k := math.Floor(math.Log(u) / lq)
 	if k < 0 {
 		return 0
 	}

@@ -97,7 +97,9 @@ func TestShuffleIsPermutation(t *testing.T) {
 
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(11)
-	for _, p := range []float64{0.5, 0.1, 0.01} {
+	// 1e-17 is below 2⁻⁵⁴, where 1-p rounds to 1: the leap must still
+	// average about 1/p, not collapse to 0.
+	for _, p := range []float64{0.5, 0.1, 0.01, 1e-17} {
 		const trials = 20000
 		var sum float64
 		for i := 0; i < trials; i++ {
@@ -111,6 +113,37 @@ func TestGeometricMean(t *testing.T) {
 	}
 	if NewRNG(1).Geometric(1.5) != 0 {
 		t.Error("Geometric(p≥1) != 0")
+	}
+}
+
+// TestGeometricKeepsStream checks that the tiny-p fix changed no draw of
+// the pinned stream: wherever 1-p does not round to 1, Geometric returns
+// bit for bit what floor(ln U / ln(1-p)) returned before, over a sweep of p
+// from 2⁻⁵³ up to 1 and several seeds.
+func TestGeometricKeepsStream(t *testing.T) {
+	old := func(r *RNG, p float64) uint64 {
+		if p >= 1 {
+			return 0
+		}
+		u := 1 - r.Float64()
+		k := math.Floor(math.Log(u) / math.Log(1-p))
+		if k < 0 {
+			return 0
+		}
+		if k > 1e18 {
+			return 1 << 60
+		}
+		return uint64(k)
+	}
+	for seed := uint64(0); seed < 8; seed++ {
+		a, b := NewRNG(seed), NewRNG(seed)
+		for p := math.Ldexp(1, -53); p <= 1; p *= 1.37 {
+			for i := 0; i < 16; i++ {
+				if got, want := a.Geometric(p), old(b, p); got != want {
+					t.Fatalf("seed %d: Geometric(%g) = %d, old expression gives %d", seed, p, got, want)
+				}
+			}
+		}
 	}
 }
 

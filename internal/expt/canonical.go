@@ -12,7 +12,7 @@ import (
 // result changes — a JobSpec field is added or reinterpreted, the
 // ReplicaRecord wire format moves, or a kernel fix changes output bytes —
 // so stale store entries become unreachable instead of wrong.
-const StoreSchemaVersion = 1
+const StoreSchemaVersion = 2
 
 // CanonicalSpec renders a normalized JobSpec in the stable field order that
 // keys the content-addressed result store. Two specs that produce the same

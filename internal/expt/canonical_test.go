@@ -9,7 +9,7 @@ import (
 func TestCanonicalSpecStableEncoding(t *testing.T) {
 	s := JobSpec{Protocol: "leader", N: 4096, Seed: 7, Replicas: 8}
 	got := string(CanonicalSpec(s))
-	want := `{"v":1,"protocol":"leader","n":4096,"seed":7,"replicas":8,"gap":0,"colours":0,"max_iters":0,"max_rounds":0}`
+	want := `{"v":2,"protocol":"leader","n":4096,"seed":7,"replicas":8,"gap":0,"colours":0,"max_iters":0,"max_rounds":0}`
 	if got != want {
 		t.Fatalf("canonical encoding drifted:\n got %s\nwant %s", got, want)
 	}
@@ -20,7 +20,7 @@ func TestCanonicalSpecStableEncoding(t *testing.T) {
 // bumped (turning the invalidation into a clean re-keying).
 func TestSpecHashGolden(t *testing.T) {
 	s := JobSpec{Protocol: "leader", N: 4096, Seed: 7, Replicas: 8}
-	const want = "85735ec7f0ca303da97ffbcec213cbd1b677016a9f3cb1ebf1d00884a234d5e2"
+	const want = "3e80f437f9ecec22189a8c0b912ffb1deafd04b127def14d0ad4c4b5d01a9e42"
 	got := SpecHash(s)
 	if len(got) != 64 || strings.Trim(got, "0123456789abcdef") != "" {
 		t.Fatalf("SpecHash %q is not lowercase hex sha256", got)
