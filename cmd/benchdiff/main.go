@@ -11,10 +11,10 @@
 // the same benchmark are aggregated by median (robust to the odd noisy
 // run); the report shows old, new, spread, and delta per metric. With
 // -threshold > 0 the exit code is 1 if any time metric (ns/op, or the
-// kernel benchmarks' custom ns/interaction) regressed by more than that
-// percentage — the CI-gate mode. -fail-over is the CI-facing
-// spelling of the same gate; when both are given the stricter (smaller)
-// percentage wins.
+// kernel benchmarks' custom ns/interaction and ns/firing) regressed by
+// more than that percentage — the CI-gate mode. -fail-over is the
+// CI-facing spelling of the same gate; when both are given the stricter
+// (smaller) percentage wins.
 package main
 
 import (
@@ -98,15 +98,15 @@ func spread(xs []float64) float64 {
 
 // timeUnit reports whether a metric unit is one the -threshold gate
 // covers: the standard ns/op plus the kernel benchmarks' per-activation
-// ns/interaction (see bench_kernel_test.go). Allocation metrics stay
-// report-only — alloc deltas are intentional far more often than time
-// deltas, and the kernel gate is about latency.
+// ns/interaction and per-firing ns/firing (see bench_kernel_test.go).
+// Allocation metrics stay report-only — alloc deltas are intentional far
+// more often than time deltas, and the kernel gate is about latency.
 func timeUnit(u string) bool {
-	return u == "ns/op" || u == "ns/interaction"
+	return u == "ns/op" || u == "ns/interaction" || u == "ns/firing"
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 0, "exit 1 if any ns/op or ns/interaction metric regresses by more than this percent (0 = report only)")
+	threshold := flag.Float64("threshold", 0, "exit 1 if any ns/op, ns/interaction or ns/firing metric regresses by more than this percent (0 = report only)")
 	failOver := flag.Float64("fail-over", 0, "CI-gate alias of -threshold; the stricter of the two wins")
 	flag.Parse()
 	if flag.NArg() != 2 {

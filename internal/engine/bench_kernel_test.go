@@ -85,6 +85,57 @@ func BenchmarkBatchStepCoalescence(b *testing.B) {
 	reportPerInteraction(b, interactions+br.Interactions)
 }
 
+// BenchmarkBatchRunTracked drives the batch kernel through the loop the
+// serving registry runs: a replica's trackers and stop condition handed to
+// RunTracked in 4096-round slices until the condition holds. Each
+// iteration is one whole replica, and the metric is ns/firing, since the
+// leaps make every non-firing interaction free.
+func BenchmarkBatchRunTracked(b *testing.B) {
+	b.Run("exactmajority-n4096", func(b *testing.B) {
+		em := baseline.NewExactMajority4()
+		proto := engine.CompileProtocol(em.Rules())
+		const n, gap = 4096, 1
+		rng := engine.NewRNG(1)
+		benchRunTracked(b, func() (*engine.BatchRunner, func() bool) {
+			br := engine.NewBatchRunner(proto, em.Population(n/2+gap, n/2), rng)
+			ta := br.Track("A", bitmask.Is(em.IsA))
+			return br, func() bool { a := ta.Count(); return a == 0 || a == n }
+		})
+	})
+	b.Run("coalescence-n32768", func(b *testing.B) {
+		cl := baseline.NewCoalescenceLeader()
+		proto := engine.CompileProtocol(cl.Rules())
+		const n = 32768
+		rng := engine.NewRNG(1)
+		benchRunTracked(b, func() (*engine.BatchRunner, func() bool) {
+			br := engine.NewBatchRunner(proto, cl.Population(n), rng)
+			tl := br.Track("L", bitmask.Is(cl.L))
+			return br, func() bool { return tl.Count() == 1 }
+		})
+	})
+}
+
+// benchRunTracked times b.N replicas built by build and reports ns/firing.
+func benchRunTracked(b *testing.B, build func() (*engine.BatchRunner, func() bool)) {
+	var firings uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, stop := build()
+		for {
+			if _, ok := br.RunTracked(stop, 4096); ok {
+				break
+			}
+		}
+		for _, f := range br.Fired {
+			firings += f
+		}
+	}
+	b.StopTimer()
+	if firings > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(firings), "ns/firing")
+	}
+}
+
 // BenchmarkAggregateStep drives the aggregate kernel on the same E11
 // workload at n = 10^8 — the regime the run-length decomposition exists
 // for: each step resolves a whole collision-free run (≈ 0.63·√n ≈ 6300

@@ -5,43 +5,61 @@
 #
 # REF defaults to HEAD~1 (the parent commit); BENCH_REGEX defaults to the
 # simulation-kernel microbenchmarks. The baseline is materialised in a
-# throwaway `git worktree`, both sides run `go test -bench` with -count
-# repetitions, and cmd/benchdiff (stdlib benchstat-style comparator)
-# renders the medians and deltas.
+# throwaway `git worktree`, and each side's engine test binary is built
+# once. The two binaries then run alternately, one -test.count=1 pass at a
+# time, with the side that goes first switching every repetition, so host
+# drift during the run falls on both sides alike. cmd/benchdiff (stdlib
+# benchstat-style comparator) renders the medians and deltas.
 #
 # Environment knobs:
 #   COUNT=5        benchmark repetitions per side (default 5; QUICK uses 2)
-#   BENCHTIME=1s   -benchtime per benchmark (QUICK uses 1000x)
+#   BENCHTIME=1s   -benchtime per benchmark (QUICK uses 100ms)
 #   QUICK=1        fast smoke mode for CI / make check
-#   FAIL_OVER=10   exit 1 if any ns/op or ns/interaction metric regresses
-#                  by more than this percent (benchdiff -fail-over)
+#   FAIL_OVER=10   exit 1 if any ns/op, ns/interaction or ns/firing metric
+#                  regresses by more than this percent (benchdiff -fail-over)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ref="${1:-HEAD~1}"
-pattern="${2:-BenchmarkBatchStep|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample}"
+pattern="${2:-BenchmarkBatchStep|BenchmarkBatchRunTracked|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample}"
 count="${COUNT:-5}"
 benchtime="${BENCHTIME:-1s}"
 if [ "${QUICK:-0}" = "1" ]; then
     count=2
-    benchtime=1000x
+    benchtime=100ms
 fi
 
 base=$(git rev-parse --verify "$ref^{commit}")
 tmp=$(mktemp -d)
 trap 'git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
 
-echo "== baseline: $ref ($base) =="
 git worktree add --detach "$tmp/base" "$base" >/dev/null
-(cd "$tmp/base" && go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" ./internal/engine/) \
-    | tee "$tmp/old.txt" | grep '^Benchmark' || true
+(cd "$tmp/base" && go test -c -o "$tmp/old.test" ./internal/engine/)
+go test -c -o "$tmp/new.test" ./internal/engine/
+: > "$tmp/old.txt"
+: > "$tmp/new.txt"
+
+# run SIDE: one pass of SIDE's binary from the engine package directory.
+run() {
+    echo "== $1 =="
+    (cd internal/engine && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
+        -test.benchtime "$benchtime" -test.count 1) \
+        | tee -a "$tmp/$1.txt" | grep '^Benchmark' || true
+}
+
+echo "baseline: $ref ($base); working tree alternates with it, $count runs each"
+for ((i = 0; i < count; i++)); do
+    if ((i % 2 == 0)); then
+        run old
+        run new
+    else
+        run new
+        run old
+    fi
+done
 if ! grep -q '^Benchmark' "$tmp/old.txt"; then
     echo "(no matching benchmarks at $ref — baseline column will be empty)"
 fi
-
-echo "== working tree =="
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" ./internal/engine/ \
-    | tee "$tmp/new.txt" | grep '^Benchmark' || true
 
 echo
 go run ./cmd/benchdiff -fail-over "${FAIL_OVER:-0}" "$tmp/old.txt" "$tmp/new.txt"
