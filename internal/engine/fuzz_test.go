@@ -14,8 +14,8 @@ import (
 
 // fuzzProtocol builds one of three fixed protocol shapes on a fresh
 // two-variable space, returning the compiled protocol, the three seed
-// species, and a formula worth tracking.
-func fuzzProtocol(pick uint8) (*Protocol, [3]bitmask.State, bitmask.Formula) {
+// species, and two formulas worth tracking (A, then B).
+func fuzzProtocol(pick uint8) (*Protocol, [3]bitmask.State, [2]bitmask.Formula) {
 	sp := bitmask.NewSpace()
 	va, vb := sp.Bool("A"), sp.Bool("B")
 	rs := rules.NewRuleset(sp)
@@ -45,12 +45,13 @@ func fuzzProtocol(pick uint8) (*Protocol, [3]bitmask.State, bitmask.Formula) {
 	}
 	zero := bitmask.State{}
 	species := [3]bitmask.State{va.Set(vb.Set(zero, true), true), vb.Set(zero, true), zero}
-	return CompileProtocol(rs), species, bitmask.Is(va)
+	return CompileProtocol(rs), species, [2]bitmask.Formula{a, b}
 }
 
-// checkCounted verifies population conservation and non-negativity, plus
-// the incremental tallies and trackers against a full recomputation.
-func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, tr *Tracker, want int64) {
+// checkCounted verifies population conservation and non-negativity, then
+// every incrementally maintained quantity against a rescan (see
+// checkIncremental).
+func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, want int64) {
 	t.Helper()
 	var sum int64
 	pop.ForEach(func(s bitmask.State, k int64) {
@@ -62,12 +63,29 @@ func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, tr *
 	if sum != want || pop.N64() != want {
 		t.Fatalf("%s: population not conserved: histogram %d, N %d, want %d", label, sum, pop.N64(), want)
 	}
+	checkIncremental(t, label, pop, ix)
+}
+
+// checkIncremental asserts the per-rule tallies m1, m2, m12, the
+// occupancy tallies occ1, occ2 and every registered tracker's count
+// against a full recomputation, and that the population is flagged dirty
+// whenever some slot's count is zero.
+func checkIncremental(t *testing.T, label string, pop *Counted, ix *matchIndex) {
+	t.Helper()
+	for slot, k := range pop.cnt {
+		if k == 0 && !pop.dirty {
+			t.Fatalf("%s: slot %d is empty but the population is not flagged dirty", label, slot)
+		}
+	}
 	m1 := append([]int64(nil), ix.m1...)
 	m2 := append([]int64(nil), ix.m2...)
 	m12 := append([]int64(nil), ix.m12...)
 	occ1 := append([]int64(nil), ix.occ1...)
 	occ2 := append([]int64(nil), ix.occ2...)
-	trCount := tr.Count()
+	counts := make([]int64, len(ix.trackers))
+	for i, tr := range ix.trackers {
+		counts[i] = tr.Count()
+	}
 	ix.resync()
 	for i := range m1 {
 		if m1[i] != ix.m1[i] || m2[i] != ix.m2[i] || m12[i] != ix.m12[i] {
@@ -79,11 +97,17 @@ func checkCounted(t *testing.T, label string, pop *Counted, ix *matchIndex, tr *
 				label, i, occ1[i], occ2[i], ix.occ1[i], ix.occ2[i])
 		}
 	}
-	if trCount != tr.Count() {
-		t.Fatalf("%s: incremental tracker count %d != recomputed %d", label, trCount, tr.Count())
+	for i, tr := range ix.trackers {
+		if counts[i] != tr.Count() {
+			t.Fatalf("%s: incremental tracker %s count %d != recomputed %d", label, tr.Name, counts[i], tr.Count())
+		}
 	}
 }
 
+// FuzzRunnerConservation checks both counted kernels after every firing
+// (every step, for the aggregate kernel). Halfway through the budget it
+// registers a second tracker and compacts the population, so the checks
+// also cover trackers added mid-run and slots remapped under a runner.
 func FuzzRunnerConservation(f *testing.F) {
 	f.Add(uint8(0), uint16(5), uint16(7), uint16(3), uint64(1), uint16(200))
 	f.Add(uint8(1), uint16(66), uint16(62), uint16(0), uint64(42), uint16(400))
@@ -101,19 +125,33 @@ func FuzzRunnerConservation(f *testing.F) {
 			t.Skip("population too small")
 		}
 		budget := uint64(steps % 512)
+		midRun := func(pop *Counted, ix *matchIndex) {
+			ix.track("b", trackF[1])
+			pop.compact()
+		}
 
 		// BatchRunner.
 		pop := NewCounted(counts)
 		br := NewBatchRunner(proto, pop, NewRNG(seed))
-		tr := br.Track("a", trackF)
-		br.RunBatch(budget, 0)
-		checkCounted(t, "BatchRunner", pop, br.idx, tr, total)
+		br.Track("a", trackF[0])
 		var fired uint64
-		for _, k := range br.Fired {
-			fired += k
+		for fired < budget {
+			if fired == budget/2 && len(br.idx.trackers) == 1 {
+				midRun(pop, br.idx)
+			}
+			f, alive := br.RunBatch(1, 0)
+			if !alive {
+				break
+			}
+			fired += f
+			checkCounted(t, "BatchRunner", pop, br.idx, total)
 		}
-		if fired > budget {
-			t.Fatalf("BatchRunner: fired %d rule firings with budget %d", fired, budget)
+		var tally uint64
+		for _, k := range br.Fired {
+			tally += k
+		}
+		if tally != fired || fired > budget {
+			t.Fatalf("BatchRunner: Fired sums to %d, %d firings counted, budget %d", tally, fired, budget)
 		}
 
 		// AggregateRunner, both flavours: default gating (mostly geometric
@@ -126,9 +164,16 @@ func FuzzRunnerConservation(f *testing.F) {
 				label = "AggregateRunner/aggregate"
 				ar.MinRunFirings = 0
 			}
-			tr = ar.Track("a", trackF)
-			ar.RunBatch(budget, 0)
-			checkCounted(t, label, pop, ar.idx, tr, total)
+			ar.Track("a", trackF[0])
+			for ar.FiredTotal < budget {
+				if ar.FiredTotal >= budget/2 && len(ar.idx.trackers) == 1 {
+					midRun(pop, ar.idx)
+				}
+				if !ar.LeapStep(0) {
+					break
+				}
+				checkCounted(t, label, pop, ar.idx, total)
+			}
 			var atot uint64
 			for _, k := range ar.Fired {
 				atot += k
@@ -151,7 +196,7 @@ func FuzzRunnerConservation(f *testing.F) {
 			}
 		}
 		dr := NewRunner(proto, dense, NewRNG(seed))
-		dtr := dr.Track("a", trackF)
+		dtr := dr.Track("a", trackF[0])
 		for i := uint64(0); i < budget; i++ {
 			dr.Step()
 		}
@@ -163,8 +208,104 @@ func FuzzRunnerConservation(f *testing.F) {
 		if sum != total || dense.N() != int(total) {
 			t.Fatalf("Runner: population not conserved: %d agents, want %d", sum, total)
 		}
-		if got, want := dtr.Count(), dense.CountFormula(trackF); got != int64(want) {
+		if got, want := dtr.Count(), dense.CountFormula(trackF[0]); got != int64(want) {
 			t.Fatalf("Runner: tracker %d != scan %d", got, want)
 		}
 	})
+}
+
+// TestIncrementalStateEveryFiring drives each counted kernel through a
+// protocol whose species keep emptying and reappearing, checking every
+// incremental tally after every step. The run must also create slots
+// mid-run, register a tracker mid-run (invalidating whatever the kernel
+// cached per firing) and compact the population mid-run; the test fails
+// if any of those never happened, so it cannot pass vacuously.
+func TestIncrementalStateEveryFiring(t *testing.T) {
+	sp := bitmask.NewSpace()
+	va, vb := sp.Bool("A"), sp.Bool("B")
+	a, b := bitmask.Is(va), bitmask.Is(vb)
+	na, nb := bitmask.IsNot(va), bitmask.IsNot(vb)
+	rs := rules.NewRuleset(sp)
+	rs.Add(na, bitmask.True(), a, bitmask.True()) // initiator sets A
+	rs.Add(a, bitmask.True(), na, bitmask.True()) // initiator clears A
+	rs.Add(a, a, b, bitmask.True())               // two A's: initiator sets B
+	rs.Add(b, nb, nb, bitmask.True())             // B meets ¬B: initiator clears B
+	proto := CompileProtocol(rs)
+	zero := bitmask.State{}
+	all := []bitmask.State{zero, va.Set(zero, true), vb.Set(zero, true), va.Set(vb.Set(zero, true), true)}
+
+	type kernel struct {
+		label string
+		step  func() bool
+		pop   *Counted
+		ix    *matchIndex
+	}
+	build := func(label string, n int64) kernel {
+		pop := NewCounted(map[bitmask.State]int64{zero: n})
+		switch label {
+		case "batch":
+			br := NewBatchRunner(proto, pop, NewRNG(5))
+			br.Track("A", a)
+			return kernel{label, func() bool { _, ok := br.RunBatch(1, 0); return ok }, pop, br.idx}
+		default:
+			ar := NewAggregateRunner(proto, pop, NewRNG(5))
+			if label == "aggregate/runs" {
+				ar.MinRunFirings = 0
+			}
+			ar.Track("A", a)
+			return kernel{label, func() bool { return ar.LeapStep(0) }, pop, ar.idx}
+		}
+	}
+	for _, label := range []string{"batch", "aggregate/leap", "aggregate/runs"} {
+		k := build(label, 6)
+		var emptied, reappeared, grew bool
+		wasZero := map[bitmask.State]bool{}
+		var seen [4]bool
+		compacted := false
+		for step := 0; step < 3000; step++ {
+			if step == 300 {
+				k.ix.track("B", b)
+			}
+			if step >= 600 && !compacted && k.pop.dirty {
+				gen := k.pop.compactGen
+				k.pop.compact()
+				if k.pop.compactGen == gen {
+					t.Fatalf("%s: compact() of a dirty population did not remap slots", label)
+				}
+				compacted = true
+			}
+			slots := k.pop.numSlots()
+			if !k.step() {
+				t.Fatalf("%s: protocol went silent at step %d", label, step)
+			}
+			grew = grew || k.pop.numSlots() > slots
+			checkCounted(t, label, k.pop, k.ix, 6)
+			for i, s := range all {
+				c := k.pop.CountState(s)
+				if c > 0 {
+					seen[i] = true
+					if wasZero[s] {
+						reappeared = true
+					}
+					wasZero[s] = false
+				} else if seen[i] {
+					emptied = true
+					wasZero[s] = true
+				}
+			}
+		}
+		if !emptied || !reappeared || !grew || !compacted || len(k.ix.trackers) != 2 {
+			t.Fatalf("%s: scenario incomplete: emptied %v, reappeared %v, new slot %v, compacted %v, trackers %d",
+				label, emptied, reappeared, grew, compacted, len(k.ix.trackers))
+		}
+	}
+
+	// Long runs take the hypergeometric composition path; check it too.
+	k := build("aggregate/runs", 60_000)
+	for step := 0; step < 40; step++ {
+		if !k.step() {
+			t.Fatal("aggregate/runs: protocol went silent")
+		}
+		checkCounted(t, "aggregate/runs n=60000", k.pop, k.ix, 60_000)
+	}
 }
