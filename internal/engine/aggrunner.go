@@ -69,8 +69,7 @@ type AggregateRunner struct {
 	// path at small n.
 	MinRunFirings float64
 
-	idx    *matchIndex
-	pairsW []float64
+	idx *matchIndex
 
 	// Per-population constants of the run-length sampler.
 	lgN1    float64 // ln Γ(n+1)
@@ -122,7 +121,6 @@ func NewAggregateRunner(p *Protocol, pop *Counted, rng *RNG) *AggregateRunner {
 		Fired:         make([]uint64, len(p.Set.Rules)),
 		MinRunFirings: defaultMinRunFirings,
 		idx:           newMatchIndex(p, pop),
-		pairsW:        make([]float64, len(p.Set.Rules)),
 		lgN1:          lg,
 		lnPairs:       math.Log(n) + math.Log(n-1),
 		meanRun:       math.Sqrt(math.Pi * n / 8),
@@ -150,19 +148,6 @@ func (r *AggregateRunner) Track(name string, f bitmask.Formula) *Tracker {
 	return r.idx.track(name, f)
 }
 
-// stepProbability returns the probability that a single scheduler
-// activation fires some rule.
-func (r *AggregateRunner) stepProbability() float64 {
-	n := float64(r.Pop.n)
-	totalPairs := n * (n - 1)
-	var q float64
-	ix := r.idx
-	for i := range r.P.ruleWeightN {
-		q += r.P.ruleWeightN[i] * float64(ix.m1[i]*ix.m2[i]-ix.m12[i]) / totalPairs
-	}
-	return q
-}
-
 // LeapStep advances the chain by one step of whichever flavour the current
 // firing density favours: an aggregate collision-run decomposition, or a
 // geometric leap through the quiescent stretch plus one forced firing. It
@@ -177,7 +162,7 @@ func (r *AggregateRunner) LeapStep(maxInteractions uint64) bool {
 	}
 	r.idx.syncCaches()
 	r.syncPairCache()
-	q := r.stepProbability()
+	q := r.idx.stepProbability()
 	if q <= 0 {
 		return false
 	}
@@ -197,7 +182,7 @@ func (r *AggregateRunner) leapOne(q float64, maxInteractions uint64) bool {
 		return true
 	}
 	r.Interactions += skip + 1
-	idx := r.idx.fireForcedMatching(r.RNG, r.pairsW)
+	idx := r.idx.fireForcedMatching(r.RNG)
 	r.Fired[idx]++
 	r.FiredTotal++
 	r.Stats.Fire(idx, 1)

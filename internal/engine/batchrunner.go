@@ -43,21 +43,19 @@ type BatchRunner struct {
 	// instrumented drivers read one tally type across all three kernels.
 	Stats *obs.RuleStats
 
-	idx    *matchIndex
-	pairsW []float64
+	idx *matchIndex
 }
 
 // NewBatchRunner assembles a batched runner. Protocols with ordered
 // (first-match) groups are rejected: their event rates are not sums of
-// per-rule matching counts. The runner attaches to the population's
-// mutation hook, so a population can drive only one incremental runner at
-// a time.
+// per-rule matching counts. The runner's match index takes over the
+// population's count changes, so a population can drive only one
+// incremental runner at a time.
 func NewBatchRunner(p *Protocol, pop *Counted, rng *RNG) *BatchRunner {
 	return &BatchRunner{
 		P: p, Pop: pop, RNG: rng,
-		Fired:  make([]uint64, len(p.Set.Rules)),
-		idx:    newMatchIndex(p, pop),
-		pairsW: make([]float64, len(p.Set.Rules)),
+		Fired: make([]uint64, len(p.Set.Rules)),
+		idx:   newMatchIndex(p, pop),
 	}
 }
 
@@ -82,19 +80,6 @@ func (r *BatchRunner) Track(name string, f bitmask.Formula) *Tracker {
 	return r.idx.track(name, f)
 }
 
-// stepProbability returns the probability that a single scheduler
-// activation fires some rule.
-func (r *BatchRunner) stepProbability() float64 {
-	n := float64(r.Pop.n)
-	totalPairs := n * (n - 1)
-	var q float64
-	ix := r.idx
-	for i := range r.P.ruleWeightN {
-		q += r.P.ruleWeightN[i] * float64(ix.m1[i]*ix.m2[i]-ix.m12[i]) / totalPairs
-	}
-	return q
-}
-
 // LeapStep advances the chain to (and through) the next rule-firing
 // interaction. It returns false (without advancing) when no rule can ever
 // fire again — the protocol is silent. maxInteractions bounds the leap: if
@@ -109,7 +94,7 @@ func (r *BatchRunner) LeapStep(maxInteractions uint64) bool {
 // without firing".
 func (r *BatchRunner) leap(maxInteractions uint64) (fired, alive bool) {
 	r.idx.syncCaches()
-	q := r.stepProbability()
+	q := r.idx.stepProbability()
 	if q <= 0 {
 		return false, false
 	}
@@ -119,17 +104,10 @@ func (r *BatchRunner) leap(maxInteractions uint64) (fired, alive bool) {
 		return false, true
 	}
 	r.Interactions += skip + 1
-	r.fireMatching()
-	return true, true
-}
-
-// fireMatching executes one uniformly chosen matching (rule, ordered pair)
-// event, conditioned on the interaction firing, skipping draws whose
-// outcome is forced.
-func (r *BatchRunner) fireMatching() {
-	idx := r.idx.fireForcedMatching(r.RNG, r.pairsW)
+	idx := r.idx.fireForcedMatching(r.RNG)
 	r.Fired[idx]++
 	r.Stats.Fire(idx, 1)
+	return true, true
 }
 
 // RunBatch fires up to maxFirings rule firings without evaluating any stop

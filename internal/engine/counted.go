@@ -41,10 +41,11 @@ type Counted struct {
 	alias   aliasTable
 	aliasOK bool
 
-	// hook, when set, receives every count mutation (slot, state, delta).
-	// The simulation runners use it to maintain per-rule match tallies and
-	// tracker counts incrementally instead of rescanning the table.
-	hook func(slot int32, s bitmask.State, delta int64)
+	// ix is the match index of the runner driving this population, or nil.
+	// addSlot reports every count change to it directly, so the runner's
+	// per-rule tallies and tracker counts stay exact without rescans; the
+	// index's compiled firing effects update counts and tallies together.
+	ix *matchIndex
 }
 
 // NewCounted builds a counted population from a state→count table.
@@ -193,7 +194,7 @@ func (c *Counted) slotFor(s bitmask.State) int32 {
 }
 
 // addSlot adjusts the count of slot by delta. It keeps the alias sampler
-// and the attached runner's incremental tallies in sync.
+// and the driving runner's incremental tallies in sync.
 func (c *Counted) addSlot(slot int32, delta int64) {
 	now := c.cnt[slot] + delta
 	if now < 0 {
@@ -204,19 +205,9 @@ func (c *Counted) addSlot(slot int32, delta int64) {
 		c.dirty = true
 	}
 	c.aliasOK = false
-	if c.hook != nil {
-		c.hook(slot, c.keys[slot], delta)
+	if c.ix != nil {
+		c.ix.apply(slot, delta)
 	}
-}
-
-// attachHook registers the mutation listener of a runner. A population can
-// drive at most one incremental runner at a time: a second attachment would
-// silently desynchronize the first runner's tallies, so it panics instead.
-func (c *Counted) attachHook(h func(slot int32, s bitmask.State, delta int64)) {
-	if c.hook != nil {
-		panic("engine: population already driven by another runner")
-	}
-	c.hook = h
 }
 
 // sampleSlotAlias returns a slot drawn proportionally to counts through

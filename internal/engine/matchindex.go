@@ -7,10 +7,20 @@ import (
 // This file implements the incremental match-count machinery shared by the
 // counted runners. The historical kernel recomputed the per-rule tallies
 // m1/m2/m12 with a full #species × #rules rescan before every leap; the
-// matchIndex maintains them as running sums instead, fed one delta at a
-// time through Counted's mutation hook. Per-state guard evaluations happen
-// once — the first time a state is seen — and are memoized as dispatch
-// rows, so the leap loop itself touches only integer adds.
+// matchIndex maintains them as running sums instead. Per-state guard
+// evaluations happen once — the first time a state is seen — and are
+// memoized as dispatch rows, so the leap loop itself touches only integer
+// adds.
+//
+// Counts reach the index two ways. A firing whose (rule, initiator slot,
+// responder slot) is in the transition cache applies its compiled effect:
+// the net slot moves, the net tally deltas and the net tracker deltas,
+// each summed once when the entry was first resolved, in one pass. Every
+// other count change (cache misses, slots outside the cache layout, the
+// aggregate kernel's per-run deltas) goes through Counted.addSlot, which
+// calls the index that owns the population directly, one slot at a time.
+// Both paths leave the same counts, tallies, occupancy, trackers and dirty
+// flag behind, so the RNG stream cannot tell them apart.
 
 // rowEntry marks one rule whose guards match a given state.
 type rowEntry struct {
@@ -42,7 +52,10 @@ type matchIndex struct {
 
 	// m1[i], m2[i] count agents matching rule i's initiator and responder
 	// guards; m12[i] counts agents matching both (the same-agent
-	// correction in the ordered-pair count m1·m2 − m12).
+	// correction in the ordered-pair count m1·m2 − m12). The three are
+	// consecutive views of one tally array, so a compiled effect updates
+	// them through a single (index, delta) list.
+	tally       []int64
 	m1, m2, m12 []int64
 
 	// occ1[i], occ2[i] count occupied species (not agents) matching rule
@@ -79,35 +92,74 @@ type matchIndex struct {
 
 	compactGen uint64 // pop.compactGen the slot caches were built against
 
+	// Rule-pick weights of the current leap, filled by stepProbability:
+	// pairsW[i] is rule i's weight × matching pairs, pickTotal their sum,
+	// pickActive the last rule with pairs and pickN how many rules have
+	// any.
+	pairsW     []float64
+	pickTotal  float64
+	pickActive int
+	pickN      int
+
 	// trans caches rule firings at the species level: (rule, initiator
-	// slot, responder slot) → packed result slots, so the hot loop applies
-	// a firing without re-evaluating updates or hashing states. Rebuilt
-	// whenever the slot table changes shape. Shared by every counted
-	// runner driving this index.
-	trans      []int64
+	// slot, responder slot) → offset of the firing's compiled effect in
+	// fx, so the hot loop applies a firing without re-evaluating updates,
+	// hashing states or walking dispatch rows. Rebuilt whenever the slot
+	// table changes shape or a tracker is registered.
+	trans      []int32
+	fx         []int32
 	transSlots int
 	transGen   uint64
 }
 
 // transUnset marks an empty transition-cache entry.
-const transUnset = int64(-1)
+const transUnset = int32(-1)
+
+// A compiled effect is stored in fx at its offset as a header followed by
+// three lists:
+//
+//	fx[o+fxT1], fx[o+fxT2]  result slots of the initiator and responder
+//	fx[o+fxMoved]           1 when a move touches a tracked slot
+//	fx[o+fxNSlot]           k touched slots, then k (slot, net, low) triples
+//	fx[o+fxNTally]          t (tally index, delta) pairs
+//	fx[o+fxNTrack]          r (tracker index, delta) pairs
+//
+// low is the lowest running delta the one-move-at-a-time sequence
+// (initiator off and on, then responder off and on) reaches on that slot:
+// a count c hits zero on the way exactly when c+low == 0.
+const (
+	fxT1 = iota
+	fxT2
+	fxMoved
+	fxNSlot
+	fxNTally
+	fxNTrack
+	fxHeader
+)
 
 // transCacheLimit bounds the dense cache; protocols with huge live state
 // spaces fall back to applying rules directly.
 const transCacheLimit = 1 << 16
 
 // newMatchIndex builds the index, performs the single full scan that seeds
-// the tallies, and attaches the index to the population's mutation hook.
+// the tallies, and makes itself the population's index. A population can
+// feed at most one index: a second would silently desynchronize the
+// first runner's tallies, so attaching one panics instead.
 func newMatchIndex(p *Protocol, pop *Counted) *matchIndex {
 	if p.Set.HasOrderedGroups() {
 		panic("engine: counted runners do not support ordered rule groups")
 	}
+	if pop.ix != nil {
+		panic("engine: population already driven by another runner")
+	}
 	nr := len(p.Set.Rules)
+	tally := make([]int64, 3*nr)
 	ix := &matchIndex{
 		p: p, pop: pop,
-		m1: make([]int64, nr), m2: make([]int64, nr), m12: make([]int64, nr),
+		tally: tally, m1: tally[:nr], m2: tally[nr : 2*nr], m12: tally[2*nr:],
 		occ1: make([]int64, nr), occ2: make([]int64, nr),
-		rows: make(map[bitmask.State]*stateRow),
+		rows:   make(map[bitmask.State]*stateRow),
+		pairsW: make([]float64, nr),
 	}
 	ix.syncSlots()
 	for slot := 0; slot < ix.nSlots; slot++ {
@@ -116,7 +168,7 @@ func newMatchIndex(p *Protocol, pop *Counted) *matchIndex {
 			ix.occBumpSlot(int32(slot), 1)
 		}
 	}
-	pop.attachHook(ix.apply)
+	pop.ix = ix
 	return ix
 }
 
@@ -207,11 +259,6 @@ func (ix *matchIndex) rebuildDispatch() {
 	}
 }
 
-// flags returns the rowG1|rowG2 match flags of (rule, slot) in O(1).
-func (ix *matchIndex) flags(rule int32, slot int) uint8 {
-	return ix.flagsMat[int(rule)*ix.flagStride+slot]
-}
-
 // bumpSlot adds delta to every tally the slot's state participates in.
 func (ix *matchIndex) bumpSlot(slot int32, delta int64) {
 	o := ix.dispOff[3*slot : 3*slot+4]
@@ -238,9 +285,9 @@ func (ix *matchIndex) occBumpSlot(slot int32, delta int64) {
 	}
 }
 
-// apply is the population mutation hook: one count delta in, tally and
-// tracker updates out.
-func (ix *matchIndex) apply(slot int32, s bitmask.State, delta int64) {
+// apply takes one count change from Counted.addSlot (the slot's count has
+// already moved by delta) and updates the tallies, occupancy and trackers.
+func (ix *matchIndex) apply(slot int32, delta int64) {
 	if delta == 0 {
 		return
 	}
@@ -270,6 +317,9 @@ func (ix *matchIndex) track(name string, f bitmask.Formula) *Tracker {
 		t.count += int64(t.match[slot]) * ix.pop.cnt[slot]
 	}
 	ix.trackers = append(ix.trackers, t)
+	// Compiled effects carry per-tracker deltas: drop them so every firing
+	// is recompiled against the new tracker set.
+	ix.rebuildTrans()
 	return t
 }
 
@@ -279,30 +329,60 @@ func (ix *matchIndex) matchingPairs(i int) int64 {
 	return ix.m1[i]*ix.m2[i] - ix.m12[i]
 }
 
+// stepProbability returns the probability that a single scheduler
+// activation fires some rule. It counts each rule's matching pairs once
+// and keeps the rule-pick weights for fireForcedMatching, which must run
+// before any count changes.
+func (ix *matchIndex) stepProbability() float64 {
+	n := float64(ix.pop.n)
+	totalPairs := n * (n - 1)
+	var q, total float64
+	active, nActive := 0, 0
+	for i := range ix.pairsW {
+		pairs := ix.matchingPairs(i)
+		v := 0.0
+		// A rule without pairs would add +0 to q and to total; skipping
+		// it leaves both bit for bit unchanged.
+		if pairs > 0 {
+			q += ix.p.ruleWeightN[i] * float64(pairs) / totalPairs
+			nActive++
+			active = i
+			v = ix.p.ruleWeightF[i] * float64(pairs)
+		}
+		ix.pairsW[i] = v
+		total += v
+	}
+	ix.pickTotal, ix.pickActive, ix.pickN = total, active, nActive
+	return q
+}
+
 // syncCaches revalidates the slot-keyed caches after any external table
 // reshape (a compaction triggered through the public API, or new species).
+// The transition cache is only ever laid out right after syncSlots, so
+// while it matches the table the dispatch arrays do too.
 func (ix *matchIndex) syncCaches() {
-	pop := ix.pop
-	if ix.compactGen != pop.compactGen || ix.nSlots != len(pop.keys) {
-		ix.syncSlots()
-	}
-	if ix.transGen != pop.compactGen || ix.transSlots != len(pop.keys) {
+	if ix.transGen != ix.pop.compactGen || ix.transSlots != len(ix.pop.keys) {
 		ix.rebuildTrans()
 	}
 }
 
+// rebuildTrans revalidates the dispatch arrays, then empties the
+// transition cache and its compiled effects and lays the cache out for
+// the current slot table.
 func (ix *matchIndex) rebuildTrans() {
+	ix.syncSlots()
 	pop := ix.pop
 	s := len(pop.keys)
 	need := len(ix.p.Set.Rules) * s * s
 	ix.transSlots = s
 	ix.transGen = pop.compactGen
+	ix.fx = ix.fx[:0]
 	if need > transCacheLimit {
 		ix.trans = nil
 		return
 	}
 	if cap(ix.trans) < need {
-		ix.trans = make([]int64, need)
+		ix.trans = make([]int32, need)
 	} else {
 		ix.trans = ix.trans[:need]
 	}
@@ -311,41 +391,37 @@ func (ix *matchIndex) rebuildTrans() {
 	}
 }
 
-// fire applies rule → (slot1, slot2) at the species level, going through
-// the transition cache when possible. A participant whose state is
-// unchanged by the rule needs no update at all: the −1/+1 on its slot
-// cancels exactly through counts, tallies, trackers, and the sampler
-// alike.
+// fire applies rule → (slot1, slot2) at the species level. A cached
+// firing applies its compiled effect; a miss resolves the rule, compiles
+// the effect when the cache layout still covers every slot involved, and
+// applies it. Only firings the cache cannot hold move counts one slot at a
+// time. A participant whose state is unchanged by the rule needs no update
+// at all: the −1/+1 on its slot cancels exactly through counts, tallies,
+// trackers, and the sampler alike.
 func (ix *matchIndex) fire(rule, slot1, slot2 int32) {
 	pop := ix.pop
-	var t1, t2 int32
 	ci := -1
 	// Slots born after the last rebuild (outputs of earlier firings in the
 	// same batch) are outside the cache layout; they take the slow path
 	// until syncCaches resizes it.
 	if s := int32(ix.transSlots); ix.trans != nil && slot1 < s && slot2 < s {
 		ci = int((rule*s+slot1)*s + slot2)
-		if packed := ix.trans[ci]; packed != transUnset {
-			t1, t2 = int32(packed>>32), int32(packed&0xffffffff)
-			if t1 != slot1 {
-				pop.addSlot(slot1, -1)
-				pop.addSlot(t1, 1)
-			}
-			if t2 != slot2 {
-				pop.addSlot(slot2, -1)
-				pop.addSlot(t2, 1)
-			}
+		if o := ix.trans[ci]; o != transUnset {
+			ix.applyEffect(o)
 			return
 		}
 	}
 	rl := ix.p.Rule(int(rule))
 	ns1, ns2 := rl.Apply(pop.keys[slot1], pop.keys[slot2])
-	t1 = pop.slotFor(ns1)
-	t2 = pop.slotFor(ns2)
+	t1 := pop.slotFor(ns1)
+	t2 := pop.slotFor(ns2)
 	// slotFor may have grown the table, invalidating the cache layout; in
 	// that case skip the store — the next syncCaches rebuilds the cache.
 	if ci >= 0 && ix.transSlots == len(pop.keys) {
-		ix.trans[ci] = int64(t1)<<32 | int64(t2)
+		o := ix.compile(slot1, slot2, t1, t2)
+		ix.trans[ci] = o
+		ix.applyEffect(o)
+		return
 	}
 	if t1 != slot1 {
 		pop.addSlot(slot1, -1)
@@ -357,35 +433,169 @@ func (ix *matchIndex) fire(rule, slot1, slot2 int32) {
 	}
 }
 
+// compile appends to fx the effect of a firing that moves the initiator
+// from slot1 to t1 and the responder from slot2 to t2, and returns its
+// offset. Every slot involved must lie inside the dispatch arrays and the
+// trackers' match vectors.
+func (ix *matchIndex) compile(slot1, slot2, t1, t2 int32) int32 {
+	// The one-move-at-a-time sequence the effect stands for.
+	var seq [4][2]int32
+	m := 0
+	if t1 != slot1 {
+		seq[0], seq[1] = [2]int32{slot1, -1}, [2]int32{t1, 1}
+		m = 2
+	}
+	if t2 != slot2 {
+		seq[m], seq[m+1] = [2]int32{slot2, -1}, [2]int32{t2, 1}
+		m += 2
+	}
+	// Touched slots with their net and lowest running deltas.
+	var touched [4][3]int32
+	k := 0
+	moved := int32(0)
+	for _, mv := range seq[:m] {
+		j := 0
+		for j < k && touched[j][0] != mv[0] {
+			j++
+		}
+		if j == k {
+			touched[k] = [3]int32{mv[0], 0, mv[1]}
+			k++
+		}
+		t := &touched[j]
+		t[1] += mv[1]
+		t[2] = min(t[2], t[1])
+		for _, tr := range ix.trackers {
+			if tr.match[mv[0]] != 0 {
+				moved = 1
+			}
+		}
+	}
+	o := int32(len(ix.fx))
+	ix.fx = append(ix.fx, t1, t2, moved, int32(k), 0, 0)
+	for _, t := range touched[:k] {
+		ix.fx = append(ix.fx, t[0], t[1], t[2])
+	}
+	// Net tally deltas, summed per tally index over the touched slots'
+	// dispatch rows.
+	nr := int32(len(ix.m1))
+	tallyAt := len(ix.fx)
+	for _, t := range touched[:k] {
+		if t[1] == 0 {
+			continue
+		}
+		off := ix.dispOff[3*t[0] : 3*t[0]+4]
+		for part := int32(0); part < 3; part++ {
+			for _, r := range ix.dispRule[off[part]:off[part+1]] {
+				ix.fx = addOp(ix.fx, tallyAt, part*nr+r, t[1])
+			}
+		}
+	}
+	ix.fx = dropZeroOps(ix.fx, tallyAt)
+	ix.fx[o+fxNTally] = int32(len(ix.fx)-tallyAt) / 2
+	// Net tracker deltas.
+	trackAt := len(ix.fx)
+	for i, tr := range ix.trackers {
+		var d int32
+		for _, t := range touched[:k] {
+			d += t[1] * int32(tr.match[t[0]])
+		}
+		if d != 0 {
+			ix.fx = append(ix.fx, int32(i), d)
+		}
+	}
+	ix.fx[o+fxNTrack] = int32(len(ix.fx)-trackAt) / 2
+	return o
+}
+
+// addOp adds delta to the (index, delta) pair for idx in ops[at:],
+// appending the pair if absent.
+func addOp(ops []int32, at int, idx, delta int32) []int32 {
+	for i := at; i < len(ops); i += 2 {
+		if ops[i] == idx {
+			ops[i+1] += delta
+			return ops
+		}
+	}
+	return append(ops, idx, delta)
+}
+
+// dropZeroOps removes the pairs of ops[at:] whose delta summed to zero.
+func dropZeroOps(ops []int32, at int) []int32 {
+	out := at
+	for i := at; i < len(ops); i += 2 {
+		if ops[i+1] != 0 {
+			ops[out], ops[out+1] = ops[i], ops[i+1]
+			out += 2
+		}
+	}
+	return ops[:out]
+}
+
+// applyEffect applies the compiled effect at offset o in one pass. It
+// leaves exactly what the one-move-at-a-time path would: the same counts,
+// tallies and tracker counts; occupancy bumped only for slots that empty
+// or first fill; dirty set when a count touches zero on the way; the
+// tracker-moved bit set when a move touched a tracked slot.
+func (ix *matchIndex) applyEffect(o int32) {
+	fx := ix.fx[o:]
+	k := int(fx[fxNSlot])
+	if k == 0 {
+		return
+	}
+	pop := ix.pop
+	pop.aliasOK = false
+	slots := fx[fxHeader : fxHeader+3*k]
+	for i := 0; i < len(slots); i += 3 {
+		slot, low := slots[i], int64(slots[i+2])
+		c := pop.cnt[slot]
+		switch {
+		case c+low < 0:
+			panic("engine: species count went negative")
+		case c+low == 0:
+			pop.dirty = true
+		}
+		now := c + int64(slots[i+1])
+		pop.cnt[slot] = now
+		switch {
+		case c == 0 && now != 0:
+			ix.occBumpSlot(slot, 1)
+		case c != 0 && now == 0:
+			ix.occBumpSlot(slot, -1)
+		}
+	}
+	ops := fx[fxHeader+3*k:]
+	nt := 2 * int(fx[fxNTally])
+	tally := ix.tally
+	for i := 0; i < nt; i += 2 {
+		tally[ops[i]] += int64(ops[i+1])
+	}
+	if fx[fxMoved] == 0 {
+		return
+	}
+	ix.trackersMoved = true
+	ops = ops[nt : nt+2*int(fx[fxNTrack])]
+	for i := 0; i < len(ops); i += 2 {
+		ix.trackers[ops[i]].count += int64(ops[i+1])
+	}
+}
+
 // fireForcedMatching executes one uniformly chosen matching (rule, ordered
 // pair) event, conditioned on the interaction firing, skipping RNG draws
 // whose outcome is forced: the rule pick when exactly one rule has matching
 // pairs, and the participant picks when their guard has exactly one
 // occupied species (occ1/occ2). Shared by BatchRunner (every firing) and
-// AggregateRunner (its sparse-regime fallback). pairsW is caller-owned
-// scratch of length #rules; the fired rule's index is returned so callers
-// can keep their own accounting.
-func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
+// AggregateRunner (its sparse-regime fallback). It reads the rule-pick
+// weights of the stepProbability call just before it; the fired rule's
+// index is returned so callers can keep their own accounting.
+func (ix *matchIndex) fireForcedMatching(rng *RNG) int {
 	// Rule pick, probability ∝ weight × matching pairs. With a single
 	// active rule the pick is certain and the Float64 draw is skipped.
-	var total float64
-	active, nActive := 0, 0
-	for i := range pairsW {
-		pairs := ix.matchingPairs(i)
-		v := 0.0
-		if pairs > 0 {
-			nActive++
-			active = i
-			v = ix.p.ruleWeightF[i] * float64(pairs)
-		}
-		pairsW[i] = v
-		total += v
-	}
-	idx := active
-	if nActive > 1 {
-		pick := rng.Float64() * total
+	idx := ix.pickActive
+	if ix.pickN > 1 {
+		pick := rng.Float64() * ix.pickTotal
 		idx = -1
-		for i, v := range pairsW {
+		for i, v := range ix.pairsW {
 			pick -= v
 			if pick < 0 {
 				idx = i
@@ -393,14 +603,19 @@ func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
 			}
 		}
 		if idx < 0 {
-			idx = len(pairsW) - 1
+			idx = len(ix.pairsW) - 1
 		}
 	}
 	rule := int32(idx)
 
+	// Both participant picks walk the fired rule's row of the flags
+	// matrix, which covers every slot (syncCaches ran this leap).
+	pop := ix.pop
+	row := ix.flagsMat[idx*ix.flagStride : (idx+1)*ix.flagStride]
+	cnt := pop.cnt[:len(row)]
+
 	// Initiator pick, weight cnt(s)·(m2 − [G2(s)]). With a single occupied
 	// G1 species all weight sits on one slot: find it without drawing.
-	pop := ix.pop
 	m2 := ix.m2[idx]
 	var target int64
 	byDraw := ix.occ1[idx] > 1
@@ -409,9 +624,8 @@ func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
 	}
 	slot1 := int32(-1)
 	var g2s1 int64
-	for slot := range pop.keys {
-		f := ix.flags(rule, slot)
-		if f&rowG1 == 0 || pop.cnt[slot] == 0 {
+	for slot, f := range row {
+		if f&rowG1 == 0 || cnt[slot] == 0 {
 			continue
 		}
 		var b int64
@@ -423,7 +637,7 @@ func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
 			g2s1 = b
 			break
 		}
-		w := pop.cnt[slot] * (m2 - b)
+		w := cnt[slot] * (m2 - b)
 		if target < w {
 			slot1 = int32(slot)
 			g2s1 = b
@@ -443,11 +657,11 @@ func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
 		t2 = rng.Int63n(avail)
 	}
 	slot2 := int32(-1)
-	for slot := range pop.keys {
-		if ix.flags(rule, slot)&rowG2 == 0 || pop.cnt[slot] == 0 {
+	for slot, f := range row {
+		if f&rowG2 == 0 || cnt[slot] == 0 {
 			continue
 		}
-		w := pop.cnt[slot]
+		w := cnt[slot]
 		if int32(slot) == slot1 {
 			w -= g2s1
 		}
@@ -470,9 +684,7 @@ func (ix *matchIndex) fireForcedMatching(rng *RNG, pairsW []float64) int {
 // resync recomputes every tally from a full scan. Only used by tests to
 // cross-check the incremental path; the simulation never needs it.
 func (ix *matchIndex) resync() {
-	clear(ix.m1)
-	clear(ix.m2)
-	clear(ix.m12)
+	clear(ix.tally)
 	clear(ix.occ1)
 	clear(ix.occ2)
 	ix.syncSlots()
