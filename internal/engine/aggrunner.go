@@ -32,8 +32,8 @@ import (
 //  3. Decompose what fired: each pair type (a, b) independently picked a
 //     uniform scheduler slot, so the firing counts of the rule groups
 //     matching (a, b) follow a conditional Binomial chain; every rule's
-//     count-delta is applied once per run through the same mutation hook
-//     the other kernels use, keeping tallies, trackers, and samplers exact.
+//     count-delta is applied once per run through Counted.addSlot, which
+//     keeps the match index's tallies, trackers, and samplers exact.
 //  4. Fire the collision interaction (the ℓ+1st) literally: its pair is
 //     uniform among ordered pairs with at least one already-touched agent.
 //
@@ -110,9 +110,9 @@ const pairCacheLimit = 1 << 14
 const defaultMinRunFirings = 64
 
 // NewAggregateRunner assembles an aggregate runner. Like the other counted
-// runners it rejects protocols with ordered (first-match) groups and
-// attaches to the population's mutation hook, so a population can drive
-// only one incremental runner at a time.
+// runners it rejects protocols with ordered (first-match) groups, and its
+// match index takes over the population's count changes, so a population
+// can drive only one incremental runner at a time.
 func NewAggregateRunner(p *Protocol, pop *Counted, rng *RNG) *AggregateRunner {
 	n := float64(pop.n)
 	lg, _ := math.Lgamma(n + 1)
@@ -161,7 +161,6 @@ func (r *AggregateRunner) LeapStep(maxInteractions uint64) bool {
 		return true
 	}
 	r.idx.syncCaches()
-	r.syncPairCache()
 	q := r.idx.stepProbability()
 	if q <= 0 {
 		return false
@@ -194,6 +193,7 @@ func (r *AggregateRunner) leapOne(q float64, maxInteractions uint64) bool {
 // interaction.
 func (r *AggregateRunner) aggregateStep(maxInteractions uint64) {
 	pop := r.Pop
+	r.syncPairCache()
 	l := r.RNG.collisionRunLen(pop.n, r.lgN1, r.lnPairs)
 	m := l
 	collide := true
@@ -336,7 +336,7 @@ func (r *AggregateRunner) mvhRun(m int64) {
 		}
 		pending -= ia
 	}
-	// Apply the accumulated net deltas, one hook call per moved species.
+	// Apply the accumulated net deltas, one addSlot call per moved species.
 	// Non-firing pairs cancel exactly, so only rule effects remain.
 	for s := range r.delta {
 		if d := r.delta[s]; d != 0 {

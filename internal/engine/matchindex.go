@@ -115,22 +115,19 @@ type matchIndex struct {
 // transUnset marks an empty transition-cache entry.
 const transUnset = int32(-1)
 
-// A compiled effect is stored in fx at its offset as a header followed by
-// three lists:
+// A compiled effect is stored in fx at its offset o as a header followed
+// by three lists:
 //
-//	fx[o+fxT1], fx[o+fxT2]  result slots of the initiator and responder
-//	fx[o+fxMoved]           1 when a move touches a tracked slot
-//	fx[o+fxNSlot]           k touched slots, then k (slot, net, low) triples
-//	fx[o+fxNTally]          t (tally index, delta) pairs
-//	fx[o+fxNTrack]          r (tracker index, delta) pairs
+//	fx[o+fxMoved]   1 when a move touches a tracked slot
+//	fx[o+fxNSlot]   k touched slots, listed first as (slot, net, low) triples
+//	fx[o+fxNTally]  t (tally index, delta) pairs, listed next
+//	fx[o+fxNTrack]  r (tracker index, delta) pairs, listed last
 //
 // low is the lowest running delta the one-move-at-a-time sequence
 // (initiator off and on, then responder off and on) reaches on that slot:
 // a count c hits zero on the way exactly when c+low == 0.
 const (
-	fxT1 = iota
-	fxT2
-	fxMoved
+	fxMoved = iota
 	fxNSlot
 	fxNTally
 	fxNTrack
@@ -438,74 +435,61 @@ func (ix *matchIndex) fire(rule, slot1, slot2 int32) {
 // offset. Every slot involved must lie inside the dispatch arrays and the
 // trackers' match vectors.
 func (ix *matchIndex) compile(slot1, slot2, t1, t2 int32) int32 {
-	// The one-move-at-a-time sequence the effect stands for.
-	var seq [4][2]int32
-	m := 0
+	o := len(ix.fx)
+	ix.fx = append(ix.fx, 0, 0, 0, 0)
+	// Touched slots: replay the one-move-at-a-time sequence.
+	at := len(ix.fx)
+	move := func(slot, d int32) {
+		for _, tr := range ix.trackers {
+			if tr.match[slot] != 0 {
+				ix.fx[o+fxMoved] = 1
+			}
+		}
+		for i := at; i < len(ix.fx); i += 3 {
+			if ix.fx[i] == slot {
+				ix.fx[i+1] += d
+				ix.fx[i+2] = min(ix.fx[i+2], ix.fx[i+1])
+				return
+			}
+		}
+		ix.fx = append(ix.fx, slot, d, d)
+	}
 	if t1 != slot1 {
-		seq[0], seq[1] = [2]int32{slot1, -1}, [2]int32{t1, 1}
-		m = 2
+		move(slot1, -1)
+		move(t1, 1)
 	}
 	if t2 != slot2 {
-		seq[m], seq[m+1] = [2]int32{slot2, -1}, [2]int32{t2, 1}
-		m += 2
+		move(slot2, -1)
+		move(t2, 1)
 	}
-	// Touched slots with their net and lowest running deltas.
-	var touched [4][3]int32
-	k := 0
-	moved := int32(0)
-	for _, mv := range seq[:m] {
-		j := 0
-		for j < k && touched[j][0] != mv[0] {
-			j++
-		}
-		if j == k {
-			touched[k] = [3]int32{mv[0], 0, mv[1]}
-			k++
-		}
-		t := &touched[j]
-		t[1] += mv[1]
-		t[2] = min(t[2], t[1])
-		for _, tr := range ix.trackers {
-			if tr.match[mv[0]] != 0 {
-				moved = 1
-			}
-		}
-	}
-	o := int32(len(ix.fx))
-	ix.fx = append(ix.fx, t1, t2, moved, int32(k), 0, 0)
-	for _, t := range touched[:k] {
-		ix.fx = append(ix.fx, t[0], t[1], t[2])
-	}
-	// Net tally deltas, summed per tally index over the touched slots'
-	// dispatch rows.
+	end := len(ix.fx)
+	ix.fx[o+fxNSlot] = int32(end-at) / 3
+	// Net tally deltas over the touched slots' dispatch rows, then net
+	// tracker deltas; pairs that cancel to zero are dropped.
 	nr := int32(len(ix.m1))
-	tallyAt := len(ix.fx)
-	for _, t := range touched[:k] {
-		if t[1] == 0 {
-			continue
-		}
-		off := ix.dispOff[3*t[0] : 3*t[0]+4]
-		for part := int32(0); part < 3; part++ {
+	for i := at; i < end; i += 3 {
+		slot, net := ix.fx[i], ix.fx[i+1]
+		off := ix.dispOff[3*slot : 3*slot+4]
+		for part := int32(0); part < 3 && net != 0; part++ {
 			for _, r := range ix.dispRule[off[part]:off[part+1]] {
-				ix.fx = addOp(ix.fx, tallyAt, part*nr+r, t[1])
+				ix.fx = addOp(ix.fx, end, part*nr+r, net)
 			}
 		}
 	}
-	ix.fx = dropZeroOps(ix.fx, tallyAt)
-	ix.fx[o+fxNTally] = int32(len(ix.fx)-tallyAt) / 2
-	// Net tracker deltas.
+	ix.fx = dropZeroOps(ix.fx, end)
+	ix.fx[o+fxNTally] = int32(len(ix.fx)-end) / 2
 	trackAt := len(ix.fx)
-	for i, tr := range ix.trackers {
+	for ti, tr := range ix.trackers {
 		var d int32
-		for _, t := range touched[:k] {
-			d += t[1] * int32(tr.match[t[0]])
+		for i := at; i < end; i += 3 {
+			d += ix.fx[i+1] * int32(tr.match[ix.fx[i]])
 		}
 		if d != 0 {
-			ix.fx = append(ix.fx, int32(i), d)
+			ix.fx = append(ix.fx, int32(ti), d)
 		}
 	}
 	ix.fx[o+fxNTrack] = int32(len(ix.fx)-trackAt) / 2
-	return o
+	return int32(o)
 }
 
 // addOp adds delta to the (index, delta) pair for idx in ops[at:],
