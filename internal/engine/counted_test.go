@@ -44,6 +44,25 @@ func TestCountedRejectsBadInput(t *testing.T) {
 	NewCounted(map[bitmask.State]int64{{}: -1, {Lo: 1}: 10})
 }
 
+// TestSecondRunnerPanics checks that a population feeds one match index
+// only: a second counted runner on it would desynchronize the first one's
+// tallies, so building it panics.
+func TestSecondRunnerPanics(t *testing.T) {
+	sp := bitmask.NewSpace()
+	a := sp.Bool("A")
+	rs := rules.NewRuleset(sp)
+	rs.Add(bitmask.Is(a), bitmask.IsNot(a), bitmask.True(), bitmask.Is(a))
+	p := CompileProtocol(rs)
+	pop := NewCounted(map[bitmask.State]int64{{}: 90, a.Set(bitmask.State{}, true): 10})
+	NewBatchRunner(p, pop, NewRNG(1))
+	defer func() {
+		if recover() == nil {
+			t.Error("a second runner on the same population did not panic")
+		}
+	}()
+	NewAggregateRunner(p, pop, NewRNG(2))
+}
+
 // TestBatchRunnerAgreesWithDense runs the same cancellation protocol on both
 // engines with many seeds and compares the distribution of the absolute
 // survivor count. This is the exactness check for the counted engine.
