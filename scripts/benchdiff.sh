@@ -43,7 +43,7 @@ go test -c -o "$tmp/new.test" ./internal/engine/
 run() {
     echo "== $1 =="
     (cd internal/engine && "$tmp/$1.test" -test.run '^$' -test.bench "$pattern" \
-        -test.benchtime "$benchtime" -test.count 1) \
+        -test.benchtime "$benchtime" -test.count 1 -test.timeout 30m) \
         | tee -a "$tmp/$1.txt" | grep '^Benchmark' || true
 }
 
