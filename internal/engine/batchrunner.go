@@ -86,28 +86,8 @@ func (r *BatchRunner) Track(name string, f bitmask.Formula) *Tracker {
 // the next firing lies beyond the bound, the runner advances exactly to
 // the bound and returns true without firing.
 func (r *BatchRunner) LeapStep(maxInteractions uint64) bool {
-	_, alive := r.leap(maxInteractions)
+	_, alive, _ := r.run(1, maxInteractions, nil)
 	return alive
-}
-
-// leap is LeapStep distinguishing "fired" from "advanced to the horizon
-// without firing".
-func (r *BatchRunner) leap(maxInteractions uint64) (fired, alive bool) {
-	r.idx.syncCaches()
-	q := r.idx.stepProbability()
-	if q <= 0 {
-		return false, false
-	}
-	skip := r.RNG.Geometric(q)
-	if maxInteractions > 0 && r.Interactions+skip+1 > maxInteractions {
-		r.Interactions = maxInteractions
-		return false, true
-	}
-	r.Interactions += skip + 1
-	idx := r.idx.fireForcedMatching(r.RNG)
-	r.Fired[idx]++
-	r.Stats.Fire(idx, 1)
-	return true, true
 }
 
 // RunBatch fires up to maxFirings rule firings without evaluating any stop
@@ -116,18 +96,8 @@ func (r *BatchRunner) leap(maxInteractions uint64) (fired, alive bool) {
 // and whether the protocol can still move. Trajectory collectors use it to
 // advance in fixed-size strides between snapshots.
 func (r *BatchRunner) RunBatch(maxFirings, maxInteractions uint64) (fired uint64, alive bool) {
-	for fired < maxFirings {
-		f, a := r.leap(maxInteractions)
-		if !a {
-			return fired, false
-		}
-		if !f {
-			// Hit the horizon without firing.
-			return fired, true
-		}
-		fired++
-	}
-	return fired, true
+	fired, alive, _ = r.run(maxFirings, maxInteractions, nil)
+	return fired, alive
 }
 
 // RunTracked leaps until the condition holds or maxRounds elapses or the
@@ -141,24 +111,61 @@ func (r *BatchRunner) RunBatch(maxFirings, maxInteractions uint64) (fired uint64
 // runs after every firing.
 func (r *BatchRunner) RunTracked(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
 	start := r.Rounds()
-	n := float64(r.Pop.n)
-	budget := uint64(math.Ceil(maxRounds*n)) + r.Interactions
-	gated := len(r.idx.trackers) > 0
+	budget := uint64(math.Ceil(maxRounds*float64(r.Pop.n))) + r.Interactions
+	_, _, ok = r.run(math.MaxUint64, budget, cond)
+	return r.Rounds() - start, ok
+}
+
+// run is the one leap-and-fire loop behind LeapStep, RunBatch and
+// RunTracked. Each pass leaps over the quiescent stretch before the next
+// firing and fires it. It returns after maxFirings firings; when the next
+// firing lies beyond maxInteractions (0 = unbounded), having advanced
+// exactly to the bound; or when no rule can fire again (alive false).
+//
+// A non-nil cond is RunTracked's stop condition: it is polled before the
+// first leap, after every firing that moved a tracked count (every pass
+// when nothing is tracked) and once more if the protocol goes silent, and
+// met reports whether it held. With cond the bound is a budget: the run
+// stops once it is reached instead of at the first leap that hits it.
+func (r *BatchRunner) run(maxFirings, maxInteractions uint64, cond func() bool) (fired uint64, alive, met bool) {
+	ix := r.idx
+	gated := len(ix.trackers) > 0
 	check := true
 	for {
-		if check || !gated {
-			r.idx.trackersMoved = false
-			if cond() {
-				return r.Rounds() - start, true
+		if cond != nil {
+			if check || !gated {
+				ix.trackersMoved = false
+				if cond() {
+					return fired, true, true
+				}
+			}
+			if r.Interactions >= maxInteractions {
+				return fired, true, false
 			}
 		}
-		if r.Interactions >= budget {
-			return r.Rounds() - start, false
+		if fired == maxFirings {
+			return fired, true, false
 		}
-		if !r.LeapStep(budget) {
+		ix.syncCaches()
+		q := ix.stepProbability()
+		if q <= 0 {
 			// Silent: the configuration can never change again.
-			return r.Rounds() - start, cond()
+			return fired, false, cond != nil && cond()
 		}
-		check = r.idx.trackersMoved
+		skip := r.RNG.Geometric(q)
+		if maxInteractions > 0 && r.Interactions+skip+1 > maxInteractions {
+			r.Interactions = maxInteractions
+			if cond == nil {
+				return fired, true, false
+			}
+			check = ix.trackersMoved
+			continue
+		}
+		r.Interactions += skip + 1
+		idx := ix.fireForcedMatching(r.RNG)
+		r.Fired[idx]++
+		r.Stats.Fire(idx, 1)
+		fired++
+		check = ix.trackersMoved
 	}
 }

@@ -92,6 +92,9 @@ type matchIndex struct {
 
 	compactGen uint64 // pop.compactGen the slot caches were built against
 
+	// totalPairs is n(n−1), the number of ordered pairs of distinct agents.
+	totalPairs float64
+
 	// Rule-pick weights of the current leap, filled by stepProbability:
 	// pairsW[i] is rule i's weight × matching pairs, pickTotal their sum,
 	// pickActive the last rule with pairs and pickN how many rules have
@@ -151,8 +154,9 @@ func newMatchIndex(p *Protocol, pop *Counted) *matchIndex {
 	}
 	nr := len(p.Set.Rules)
 	tally := make([]int64, 3*nr)
+	n := float64(pop.n)
 	ix := &matchIndex{
-		p: p, pop: pop,
+		p: p, pop: pop, totalPairs: n * (n - 1),
 		tally: tally, m1: tally[:nr], m2: tally[nr : 2*nr], m12: tally[2*nr:],
 		occ1: make([]int64, nr), occ2: make([]int64, nr),
 		rows:   make(map[bitmask.State]*stateRow),
@@ -331,8 +335,7 @@ func (ix *matchIndex) matchingPairs(i int) int64 {
 // and keeps the rule-pick weights for fireForcedMatching, which must run
 // before any count changes.
 func (ix *matchIndex) stepProbability() float64 {
-	n := float64(ix.pop.n)
-	totalPairs := n * (n - 1)
+	totalPairs := ix.totalPairs
 	var q, total float64
 	active, nActive := 0, 0
 	for i := range ix.pairsW {
