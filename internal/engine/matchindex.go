@@ -439,7 +439,8 @@ func (ix *matchIndex) fire(rule, slot1, slot2 int32) {
 // trackers' match vectors.
 func (ix *matchIndex) compile(slot1, slot2, t1, t2 int32) int32 {
 	o := len(ix.fx)
-	ix.fx = append(ix.fx, 0, 0, 0, 0)
+	var header [fxHeader]int32
+	ix.fx = append(ix.fx, header[:]...)
 	// Touched slots: replay the one-move-at-a-time sequence.
 	at := len(ix.fx)
 	move := func(slot, d int32) {
