@@ -116,12 +116,12 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-// TestGeometricKeepsStream checks that the tiny-p fix changed no draw of
-// the pinned stream: wherever 1-p does not round to 1, Geometric returns
-// bit for bit what floor(ln U / ln(1-p)) returned before, over a sweep of p
-// from 2⁻⁵³ up to 1 and several seeds.
+// TestGeometricKeepsStream checks Geometric against the plain inverse
+// transform floor(ln U / ln(1-p)) wherever 1-p does not round to 1, bit
+// for bit, over a sweep of p from 2⁻⁵³ up to 1 and several seeds: every
+// pinned counted-kernel stream is made of such draws.
 func TestGeometricKeepsStream(t *testing.T) {
-	old := func(r *RNG, p float64) uint64 {
+	plain := func(r *RNG, p float64) uint64 {
 		if p >= 1 {
 			return 0
 		}
@@ -139,8 +139,8 @@ func TestGeometricKeepsStream(t *testing.T) {
 		a, b := NewRNG(seed), NewRNG(seed)
 		for p := math.Ldexp(1, -53); p <= 1; p *= 1.37 {
 			for i := 0; i < 16; i++ {
-				if got, want := a.Geometric(p), old(b, p); got != want {
-					t.Fatalf("seed %d: Geometric(%g) = %d, old expression gives %d", seed, p, got, want)
+				if got, want := a.Geometric(p), plain(b, p); got != want {
+					t.Fatalf("seed %d: Geometric(%g) = %d, plain inverse transform gives %d", seed, p, got, want)
 				}
 			}
 		}
