@@ -108,7 +108,8 @@ type matchIndex struct {
 	// slot, responder slot) → offset of the firing's compiled effect in
 	// fx, so the hot loop applies a firing without re-evaluating updates,
 	// hashing states or walking dispatch rows. Rebuilt whenever the slot
-	// table changes shape or a tracker is registered.
+	// table changes shape or a tracker is registered. fx holds at most one
+	// effect per trans entry, so transCacheLimit bounds both.
 	trans      []int32
 	fx         []int32
 	transSlots int
