@@ -75,7 +75,8 @@ func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
-// Uses Lemire's unbiased multiply-shift rejection method.
+// Uses Lemire's unbiased multiply-shift rejection method: the high word of
+// a draw's product with n, redrawn until lemireKeeps accepts it.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("engine: Intn with non-positive bound")
@@ -83,8 +84,7 @@ func (r *RNG) Intn(n int) int {
 	un := uint64(n)
 	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
-		thresh := -un % un
-		for lo < thresh {
+		for !lemireKeeps(lo, un) {
 			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
@@ -99,12 +99,20 @@ func (r *RNG) Int63n(n int64) int64 {
 	un := uint64(n)
 	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
-		thresh := -un % un
-		for lo < thresh {
+		for !lemireKeeps(lo, un) {
 			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int64(hi)
+}
+
+// lemireKeeps is the accept test of Lemire's multiply-shift method: a
+// 64-bit draw whose product with the bound n has low word lo is kept
+// unless lo < 2⁶⁴ mod n. That threshold is below n, so every caller tests
+// lo < n first: one compare settles all but a fraction n/2⁶⁴ of draws, and
+// the division and the redraw loop stay off the common path.
+func lemireKeeps(lo, n uint64) bool {
+	return lo >= -n%n
 }
 
 // Float64 returns a uniform float in [0, 1).

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -43,11 +42,12 @@ type Runner struct {
 	// then.
 	moved bool
 
-	// admit1[id·G+g] and admit2[id·G+g] record whether species id matches
-	// an initiator or responder guard of group g (G groups; admitUnknown
-	// until first asked).
-	admit1, admit2 []uint8
-	nGroups        int
+	// admit[id·G+g] records whether species id matches an initiator
+	// (entry 0) or a responder (entry 1) guard of group g (G groups;
+	// admitUnknown until first asked). Both roles share one table so the
+	// step loop reads either entry through one base pointer and length.
+	admit   [][2]uint8
+	nGroups int
 
 	memo pairMemo
 	// The (protocol, population, compaction generation, table size) the
@@ -57,11 +57,6 @@ type Runner struct {
 	syncPop     *Dense
 	syncGen     uint64
 	syncSpecies int
-
-	// Lemire rejection thresholds of the three per-step draws — Intn(n),
-	// Intn(n−1) and Intn(slots) redraw exactly while the low product word
-	// is below them — computed once per protocol and population.
-	tn, tm, ts uint64
 }
 
 // NewRunner assembles a runner. The population must already be initialized.
@@ -112,18 +107,15 @@ func (r *Runner) sync() {
 	}
 	if r.syncP != r.P || r.syncPop != d || r.syncGen != d.gen {
 		r.memo.reset()
-		r.admit1, r.admit2 = r.admit1[:0], r.admit2[:0]
+		r.admit = r.admit[:0]
 		r.nGroups = len(r.P.groups)
 		for _, t := range r.trackers {
 			t.match = t.match[:0]
 		}
-		un, um, us := uint64(len(d.agents)), uint64(len(d.agents)-1), uint64(len(r.P.slots))
-		r.tn, r.tm, r.ts = -un%un, -um%um, -us%us
 		r.syncP, r.syncPop, r.syncGen = r.P, d, d.gen
 	}
 	r.syncSpecies = len(d.states)
-	r.admit1 = growZero(r.admit1, len(d.states)*r.nGroups)
-	r.admit2 = growZero(r.admit2, len(d.states)*r.nGroups)
+	r.admit = growZero(r.admit, len(d.states)*r.nGroups)
 	for _, t := range r.trackers {
 		for id := len(t.match); id < len(d.states); id++ {
 			t.extend(d.states[id])
@@ -131,25 +123,26 @@ func (r *Runner) sync() {
 	}
 }
 
-// Filter entries of admit1/admit2. The step loop tests both roles at once
-// by OR-ing their entries, so admitNo must be the only value with bit 0 set.
+// Filter entries of admit. The step loop tests both roles at once by
+// OR-ing their entries, so admitNo must be the only value with bit 0 set.
 const (
 	admitUnknown = 0
 	admitNo      = 1
 	admitYes     = 2
 )
 
-// admit reports whether species id matches an initiator (responder false)
-// or responder guard of group g, filling the filter entry on first use.
-func (r *Runner) admit(tab []uint8, g int32, id uint32, responder bool) bool {
-	k := int(id)*r.nGroups + int(g)
-	if tab[k] == admitUnknown {
-		tab[k] = admitNo
-		if r.P.groupAdmits(g, r.Pop.states[id], responder) {
-			tab[k] = admitYes
+// admits reports whether species id matches an initiator (role 0) or a
+// responder (role 1) guard of group g, filling the filter entry on first
+// use.
+func (r *Runner) admits(g int32, id uint32, role int) bool {
+	e := &r.admit[int(id)*r.nGroups+int(g)][role]
+	if *e == admitUnknown {
+		*e = admitNo
+		if r.P.groupAdmits(g, r.Pop.states[id], role == 1) {
+			*e = admitYes
 		}
 	}
-	return tab[k] == admitYes
+	return *e == admitYes
 }
 
 // miss computes an outcome the memo lacks and records it in slot, the
@@ -191,7 +184,7 @@ func (r *Runner) outcome(g int32, i, j int) *memoSlot {
 // agent ids afterwards.
 func (r *Runner) resolve(g int32, i, j int, slot *memoSlot) *memoSlot {
 	a := r.Pop.agents
-	if !r.admit(r.admit1, g, a[i], false) || !r.admit(r.admit2, g, a[j], true) {
+	if !r.admits(g, a[i], 0) || !r.admits(g, a[j], 1) {
 		return nil
 	}
 	if r.Pop.maybeCompact() {
@@ -237,81 +230,82 @@ func (r *Runner) Step() bool {
 
 // steps runs up to k sequential interactions and returns how many of them
 // fired a rule. When gated it returns right after the first interaction
-// that moves a tracked count. The xoshiro state stays in locals for the
-// whole loop and each draw is exactly RNG.Intn's — Intn(n), Intn(n−1),
-// then Intn(slots).
+// that moves a tracked count. scan draws the picks; the few the filter
+// lets through resolve and fire here.
 func (r *Runner) steps(k uint64, gated bool) (fired uint64) {
 	r.sync()
 	r.moved = false
+	left := k
+	for left > 0 {
+		i, j, g, rest, hit := r.scan(left)
+		left = rest
+		if !hit {
+			break
+		}
+		if r.fire(r.outcome(g, i, j), i, j) {
+			fired++
+			if gated && r.moved {
+				break
+			}
+		}
+	}
+	r.Interactions += k - left
+	return fired
+}
+
+// scan runs up to left sequential picks, each a uniform ordered pair of
+// distinct agents (i, j) and the group g of a uniform scheduler slot, and
+// stops after the first pick the filter does not rule out. It returns that
+// pick with hit set, and the picks still left. The xoshiro state and the
+// tables stay in locals for the whole loop. Each pick draws exactly what
+// RNG.Intn(n), Intn(n−1) and Intn(slots) would: every draw makes Intn's
+// lo < bound pre-test and redraws while lemireKeeps rejects it.
+func (r *Runner) scan(left uint64) (i, j int, g int32, rest uint64, hit bool) {
+	s0, s1, s2, s3 := r.RNG.s[0], r.RNG.s[1], r.RNG.s[2], r.RNG.s[3]
+	slots, adm, nG := r.P.slots, r.admit, r.nGroups
+	us := uint64(len(slots))
 	agents := r.Pop.agents
-	slots := r.P.slots
-	nG := r.nGroups
-	ad1, ad2 := r.admit1, r.admit2
-	un, um, us := uint64(len(agents)), uint64(len(agents)-1), uint64(len(slots))
-	tn, tm, ts := r.tn, r.tm, r.ts
-	rs := &r.RNG.s
-	s0, s1, s2, s3 := rs[0], rs[1], rs[2], rs[3]
-	var done uint64
-	for done < k {
+	un := uint64(len(agents))
+	for left > 0 {
+		left--
 		var x, hi, lo uint64
 		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
 		hi, lo = bits.Mul64(x, un)
-		for lo < tn {
-			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-			hi, lo = bits.Mul64(x, un)
-		}
-		i := int(hi)
-		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-		hi, lo = bits.Mul64(x, um)
-		for lo < tm {
-			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-			hi, lo = bits.Mul64(x, um)
-		}
-		j := int(hi)
-		if j >= i {
-			j++
-		}
-		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-		hi, lo = bits.Mul64(x, us)
-		for lo < ts {
-			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-			hi, lo = bits.Mul64(x, us)
-		}
-		g := slots[hi]
-		done++
-
-		a, b := agents[i], agents[j]
-		// One branch for both roles: admitNo is the only odd entry.
-		if (ad1[int(a)*nG+int(g)]|ad2[int(b)*nG+int(g)])&admitNo != 0 {
-			continue
-		}
-		// Probe the home slot inline; find walks collisions.
-		key := memoKey(a, b)
-		e := &r.memo.slots[r.memo.home(g, key)]
-		if e.key != key || e.group != g {
-			e = r.memo.find(g, key)
-		}
-		if e.key == 0 {
-			// Unknown filter entries and memo misses; either may grow the
-			// filter tables.
-			e = r.resolve(g, i, j, e)
-			ad1, ad2 = r.admit1, r.admit2
-			if e == nil {
-				continue
+		if lo < un {
+			for !lemireKeeps(lo, un) {
+				x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, un)
 			}
 		}
-		if e.rule < 0 {
-			continue
+		pi := hi
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		hi, lo = bits.Mul64(x, un-1)
+		if lo < un-1 {
+			for !lemireKeeps(lo, un-1) {
+				x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, un-1)
+			}
 		}
-		r.fire(e, i, j)
-		fired++
-		if gated && r.moved {
+		// The partner skips agent pi without a branch: pi−1−hi is
+		// negative, so its sign bit is set, exactly when hi ≥ pi.
+		pj := hi + (pi-1-hi)>>63
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		hi, lo = bits.Mul64(x, us)
+		if lo < us {
+			for !lemireKeeps(lo, us) {
+				x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, us)
+			}
+		}
+		pg := slots[hi]
+		// One branch for both roles: admitNo is the only odd entry.
+		if (adm[int(agents[pi])*nG+int(pg)][0]|adm[int(agents[pj])*nG+int(pg)][1])&admitNo == 0 {
+			i, j, g, hit = int(pi), int(pj), pg, true
 			break
 		}
 	}
-	rs[0], rs[1], rs[2], rs[3] = s0, s1, s2, s3
-	r.Interactions += done
-	return fired
+	r.RNG.s = [4]uint64{s0, s1, s2, s3}
+	return i, j, g, left, hit
 }
 
 // RunRounds advances the sequential scheduler by k parallel rounds
@@ -398,15 +392,6 @@ func (r *Runner) RunUntil(cond StopCondition, checkEvery, maxRounds float64) (ro
 		}
 		r.RunRounds(checkEvery)
 	}
-}
-
-// Snapshot renders tracker state for debugging.
-func (r *Runner) Snapshot() string {
-	s := fmt.Sprintf("t=%.1f rounds", r.Rounds())
-	for _, tr := range r.trackers {
-		s += fmt.Sprintf(" %s=%d", tr.Name, tr.count)
-	}
-	return s
 }
 
 // StepPair performs one scheduler activation on the chosen ordered pair

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"math"
+	"math/bits"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -201,5 +203,100 @@ func TestDenseHistogram(t *testing.T) {
 	inf := infected.Set(bitmask.State{}, true)
 	if h[inf] != 4 || h[bitmask.State{}] != 6 {
 		t.Errorf("histogram = %v", h)
+	}
+}
+
+// unstep inverts one xoshiro256++ state transition: advance(unstep(s), 1)
+// is s.
+func unstep(n [4]uint64) [4]uint64 {
+	u := bits.RotateLeft64(n[3], -45) // s3 ^ s1
+	s0 := n[0] ^ u
+	a := n[1] ^ s0 // s1 ^ s2
+	b := n[2] ^ s0 // s2 ^ s1<<17
+	c := a ^ b     // s1 ^ s1<<17
+	s1 := c ^ c<<17 ^ c<<34 ^ c<<51
+	return [4]uint64{s0, s1, a ^ s1, u ^ s1}
+}
+
+// advance returns s after k xoshiro steps.
+func advance(s [4]uint64, k int) [4]uint64 {
+	for ; k > 0; k-- {
+		_, s[0], s[1], s[2], s[3] = xoshiro(s[0], s[1], s[2], s[3])
+	}
+	return s
+}
+
+// TestStepRedrawsLikeIntn pins the step loop's Lemire redraws, which no
+// golden digest reaches: at n ≤ 10⁷ a step draw is redrawn with
+// probability below n/2⁶⁴. A state {0, a, b, 0} makes xoshiro256++ output
+// 0, which Intn(m) rejects whenever m is not a power of two; unstepping it
+// puts that 0 on the first, second or third draw of a Step. Step must
+// leave the population and the RNG exactly as Intn(n), Intn(n−1) with the
+// skip past i, then StepPair(i, j) leave a twin runner; at n = 2 the
+// partner draw Intn(1) is always 0, so the skip alone must pick the other
+// agent. Every pair fires in every one of the three groups and marks both
+// agents with its group, so the snapshot shows which agents and which
+// group were drawn.
+func TestStepRedrawsLikeIntn(t *testing.T) {
+	sp := bitmask.NewSpace()
+	marks := sp.Bools("X0", "Y0", "X1", "Y1", "X2", "Y2")
+	id := sp.Field("ID", 1023)
+	rs := rules.NewRuleset(sp)
+	for g := 0; g < 3; g++ {
+		rs.Add(bitmask.True(), bitmask.True(), bitmask.Is(marks[2*g]), bitmask.Is(marks[2*g+1]))
+	}
+	p := CompileProtocol(rs)
+	if p.NumSlots() != 3 {
+		t.Fatalf("slots = %d, want 3", p.NumSlots())
+	}
+	for _, n := range []int{2, 300, 301, 800} {
+		for draw := 0; draw < 3; draw++ {
+			zero := [4]uint64{0, 0x9e3779b97f4a7c15 + uint64(n), 0xbf58476d1ce4e5b9 ^ uint64(draw), 0}
+			if out, _, _, _, _ := xoshiro(zero[0], zero[1], zero[2], zero[3]); out != 0 {
+				t.Fatalf("output of %x = %d, want 0", zero, out)
+			}
+			start := zero
+			for k := 0; k < draw; k++ {
+				start = unstep(start)
+			}
+			if got := advance(start, draw); got != zero {
+				t.Fatalf("unstep does not invert xoshiro: %x, want %x", got, zero)
+			}
+			bound := []int{n, n - 1, 3}[draw]
+			outputs := 3
+			if bound&(bound-1) != 0 {
+				outputs++ // the zero draw is rejected and redrawn
+			}
+
+			init := func(k int) bitmask.State { return id.Set(bitmask.State{}, uint64(k)) }
+			r := NewRunner(p, NewDenseInit(n, init), &RNG{s: start})
+			if !r.Step() {
+				t.Fatalf("n=%d draw=%d: Step did not fire", n, draw)
+			}
+			twin := NewRunner(p, NewDenseInit(n, init), &RNG{s: start})
+			i := twin.RNG.Intn(n)
+			j := twin.RNG.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			twin.StepPair(i, j)
+
+			if r.RNG.s != twin.RNG.s {
+				t.Errorf("n=%d draw=%d: RNG state %x, twin %x", n, draw, r.RNG.s, twin.RNG.s)
+			}
+			if want := advance(start, outputs); r.RNG.s != want {
+				t.Errorf("n=%d draw=%d: Step consumed other than %d outputs", n, draw, outputs)
+			}
+			var got, want bytes.Buffer
+			if _, err := r.Pop.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.Pop.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("n=%d draw=%d: population differs from Intn, Intn, StepPair (i=%d, j=%d)", n, draw, i, j)
+			}
+		}
 	}
 }

@@ -20,8 +20,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The default benchmark set. scripts/check.sh reads this line and runs the
+# set once, so keep it a single-quoted assignment.
+default_pattern='BenchmarkBatchStep|BenchmarkBatchRunTracked|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample'
+
 ref="${1:-HEAD~1}"
-pattern="${2:-BenchmarkBatchStep|BenchmarkBatchRunTracked|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample}"
+pattern="${2:-$default_pattern}"
 count="${COUNT:-5}"
 benchtime="${BENCHTIME:-1s}"
 if [ "${QUICK:-0}" = "1" ]; then

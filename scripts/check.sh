@@ -40,9 +40,16 @@ echo "$cover" | awk '
     END { exit bad }
 ' || { echo "check: instrumented packages must keep ≥ 80% statement coverage" >&2; exit 1; }
 
-echo "== benchdiff harness smoke =="
+echo "== benchdiff harness smoke (benchdiff.sh's default benchmarks, one iteration each) =="
+# tier-1 `go test ./...` never runs benchmarks, so this is the only place a
+# kernel benchmark that panics or stops matching would show before benchdiff.
+pattern=$(sed -n "s/^default_pattern='\(.*\)'$/\1/p" scripts/benchdiff.sh)
+[ -n "$pattern" ] || { echo "check: scripts/benchdiff.sh has no default_pattern line" >&2; exit 1; }
 tmpb=$(mktemp)
-go test -run '^$' -bench 'BenchmarkAliasSample' -benchtime 100x ./internal/engine/ > "$tmpb"
+go test -run '^$' -bench "$pattern" -benchtime 1x -timeout 10m ./internal/engine/ > "$tmpb"
+for b in ${pattern//|/ }; do
+    grep -q "^$b" "$tmpb" || { echo "check: $b did not run" >&2; exit 1; }
+done
 go run ./cmd/benchdiff "$tmpb" "$tmpb" >/dev/null
 rm -f "$tmpb"
 
