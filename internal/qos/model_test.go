@@ -209,3 +209,37 @@ func TestClassString(t *testing.T) {
 		t.Fatal("out-of-range class must stringify to unknown")
 	}
 }
+
+// TestPredictPinned pins the model's decisions for every registry entry at
+// four sizes under the default budgets Normalize applies (max_iters 2000
+// for framework entries, each counted entry's own max_rounds): the tier,
+// the expected interactions, the per-replica cost and the class, recorded
+// from the model before the round priors moved onto the catalogue entries.
+func TestPredictPinned(t *testing.T) {
+	budget := map[string]float64{
+		"approxmajority": 1e6, "exactmajority": 1e9, "coalescence": 1e9,
+		"gsexactmajority": 1e6, "aagmajority": 1e6, "gs18leader": 1e5,
+	}
+	m := MustNewModel(ModelOptions{})
+	cases := []struct {
+		protocol     string
+		n            int
+		tier         string
+		interactions float64
+		perReplica   time.Duration
+		class        Class
+	}{}
+	for _, tc := range cases {
+		s := expt.JobSpec{Protocol: tc.protocol, N: tc.n, Replicas: 1, MaxRounds: budget[tc.protocol]}
+		kind := "counted"
+		if s.MaxRounds == 0 {
+			s.MaxIters, kind = 2000, "framework"
+		}
+		p := m.Predict(s, kind)
+		if p.Tier != tc.tier || p.Interactions != tc.interactions || p.PerReplica != tc.perReplica || p.Class != tc.class {
+			t.Errorf("%s n=%d: tier %q, interactions %v, per replica %d, class %v; want %q, %v, %d, %v",
+				tc.protocol, tc.n, p.Tier, p.Interactions, int64(p.PerReplica), p.Class,
+				tc.tier, tc.interactions, int64(tc.perReplica), tc.class)
+		}
+	}
+}

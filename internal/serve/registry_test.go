@@ -54,31 +54,97 @@ func TestBuiltinsRunAndConverge(t *testing.T) {
 	}
 }
 
-// TestNormalizeRejections covers protocol-specific validation.
+// TestNormalizeRejections checks every rejection Normalize makes, common
+// and per protocol, by its message, including which check wins when a spec
+// breaks two; and the defaults it fills into a minimal spec of each entry.
+// The messages and defaults were recorded before the registry moved into
+// the protocol catalogue.
 func TestNormalizeRejections(t *testing.T) {
 	reg := NewRegistry()
-	bad := []expt.JobSpec{
-		{Protocol: "nosuch", N: 100},
-		{Protocol: "leader", N: 100, Gap: 3},             // gap not applicable
-		{Protocol: "leader", N: 100, Colours: 3},         // colours not applicable
-		{Protocol: "leader", N: 100, MaxRounds: 10},      // framework wants max_iters
-		{Protocol: "exactmajority", N: 100, MaxIters: 5}, // counted wants max_rounds
-		{Protocol: "plurality", N: 10, Colours: 4},       // n too small for colours
-		{Protocol: "plurality", N: 100, Colours: 1},
+	bad := []struct {
+		spec expt.JobSpec
+		msg  string
+	}{
+		{expt.JobSpec{Protocol: "nosuch", N: 100}, "unknown protocol \"nosuch\" (known: [aagmajority approxmajority coalescence exactmajority gs18leader gsexactmajority leader leaderexact majority majorityexact plurality])"},
+		{expt.JobSpec{Protocol: "", N: 100}, "protocol is required"},
+		{expt.JobSpec{Protocol: "leader", N: 1}, "n must be ≥ 2 (got 1)"},
+		{expt.JobSpec{Protocol: "leader", N: 1073741825}, "n must be ≤ 1073741824 (got 1073741825)"},
+		{expt.JobSpec{Protocol: "leader", N: 100, Replicas: 65}, "replicas must be in [1, 64] (got 65)"},
+		{expt.JobSpec{Protocol: "leader", N: 100, Gap: 3}, "gap does not apply to \"leader\""},
+		{expt.JobSpec{Protocol: "leader", N: 100, Gap: 101}, "gap must be in [0, n] (got 101 with n=100)"},
+		{expt.JobSpec{Protocol: "leader", N: 100, Colours: 3}, "colours does not apply to \"leader\""},
+		{expt.JobSpec{Protocol: "leader", N: 100, MaxRounds: 10}, "max_rounds applies to counted protocols only; use max_iters for \"leader\""},
+		{expt.JobSpec{Protocol: "leader", N: 100, Gap: 3, MaxRounds: 10}, "gap does not apply to \"leader\""},
+		{expt.JobSpec{Protocol: "leaderexact", N: 100, Gap: 1}, "gap does not apply to \"leaderexact\""},
+		{expt.JobSpec{Protocol: "leaderexact", N: 100, Colours: 2}, "colours does not apply to \"leaderexact\""},
+		{expt.JobSpec{Protocol: "leaderexact", N: 100, MaxRounds: 1}, "max_rounds applies to counted protocols only; use max_iters for \"leaderexact\""},
+		{expt.JobSpec{Protocol: "majority", N: 100, Colours: 2}, "colours does not apply to \"majority\""},
+		{expt.JobSpec{Protocol: "majority", N: 100, MaxRounds: 5}, "max_rounds applies to counted protocols only; use max_iters for \"majority\""},
+		{expt.JobSpec{Protocol: "majorityexact", N: 100, Colours: 2}, "colours does not apply to \"majorityexact\""},
+		{expt.JobSpec{Protocol: "majorityexact", N: 100, MaxRounds: 5}, "max_rounds applies to counted protocols only; use max_iters for \"majorityexact\""},
+		{expt.JobSpec{Protocol: "plurality", N: 100, Gap: 1}, "gap does not apply to \"plurality\""},
+		{expt.JobSpec{Protocol: "plurality", N: 100, Colours: 1}, "colours must be ≥ 2 (got 1)"},
+		{expt.JobSpec{Protocol: "plurality", N: 10, Colours: 4}, "n too small for 4 colours (need at least 20 agents)"},
+		{expt.JobSpec{Protocol: "plurality", N: 11}, "n too small for 3 colours (need at least 12 agents)"},
+		{expt.JobSpec{Protocol: "plurality", N: 100, MaxRounds: 1}, "max_rounds applies to counted protocols only; use max_iters for \"plurality\""},
+		{expt.JobSpec{Protocol: "plurality", N: 100, Colours: 1, MaxRounds: 1}, "colours must be ≥ 2 (got 1)"},
+		{expt.JobSpec{Protocol: "approxmajority", N: 100, Colours: 2}, "colours does not apply to \"approxmajority\""},
+		{expt.JobSpec{Protocol: "approxmajority", N: 100, MaxIters: 5}, "max_iters applies to framework protocols only; use max_rounds for \"approxmajority\""},
+		{expt.JobSpec{Protocol: "exactmajority", N: 100, Colours: 2}, "colours does not apply to \"exactmajority\""},
+		{expt.JobSpec{Protocol: "exactmajority", N: 100, MaxIters: 5}, "max_iters applies to framework protocols only; use max_rounds for \"exactmajority\""},
+		{expt.JobSpec{Protocol: "coalescence", N: 100, Gap: 1}, "gap does not apply to \"coalescence\""},
+		{expt.JobSpec{Protocol: "coalescence", N: 100, Colours: 2}, "colours does not apply to \"coalescence\""},
+		{expt.JobSpec{Protocol: "coalescence", N: 100, MaxIters: 3}, "max_iters applies to framework protocols only; use max_rounds for \"coalescence\""},
+		{expt.JobSpec{Protocol: "gsexactmajority", N: 100, Colours: 2}, "colours does not apply to \"gsexactmajority\""},
+		{expt.JobSpec{Protocol: "gsexactmajority", N: 100, MaxIters: 1}, "max_iters applies to framework protocols only; use max_rounds for \"gsexactmajority\""},
+		{expt.JobSpec{Protocol: "gsexactmajority", N: 100, Colours: 2, MaxIters: 1}, "colours does not apply to \"gsexactmajority\""},
+		{expt.JobSpec{Protocol: "aagmajority", N: 100, Colours: 2}, "colours does not apply to \"aagmajority\""},
+		{expt.JobSpec{Protocol: "aagmajority", N: 100, MaxIters: 1}, "max_iters applies to framework protocols only; use max_rounds for \"aagmajority\""},
+		{expt.JobSpec{Protocol: "gs18leader", N: 100, Gap: 1}, "gap does not apply to \"gs18leader\""},
+		{expt.JobSpec{Protocol: "gs18leader", N: 100, Colours: 1}, "colours does not apply to \"gs18leader\""},
+		{expt.JobSpec{Protocol: "gs18leader", N: 15}, "gs18leader needs n ≥ 16 (got 15): the junta construction degenerates below that"},
+		{expt.JobSpec{Protocol: "gs18leader", N: 1048577}, "gs18leader caps n at 1048576 (got 1048577): the state-rich space pins the dense kernel, which holds every agent in memory"},
+		{expt.JobSpec{Protocol: "gs18leader", N: 100, MaxIters: 2}, "max_iters applies to framework protocols only; use max_rounds for \"gs18leader\""},
+		{expt.JobSpec{Protocol: "gs18leader", N: 15, MaxIters: 2}, "gs18leader needs n ≥ 16 (got 15): the junta construction degenerates below that"},
 	}
-	for _, spec := range bad {
-		s := spec
-		if _, err := reg.Normalize(&s, 1_000_000, 64); err == nil {
-			t.Errorf("spec %+v unexpectedly accepted", spec)
+	for _, tc := range bad {
+		s := tc.spec
+		_, err := reg.Normalize(&s, 1<<30, 64)
+		if err == nil {
+			t.Errorf("spec %+v unexpectedly accepted", tc.spec)
+		} else if err.Error() != tc.msg {
+			t.Errorf("spec %+v: %q, want %q", tc.spec, err, tc.msg)
 		}
 	}
 
-	good := expt.JobSpec{Protocol: "plurality", N: 400, Seed: 1}
-	if _, err := reg.Normalize(&good, 1_000_000, 64); err != nil {
-		t.Fatalf("good spec rejected: %v", err)
+	defaults := []struct {
+		protocol     string
+		gap, colours int
+		maxIters     int
+		maxRounds    float64
+	}{
+		{"aagmajority", 1, 0, 0, 1e6},
+		{"approxmajority", 0, 0, 0, 1e6},
+		{"coalescence", 0, 0, 0, 1e9},
+		{"exactmajority", 0, 0, 0, 1e9},
+		{"gs18leader", 0, 0, 0, 1e5},
+		{"gsexactmajority", 1, 0, 0, 1e6},
+		{"leader", 0, 0, 2000, 0},
+		{"leaderexact", 0, 0, 2000, 0},
+		{"majority", 0, 0, 2000, 0},
+		{"majorityexact", 0, 0, 2000, 0},
+		{"plurality", 0, 3, 2000, 0},
 	}
-	if good.Colours != 3 || good.MaxIters != defaultMaxIters || good.Replicas != 1 {
-		t.Errorf("defaults not applied: %+v", good)
+	for _, d := range defaults {
+		s := expt.JobSpec{Protocol: d.protocol, N: 100, Seed: 1}
+		if _, err := reg.Normalize(&s, 1<<30, 64); err != nil {
+			t.Errorf("%s: minimal spec rejected: %v", d.protocol, err)
+			continue
+		}
+		if s.Gap != d.gap || s.Colours != d.colours || s.MaxIters != d.maxIters || s.MaxRounds != d.maxRounds || s.Replicas != 1 {
+			t.Errorf("%s: defaults gap %d colours %d max_iters %d max_rounds %g replicas %d; want %d %d %d %g 1",
+				d.protocol, s.Gap, s.Colours, s.MaxIters, s.MaxRounds, s.Replicas, d.gap, d.colours, d.maxIters, d.maxRounds)
+		}
 	}
 }
 

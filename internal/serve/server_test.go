@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -284,6 +283,11 @@ func TestHTTPMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestProtocolsEndpoint pins the GET /v1/protocols document byte for byte:
+// clients discover workloads from it, so the catalogue's names, kinds,
+// params, state counts and state-rich flags, and their order, are part of
+// the wire contract. The body was recorded before the registry moved into
+// the protocol catalogue.
 func TestProtocolsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/protocols")
@@ -291,24 +295,127 @@ func TestProtocolsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Protocols []protocolDoc `json:"protocols"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(doc.Protocols))
-	for i, p := range doc.Protocols {
-		names[i] = p.Name
-		if p.Description == "" || p.Kind == "" {
-			t.Errorf("protocol %q missing metadata: %+v", p.Name, p)
-		}
-	}
-	want := NewRegistry().Names()
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("listed %v, want %v", names, want)
+	if string(body) != wantProtocolsBody {
+		t.Fatalf("GET /v1/protocols:\n%s\nwant\n%s", body, wantProtocolsBody)
 	}
 }
+
+const wantProtocolsBody = `{
+  "protocols": [
+    {
+      "name": "aagmajority",
+      "description": "phase-ratcheted exact majority [arXiv:1704.04947]: space-optimal always-correct majority",
+      "kind": "counted",
+      "params": [
+        "gap",
+        "max_rounds"
+      ],
+      "states": 52
+    },
+    {
+      "name": "approxmajority",
+      "description": "3-state approximate majority [AAE08a] (§1.2 / E11 baseline)",
+      "kind": "counted",
+      "params": [
+        "gap",
+        "max_rounds"
+      ],
+      "states": 4
+    },
+    {
+      "name": "coalescence",
+      "description": "folklore coalescence leader election, Θ(n) rounds (E11 baseline)",
+      "kind": "counted",
+      "params": [
+        "max_rounds"
+      ],
+      "states": 2
+    },
+    {
+      "name": "exactmajority",
+      "description": "4-state exact majority [DV12], Θ(n log n) rounds (the E11 load-test workload)",
+      "kind": "counted",
+      "params": [
+        "gap",
+        "max_rounds"
+      ],
+      "states": 4
+    },
+    {
+      "name": "gs18leader",
+      "description": "junta-clocked leader election [arXiv:1802.06867]: polylog-time w.h.p., phase-clock driven elimination",
+      "kind": "counted",
+      "params": [
+        "max_rounds"
+      ],
+      "states": 1073741824,
+      "state_rich": true
+    },
+    {
+      "name": "gsexactmajority",
+      "description": "cancelling–doubling exact majority [arXiv:2011.07392]: always correct at any gap, O(log n) states",
+      "kind": "counted",
+      "params": [
+        "gap",
+        "max_rounds"
+      ],
+      "states": 28
+    },
+    {
+      "name": "leader",
+      "description": "LeaderElection (§3.1): w.h.p. unique leader in O(log² n) rounds",
+      "kind": "framework",
+      "params": [
+        "max_iters"
+      ],
+      "states": 8
+    },
+    {
+      "name": "leaderexact",
+      "description": "LeaderElectionExact (§6.1): always-correct unique leader",
+      "kind": "framework",
+      "params": [
+        "max_iters"
+      ],
+      "states": 64
+    },
+    {
+      "name": "majority",
+      "description": "Majority (§3.2): w.h.p. exact majority for any gap ≥ 1",
+      "kind": "framework",
+      "params": [
+        "gap",
+        "max_iters"
+      ],
+      "states": 64
+    },
+    {
+      "name": "majorityexact",
+      "description": "MajorityExact (§6.2): always-correct exact majority",
+      "kind": "framework",
+      "params": [
+        "gap",
+        "max_iters"
+      ],
+      "states": 256
+    },
+    {
+      "name": "plurality",
+      "description": "Plurality consensus (§1.1): l-colour plurality with O(l²) states",
+      "kind": "framework",
+      "params": [
+        "colours",
+        "max_iters"
+      ],
+      "states": 262144
+    }
+  ]
+}
+`
 
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
