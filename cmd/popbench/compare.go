@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
-	"popkit/internal/serve"
 	"popkit/internal/stats"
 )
 
@@ -110,7 +110,7 @@ func compareCorrect(protocol string, n int, rec expt.ReplicaRecord) bool {
 
 // runCompare is the -compare entry point.
 func runCompare(out string, quick bool, workers int, baseSeed uint64) int {
-	reg := serve.NewRegistry()
+	reg := catalog.NewRegistry()
 	cells, ns, seeds := compareGrid(quick)
 	sec := compareSection{Quick: quick, Seeds: seeds, Grid: ns}
 	table := stats.NewTable("Related-work head-to-head (gap 1 for majority)",
@@ -134,7 +134,7 @@ func runCompare(out string, quick bool, workers int, baseSeed uint64) int {
 		}
 		var recs []expt.ReplicaRecord
 		start := time.Now()
-		err = p.Run(context.Background(), spec, serve.RunOptions{Workers: workers},
+		err = p.Run(context.Background(), spec, catalog.RunOptions{Workers: workers},
 			func(rec expt.ReplicaRecord) { recs = append(recs, rec) })
 		wall := time.Since(start)
 		if err != nil {

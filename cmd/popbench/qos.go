@@ -10,10 +10,10 @@ import (
 	"sync"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 	"popkit/internal/fleet"
 	"popkit/internal/qos"
-	"popkit/internal/serve"
 )
 
 // The -qos mode calibrates the admission-control cost model: it runs one
@@ -96,7 +96,7 @@ func runQoS(out string, quick bool, workers int, gridPath string) int {
 		fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
 		return 1
 	}
-	reg := serve.NewRegistry()
+	reg := catalog.NewRegistry()
 	specs, skipped := qosWorkloads(quick)
 	sec := qosSection{Quick: quick, Skipped: skipped}
 
@@ -107,7 +107,7 @@ func runQoS(out string, quick bool, workers int, gridPath string) int {
 	// still shows where the feedback loop converged.
 	type pricedWorkload struct {
 		spec expt.JobSpec
-		p    *serve.Protocol
+		p    *catalog.Protocol
 		pred qos.Prediction
 	}
 	priced := make([]pricedWorkload, 0, len(specs))
@@ -139,7 +139,7 @@ func runQoS(out string, quick bool, workers int, gridPath string) int {
 			mu.Unlock()
 		}
 		start := time.Now()
-		err = p.Run(context.Background(), spec, serve.RunOptions{Workers: workers, Observe: observe},
+		err = p.Run(context.Background(), spec, catalog.RunOptions{Workers: workers, Observe: observe},
 			func(expt.ReplicaRecord) {})
 		wall := time.Since(start)
 		if err != nil {

@@ -21,7 +21,7 @@
 // With -json the run summary is emitted as a single JSON object on stdout
 // for scripting; diagnostics stay on stderr.
 //
-// With -ndjson the run goes through the serving registry — the exact code
+// With -ndjson the run goes through the protocol catalogue — the exact code
 // popserved executes — and one NDJSON record per replica is streamed to
 // stdout in replica order. The stream is byte-identical to a POST
 // /v1/simulate response for the same (protocol, n, seed, replicas,
@@ -47,30 +47,24 @@ import (
 
 	popkit "popkit"
 	"popkit/internal/bitmask"
+	"popkit/internal/catalog"
 	"popkit/internal/client"
 	"popkit/internal/clock"
 	"popkit/internal/expt"
 	"popkit/internal/fault"
-	"popkit/internal/frame"
 	"popkit/internal/obs"
-	"popkit/internal/serve"
 )
-
-var knownProtocols = map[string]bool{
-	"leader": true, "leaderexact": true, "majority": true,
-	"majorityexact": true, "plurality": true,
-}
 
 // summary is the -json output document, shared by both execution paths.
 type summary struct {
-	Protocol   string         `json:"protocol"`
-	N          int            `json:"n"`
-	Seed       uint64         `json:"seed"`
-	Compiled   bool           `json:"compiled"`
-	Iterations int            `json:"iterations,omitempty"`
-	Rounds     float64        `json:"rounds"`
-	Converged  bool           `json:"converged"`
-	Counts     map[string]int `json:"counts,omitempty"`
+	Protocol   string           `json:"protocol"`
+	N          int              `json:"n"`
+	Seed       uint64           `json:"seed"`
+	Compiled   bool             `json:"compiled"`
+	Iterations int              `json:"iterations,omitempty"`
+	Rounds     float64          `json:"rounds"`
+	Converged  bool             `json:"converged"`
+	Counts     map[string]int64 `json:"counts,omitempty"`
 }
 
 func fail(format string, args ...any) {
@@ -127,6 +121,39 @@ func main() {
 		os.Exit(runSweep(ctx, *sweepJSON, *server, *tenant, *retries))
 	}
 
+	if trace != nil {
+		// Replica bodies attach the context-carried trace to their executor
+		// or driver; tallies happen after every RNG draw, so the output is
+		// byte-identical with or without it.
+		ctx = obs.WithTrace(ctx, trace)
+	}
+	reg := catalog.NewRegistry()
+	p, known := reg.Lookup(*proto)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	spec := expt.JobSpec{
+		Protocol:  *proto,
+		N:         *n,
+		Seed:      *seed,
+		Replicas:  *replicas,
+		MaxRounds: *maxRounds,
+	}
+	// Flags with non-zero defaults are forwarded only where the protocol
+	// takes them, or, with -ndjson, where the user set them explicitly, so
+	// the registry can report the mismatch.
+	forward := func(param, name string) bool {
+		return known && p.Takes(param) || *ndjson && set[name]
+	}
+	if forward("gap", "gap") {
+		spec.Gap = *gap
+	}
+	if forward("colours", "colours") {
+		spec.Colours = *colours
+	}
+	if forward("max_iters", "max-iters") {
+		spec.MaxIters = *maxIters
+	}
+
 	if *ndjson {
 		if *jsonOut {
 			fail("-json and -ndjson are mutually exclusive")
@@ -140,33 +167,6 @@ func main() {
 		if *workers < 1 {
 			fail("-workers must be ≥ 1 (got %d)", *workers)
 		}
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		spec := expt.JobSpec{
-			Protocol:  *proto,
-			N:         *n,
-			Seed:      *seed,
-			Replicas:  *replicas,
-			MaxRounds: *maxRounds,
-		}
-		// Flags with non-zero defaults are forwarded only where the
-		// protocol accepts them (or the user explicitly set them, so the
-		// registry can report the mismatch).
-		switch *proto {
-		case "majority", "majorityexact", "approxmajority", "exactmajority",
-			"gsexactmajority", "aagmajority":
-			spec.Gap = *gap
-		default:
-			if set["gap"] {
-				spec.Gap = *gap
-			}
-		}
-		if *proto == "plurality" || set["colours"] {
-			spec.Colours = *colours
-		}
-		if knownProtocols[*proto] || set["max-iters"] {
-			spec.MaxIters = *maxIters
-		}
 		if *retries < 0 {
 			fail("-retries must be ≥ 0 (got %d)", *retries)
 		}
@@ -177,13 +177,7 @@ func main() {
 		if *jobID != "" {
 			fail("-job-id needs -server (journals live on the popserved side)")
 		}
-		if trace != nil {
-			// The registry attaches the context-carried trace to each
-			// replica's executor; tallies happen after every RNG draw, so
-			// the record stream is byte-identical with or without it.
-			ctx = obs.WithTrace(ctx, trace)
-		}
-		code := runNDJSON(ctx, spec, *workers, *retries)
+		code := runNDJSON(ctx, reg, spec, *workers, *retries)
 		flushTrace()
 		os.Exit(code)
 	}
@@ -195,8 +189,14 @@ func main() {
 	}
 
 	// Validate every flag combination up front, before any work starts.
-	if !knownProtocols[*proto] {
-		fail("unknown protocol %q (want leader | leaderexact | majority | majorityexact | plurality)", *proto)
+	if !known || p.Kind != "framework" {
+		var names []string
+		for _, q := range reg.List() {
+			if q.Kind == "framework" {
+				names = append(names, q.Name)
+			}
+		}
+		fail("unknown protocol %q (want %s)", *proto, strings.Join(names, " | "))
 	}
 	if *compiled && *proto != "leader" {
 		fail("-compiled supports only -p leader (got %q); the other protocols compile but are too slow to demonstrate here", *proto)
@@ -207,12 +207,10 @@ func main() {
 	if *maxIters < 1 {
 		fail("-max-iters must be ≥ 1 (got %d)", *maxIters)
 	}
-	switch *proto {
-	case "majority", "majorityexact":
-		if *gap < 0 || *gap > *n {
-			fail("-gap must be in [0, n] (got %d with n=%d)", *gap, *n)
-		}
-	case "plurality":
+	if p.Takes("gap") && (*gap < 0 || *gap > *n) {
+		fail("-gap must be in [0, n] (got %d with n=%d)", *gap, *n)
+	}
+	if p.Takes("colours") {
 		if *colours < 2 {
 			fail("-colours must be ≥ 2 (got %d)", *colours)
 		}
@@ -226,37 +224,14 @@ func main() {
 		return
 	}
 
-	var prog *popkit.Program
-	switch *proto {
-	case "leader":
-		prog = popkit.LeaderElection()
-	case "leaderexact":
-		prog = popkit.LeaderElectionExact()
-	case "majority":
-		prog = popkit.Majority(2)
-	case "majorityexact":
-		prog = popkit.MajorityExact(2)
-	case "plurality":
-		prog = popkit.Plurality(*colours, 2)
-	}
-
-	run, err := popkit.NewRun(prog, *n, *seed)
-	if err != nil {
+	// The summary is one replica of the catalogue entry, seeded with -seed
+	// itself. SIGINT/SIGTERM break out of the run; the summary computed so
+	// far is still emitted before exiting 130.
+	rec, err := p.Replica(ctx, spec, 0, *seed)
+	interrupted := ctx.Err() != nil
+	if err != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "popsim:", err)
 		os.Exit(1)
-	}
-	setupInputs(run, *proto, *n, *gap, *colours)
-	run.Trace = trace
-
-	done := convergence(*proto, *n, *colours)
-	iters, ok := run.RunUntil(func(e *frame.Executor) bool {
-		// SIGINT/SIGTERM break out of the run; the summary computed so far
-		// is still emitted before exiting 130.
-		return ctx.Err() != nil || done(e)
-	}, *maxIters)
-	interrupted := ctx.Err() != nil
-	if interrupted {
-		ok = false
 	}
 	flushTrace()
 	if *jsonOut {
@@ -264,32 +239,28 @@ func main() {
 			Protocol:   *proto,
 			N:          *n,
 			Seed:       *seed,
-			Iterations: iters,
-			Rounds:     run.Rounds,
-			Converged:  ok,
-			Counts:     counts(run, *proto, *colours),
+			Iterations: rec.Iterations,
+			Rounds:     rec.Rounds,
+			Converged:  rec.Converged,
+			Counts:     rec.Counts,
 		})
 	} else {
-		fmt.Printf("protocol=%s n=%d seed=%d\n", prog.Name, *n, *seed)
-		fmt.Printf("iterations=%d rounds=%.0f (%.1f × ln²n) converged=%v\n",
-			iters, run.Rounds, run.Rounds/math.Pow(math.Log(float64(*n)), 2), ok)
-		report(run, *proto, *colours)
+		fmt.Print(catalog.Summary(spec, rec))
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "popsim: interrupted; partial summary flushed")
 		os.Exit(130)
 	}
-	if !ok {
+	if !rec.Converged {
 		os.Exit(1)
 	}
 }
 
-// runNDJSON executes the spec through the serving registry — the exact code
+// runNDJSON executes the spec through the protocol catalogue — the exact code
 // popserved runs — streaming one NDJSON record per replica to stdout in
 // replica order. Cancelling ctx (SIGINT/SIGTERM) aborts outstanding
 // replicas, flushes what completed, and returns 130.
-func runNDJSON(ctx context.Context, spec expt.JobSpec, workers, retries int) int {
-	reg := serve.NewRegistry()
+func runNDJSON(ctx context.Context, reg *catalog.Registry, spec expt.JobSpec, workers, retries int) int {
 	p, err := reg.Normalize(&spec, math.MaxInt, 1<<20)
 	if err != nil {
 		fail("%v", err)
@@ -297,7 +268,7 @@ func runNDJSON(ctx context.Context, spec expt.JobSpec, workers, retries int) int
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	unconverged := 0
-	runErr := p.Run(ctx, spec, serve.RunOptions{Workers: workers, MaxRetries: retries}, func(rec expt.ReplicaRecord) {
+	runErr := p.Run(ctx, spec, catalog.RunOptions{Workers: workers, MaxRetries: retries}, func(rec expt.ReplicaRecord) {
 		if rec.Err == "" && !rec.Converged {
 			unconverged++
 		}
@@ -436,112 +407,6 @@ func emit(s summary) {
 	}
 }
 
-// counts gathers the protocol's headline variable counts for -json.
-func counts(run *popkit.Run, proto string, colours int) map[string]int {
-	out := map[string]int{}
-	switch proto {
-	case "leader", "leaderexact":
-		out["L"] = run.CountVar("L")
-	case "majority", "majorityexact":
-		out["YA"] = run.CountVar("YA")
-	case "plurality":
-		for c := 1; c <= colours; c++ {
-			key := fmt.Sprintf("W%d", c)
-			out[key] = run.CountVar(key)
-		}
-	}
-	return out
-}
-
-func setupInputs(run *popkit.Run, proto string, n, gap, colours int) {
-	switch proto {
-	case "majority", "majorityexact":
-		a, _ := run.Space.LookupVar("A")
-		b, _ := run.Space.LookupVar("B")
-		nB := (n - gap) / 2
-		nA := nB + gap
-		run.SetInput(func(i int, s bitmask.State) bitmask.State {
-			switch {
-			case i < nA:
-				s = a.Set(s, true)
-			case i < nA+nB:
-				s = b.Set(s, true)
-			default:
-				return s
-			}
-			if proto == "majorityexact" {
-				at, _ := run.Space.LookupVar("At")
-				bt, _ := run.Space.LookupVar("Bt")
-				if i < nA {
-					s = at.Set(s, true)
-				} else {
-					s = bt.Set(s, true)
-				}
-			}
-			return s
-		})
-	case "plurality":
-		vars := make([]bitmask.Var, colours)
-		for i := range vars {
-			vars[i], _ = run.Space.LookupVar(fmt.Sprintf("C%d", i+1))
-		}
-		sizes := make([]int, colours)
-		base := n / (colours + 1)
-		rem := n
-		for i := range sizes {
-			sizes[i] = base - i
-			rem -= sizes[i]
-		}
-		sizes[0] += rem
-		run.SetInput(func(i int, s bitmask.State) bitmask.State {
-			acc := 0
-			for c := 0; c < colours; c++ {
-				acc += sizes[c]
-				if i < acc {
-					return vars[c].Set(s, true)
-				}
-			}
-			return s
-		})
-	}
-}
-
-func convergence(proto string, n, colours int) func(*frame.Executor) bool {
-	switch proto {
-	case "leader":
-		return func(e *frame.Executor) bool { return e.CountVar("L") == 1 }
-	case "leaderexact":
-		return func(e *frame.Executor) bool { return e.CountVar("L") == 1 && e.CountVar("R") == 1 }
-	case "majority":
-		return func(e *frame.Executor) bool {
-			y := e.CountVar("YA")
-			return (y == 0 || y == n) && e.Iterations >= 3
-		}
-	case "majorityexact":
-		return func(e *frame.Executor) bool {
-			return (e.CountVar("At") == 0 || e.CountVar("Bt") == 0) && e.Iterations >= 3
-		}
-	default: // plurality
-		return func(e *frame.Executor) bool {
-			return e.CountVar("W1") == n
-		}
-	}
-}
-
-func report(run *popkit.Run, proto string, colours int) {
-	switch proto {
-	case "leader", "leaderexact":
-		fmt.Printf("leaders=%d\n", run.CountVar("L"))
-	case "majority", "majorityexact":
-		fmt.Printf("YA=%d (on means A is the majority)\n", run.CountVar("YA"))
-	case "plurality":
-		for c := 1; c <= colours; c++ {
-			fmt.Printf("W%d=%d ", c, run.CountVar(fmt.Sprintf("W%d", c)))
-		}
-		fmt.Println()
-	}
-}
-
 func runCompiled(ctx context.Context, proto string, n int, seed uint64, jsonOut bool, trace *obs.Trace, flushTrace func()) {
 	c, err := popkit.CompileProgram(popkit.LeaderElection(), popkit.CompileOptions{Control: popkit.XPreReduced})
 	if err != nil {
@@ -608,7 +473,7 @@ func runCompiled(ctx context.Context, proto string, n int, seed uint64, jsonOut 
 			Compiled:  true,
 			Rounds:    rounds,
 			Converged: ok,
-			Counts:    map[string]int{"L": int(tr.Count())},
+			Counts:    map[string]int64{"L": tr.Count()},
 		})
 	} else {
 		fmt.Printf("compiled run: leaders=%d rounds=%.0f converged=%v\n", tr.Count(), rounds, ok)

@@ -38,15 +38,16 @@ import (
 	"sync"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/serve"
 )
 
 // Config sizes the coordinator.
 type Config struct {
 	// Registry validates and normalizes job specs; nil means
-	// serve.NewRegistry(). It must match the workers' registry, since the
+	// catalog.NewRegistry(). It must match the workers' registry, since the
 	// workers re-normalize the shard specs they receive.
-	Registry *serve.Registry
+	Registry *catalog.Registry
 	// Workers is the initial set of popserved base URLs. More can be
 	// registered at runtime via POST /v1/workers.
 	Workers []string

@@ -11,11 +11,12 @@
 //     ns-per-interaction per (runner tier, n) on the E11 exact-majority
 //     workload, with a baked-in copy of the committed grid so the model
 //     works without the file;
-//   - the paper's expected-interaction bounds per protocol — e.g. the DV12
-//     4-state exact-majority baseline converges in Θ(n·log n) rounds
-//     (Θ(n²·log n) interactions), coalescence in Θ(n) rounds, approximate
-//     majority in O(log n) rounds — clamped by the spec's max_rounds or
-//     max_iters budget;
+//   - the paper's expected-round bounds, which each counted entry of the
+//     protocol catalogue carries as its prior — e.g. the DV12 4-state
+//     exact-majority baseline converges in Θ(n·log n) rounds (Θ(n²·log n)
+//     interactions), coalescence in Θ(n) rounds, approximate majority in
+//     O(log n) rounds — clamped by the spec's max_rounds or max_iters
+//     budget;
 //   - the engine's three-tier runner selection (expt.SelectRunnerForSize),
 //     so a job is priced on the kernel that will actually run it.
 //
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 )
 
@@ -227,9 +229,10 @@ func (m *Model) Predict(spec expt.JobSpec, kind string) Prediction {
 	var tier string
 	var inter float64
 	if kind == "framework" {
-		// Framework programs always run dense (ordered rule groups). The
-		// iteration count is O(log² n) for the paper's programs; each
-		// iteration's phase clocks cost Θ(n·log n) activations.
+		// Framework jobs run dense because frame.Executor holds an
+		// *engine.Dense. The iteration count is O(log² n) for the paper's
+		// programs; each iteration's phase clocks cost Θ(n·log n)
+		// activations.
 		tier = expt.RunnerDense.String()
 		iters := 3 * math.Log2(n)
 		if spec.MaxIters > 0 && float64(spec.MaxIters) < iters {
@@ -241,13 +244,21 @@ func (m *Model) Predict(spec expt.JobSpec, kind string) Prediction {
 		inter = iters * n * (math.Log(n) + 1)
 	} else {
 		tier = expt.SelectRunnerForSize(int64(spec.N)).String()
-		if stateRichProtocols[spec.Protocol] {
-			// Mirrors the registry's RunnerHints: state-rich protocols pin
-			// the dense kernel at every n, so predicting a counted tier
-			// would charge them the wrong per-interaction cost.
-			tier = expt.RunnerDense.String()
+		// A counted protocol the catalogue does not know is assumed to take
+		// linear rounds, the middle of the observed range; the EWMA absorbs
+		// the constant.
+		rounds := n
+		if p, ok := catalog.Lookup(spec.Protocol); ok {
+			if p.Hints.StateRich {
+				// State-rich entries pin the dense kernel at every n, so
+				// predicting a counted tier would charge them the wrong
+				// per-interaction cost.
+				tier = expt.RunnerDense.String()
+			}
+			if p.ExpectedRounds != nil {
+				rounds = p.ExpectedRounds(n)
+			}
 		}
-		rounds := expectedRounds(spec.Protocol, n)
 		if spec.MaxRounds > 0 && spec.MaxRounds < rounds {
 			rounds = spec.MaxRounds
 		}
@@ -287,41 +298,6 @@ func (m *Model) Predict(spec expt.JobSpec, kind string) Prediction {
 		p.Class = ClassBatch
 	}
 	return p
-}
-
-// stateRichProtocols names the counted registry entries whose drivers pin
-// the dense kernel (serve's RunnerHints.StateRich) regardless of n.
-var stateRichProtocols = map[string]bool{
-	"gs18leader": true,
-}
-
-// expectedRounds is the paper-side half of the prediction: expected parallel
-// time (rounds) to convergence per counted protocol.
-func expectedRounds(protocol string, n float64) float64 {
-	ln := math.Log(n)
-	switch protocol {
-	case "approxmajority":
-		// AAE08a: O(log n) rounds w.h.p.
-		return 8 * ln
-	case "exactmajority":
-		// DV12 4-state exact majority: Θ(n·log n) rounds at gap 1.
-		return n * ln
-	case "coalescence":
-		// Folklore coalescence: Θ(n) rounds (the last pair dominates).
-		return 2 * n
-	case "gsexactmajority", "aagmajority":
-		// Cancelling–doubling majorities: polylog rounds at any gap
-		// (measured ≈ 430/340 rounds at n=512, gap 1 — ~10·ln² n).
-		return 10 * ln * ln
-	case "gs18leader":
-		// GS18 junta-clocked election: polylog, near-flat in n (measured
-		// means 2.7k–3.8k rounds across n = 512…8192 — ~70·ln² n).
-		return 70 * ln * ln
-	default:
-		// Unknown counted protocol: assume linear rounds, the middle of the
-		// observed range; the EWMA absorbs the constant.
-		return n
-	}
 }
 
 // nsPerInteraction interpolates the grid log-log in n within a tier,

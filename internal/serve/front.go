@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 	"popkit/internal/fault"
 	"popkit/internal/obs"
@@ -65,7 +66,7 @@ type Executor interface {
 // Job is one admitted job as the front hands it to its Executor.
 type Job struct {
 	Spec  expt.JobSpec
-	Proto *Protocol
+	Proto *catalog.Protocol
 	// Ctx ends with the client's request or the job's derived deadline,
 	// whichever comes first; the executor aborts the job when it is done.
 	Ctx    context.Context
@@ -218,7 +219,7 @@ func (c *Config) fillFront() error {
 		}
 	}
 	if c.Registry == nil {
-		c.Registry = NewRegistry()
+		c.Registry = catalog.NewRegistry()
 	}
 	if c.MinJobTimeout == 0 {
 		c.MinJobTimeout = 10 * time.Second

@@ -51,7 +51,7 @@ func tickRegistry(t *testing.T, g *bodyGauge, hold time.Duration, started chan<-
 	err := reg.Register(&Protocol{
 		Name: "tick",
 		Kind: "test",
-		run: func(ctx context.Context, spec expt.JobSpec, replica int) (expt.ReplicaRecord, error) {
+		Replica: func(ctx context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
 			g.enter()
 			defer g.exit()
 			if started != nil {
@@ -65,7 +65,7 @@ func tickRegistry(t *testing.T, g *bodyGauge, hold time.Duration, started chan<-
 			}
 			return expt.ReplicaRecord{
 				Replica: replica, Protocol: spec.Protocol, N: spec.N,
-				Seed: expt.ReplicaSeed(spec.Seed, replica), Converged: true,
+				Seed: seed, Converged: true,
 			}, nil
 		},
 	})

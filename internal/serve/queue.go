@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 	"popkit/internal/fleet"
 	"popkit/internal/qos"
@@ -334,7 +335,7 @@ func (p *pool) runJob(j *queuedJob) {
 	// through the helper.
 	var fstats fleet.Stats
 	var lent *lendable
-	opts := RunOptions{
+	opts := catalog.RunOptions{
 		Workers:    1,
 		MaxRetries: p.maxRetries,
 		Start:      j.Start,

@@ -194,7 +194,8 @@ func TestCancelledRunAborts(t *testing.T) {
 // TestRegisterDuplicate rejects name collisions.
 func TestRegisterDuplicate(t *testing.T) {
 	reg := NewRegistry()
-	err := reg.Register(&Protocol{Name: "leader", run: runFramework})
+	p, _ := reg.Lookup("leader")
+	err := reg.Register(p)
 	if err == nil {
 		t.Fatal("duplicate registration accepted")
 	}

@@ -9,14 +9,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 	"popkit/internal/qos"
 )
 
 // Config sizes the service.
 type Config struct {
-	// Registry names the runnable protocols; nil means NewRegistry().
-	Registry *Registry
+	// Registry names the runnable protocols; nil means catalog.NewRegistry().
+	Registry *catalog.Registry
 	// QueueDepth bounds the number of accepted-but-not-started jobs; a
 	// full queue rejects with 429. Default 64.
 	QueueDepth int

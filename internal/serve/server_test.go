@@ -113,7 +113,7 @@ func blockingRegistry(t *testing.T, started chan struct{}, release chan struct{}
 	err := reg.Register(&Protocol{
 		Name: "block",
 		Kind: "test",
-		run: func(ctx context.Context, spec expt.JobSpec, replica int) (expt.ReplicaRecord, error) {
+		Replica: func(ctx context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -122,7 +122,7 @@ func blockingRegistry(t *testing.T, started chan struct{}, release chan struct{}
 			case <-release:
 				return expt.ReplicaRecord{
 					Replica: replica, Protocol: spec.Protocol, N: spec.N,
-					Seed: expt.ReplicaSeed(spec.Seed, replica), Converged: true,
+					Seed: seed, Converged: true,
 				}, nil
 			case <-ctx.Done():
 				return expt.ReplicaRecord{}, ctx.Err()
