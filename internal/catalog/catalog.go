@@ -62,8 +62,9 @@ type Protocol struct {
 	// check applies the entry's own defaults and validation, after the
 	// checks Normalize derives from Params for every entry.
 	check func(spec *expt.JobSpec) error
-	// maxRounds is the default max_rounds of an entry that takes one.
-	maxRounds float64
+	// defaultMaxRounds is the max_rounds of an entry that takes one when
+	// the spec leaves it zero.
+	defaultMaxRounds float64
 	// counted is a counted entry's per-entry data; Replica runs it.
 	counted *counted
 }
@@ -98,7 +99,7 @@ func (p *Protocol) normalize(spec *expt.JobSpec) error {
 	}
 	if p.Takes("max_rounds") {
 		if spec.MaxRounds == 0 {
-			spec.MaxRounds = p.maxRounds
+			spec.MaxRounds = p.defaultMaxRounds
 		}
 	} else if spec.MaxRounds != 0 {
 		return fmt.Errorf("max_rounds applies to counted protocols only; use max_iters for %q", spec.Protocol)

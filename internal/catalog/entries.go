@@ -387,8 +387,8 @@ func builtins() []*Protocol {
 			Params:      []string{"gap", "max_rounds"},
 			States:      func(int) uint64 { return baseline.NewApproxMajority().Rules().Space.NumStates() },
 			// AAE08a: O(log n) rounds w.h.p.
-			ExpectedRounds: func(n float64) float64 { return 8 * math.Log(n) },
-			maxRounds:      1e6,
+			ExpectedRounds:   func(n float64) float64 { return 8 * math.Log(n) },
+			defaultMaxRounds: 1e6,
 			counted: &counted{
 				build: func(spec expt.JobSpec, _ *engine.RNG) (*rules.Ruleset, map[bitmask.State]int64, []tracked) {
 					am := baseline.NewApproxMajority()
@@ -408,8 +408,8 @@ func builtins() []*Protocol {
 			Params:      []string{"gap", "max_rounds"},
 			States:      func(int) uint64 { return baseline.NewExactMajority4().Rules().Space.NumStates() },
 			// DV12 4-state exact majority: Θ(n·log n) rounds at gap 1.
-			ExpectedRounds: func(n float64) float64 { return n * math.Log(n) },
-			maxRounds:      1e9,
+			ExpectedRounds:   func(n float64) float64 { return n * math.Log(n) },
+			defaultMaxRounds: 1e9,
 			counted: &counted{
 				build: func(spec expt.JobSpec, _ *engine.RNG) (*rules.Ruleset, map[bitmask.State]int64, []tracked) {
 					em := baseline.NewExactMajority4()
@@ -432,8 +432,8 @@ func builtins() []*Protocol {
 			Params:      []string{"max_rounds"},
 			States:      func(int) uint64 { return baseline.NewCoalescenceLeader().Rules().Space.NumStates() },
 			// Folklore coalescence: Θ(n) rounds (the last pair dominates).
-			ExpectedRounds: func(n float64) float64 { return 2 * n },
-			maxRounds:      1e9,
+			ExpectedRounds:   func(n float64) float64 { return 2 * n },
+			defaultMaxRounds: 1e9,
 			counted: &counted{
 				build: func(spec expt.JobSpec, _ *engine.RNG) (*rules.Ruleset, map[bitmask.State]int64, []tracked) {
 					cl := baseline.NewCoalescenceLeader()
@@ -445,14 +445,14 @@ func builtins() []*Protocol {
 			},
 		},
 		{
-			Name:           "gsexactmajority",
-			Description:    "cancelling–doubling exact majority [arXiv:2011.07392]: always correct at any gap, O(log n) states",
-			Kind:           "counted",
-			Params:         []string{"gap", "max_rounds"},
-			States:         func(n int) uint64 { return uint64(protocols.NewCDMajority(n).States()) },
-			ExpectedRounds: tokenMajorityRounds,
-			maxRounds:      1e6,
-			check:          defaultGapOne,
+			Name:             "gsexactmajority",
+			Description:      "cancelling–doubling exact majority [arXiv:2011.07392]: always correct at any gap, O(log n) states",
+			Kind:             "counted",
+			Params:           []string{"gap", "max_rounds"},
+			States:           func(n int) uint64 { return uint64(protocols.NewCDMajority(n).States()) },
+			ExpectedRounds:   tokenMajorityRounds,
+			defaultMaxRounds: 1e6,
+			check:            defaultGapOne,
 			counted: &counted{
 				build: func(spec expt.JobSpec, _ *engine.RNG) (*rules.Ruleset, map[bitmask.State]int64, []tracked) {
 					m := protocols.NewCDMajority(spec.N)
@@ -463,14 +463,14 @@ func builtins() []*Protocol {
 			},
 		},
 		{
-			Name:           "aagmajority",
-			Description:    "phase-ratcheted exact majority [arXiv:1704.04947]: space-optimal always-correct majority",
-			Kind:           "counted",
-			Params:         []string{"gap", "max_rounds"},
-			States:         func(n int) uint64 { return uint64(protocols.NewPRMajority(n).States()) },
-			ExpectedRounds: tokenMajorityRounds,
-			maxRounds:      1e6,
-			check:          defaultGapOne,
+			Name:             "aagmajority",
+			Description:      "phase-ratcheted exact majority [arXiv:1704.04947]: space-optimal always-correct majority",
+			Kind:             "counted",
+			Params:           []string{"gap", "max_rounds"},
+			States:           func(n int) uint64 { return uint64(protocols.NewPRMajority(n).States()) },
+			ExpectedRounds:   tokenMajorityRounds,
+			defaultMaxRounds: 1e6,
+			check:            defaultGapOne,
 			counted: &counted{
 				build: func(spec expt.JobSpec, _ *engine.RNG) (*rules.Ruleset, map[bitmask.State]int64, []tracked) {
 					m := protocols.NewPRMajority(spec.N)
@@ -495,7 +495,7 @@ func builtins() []*Protocol {
 				ln := math.Log(n)
 				return 70 * ln * ln
 			},
-			maxRounds: 1e5,
+			defaultMaxRounds: 1e5,
 			check: func(spec *expt.JobSpec) error {
 				if spec.N < 16 {
 					return fmt.Errorf("gs18leader needs n ≥ 16 (got %d): the junta construction degenerates below that", spec.N)

@@ -16,8 +16,8 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go test -race (fleet, engine, fault, client, serve, cluster, store, qos) =="
-go test -race ./internal/fleet/... ./internal/engine/... ./internal/fault/... ./internal/client/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/qos/...
+echo "== go test -race (fleet, engine, fault, client, catalog, serve, cluster, store, qos) =="
+go test -race ./internal/fleet/... ./internal/engine/... ./internal/fault/... ./internal/client/... ./internal/catalog/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/qos/...
 
 echo "== go test -race (expt fleet cross-check) =="
 go test -race -run 'TestFleetWorkerCrossCheck|TestReplicateOrder' ./internal/expt/
@@ -28,8 +28,8 @@ echo "== go test -race -short (protocol library) =="
 # still exercise every protocol here.
 go test -race -short ./internal/protocols/
 
-echo "== coverage floors (engine, obs, serve, fleet, client, cluster, store, qos, protocols ≥ 80%) =="
-cover=$(go test -cover ./internal/engine/ ./internal/obs/ ./internal/serve/ ./internal/fleet/ ./internal/client/ ./internal/cluster/ ./internal/store/ ./internal/qos/ ./internal/protocols/ | tee /dev/stderr)
+echo "== coverage floors (engine, obs, catalog, serve, fleet, client, cluster, store, qos, protocols ≥ 80%) =="
+cover=$(go test -cover ./internal/engine/ ./internal/obs/ ./internal/catalog/ ./internal/serve/ ./internal/fleet/ ./internal/client/ ./internal/cluster/ ./internal/store/ ./internal/qos/ ./internal/protocols/ | tee /dev/stderr)
 echo "$cover" | awk '
     /coverage:/ {
         pct = $0
