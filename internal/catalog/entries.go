@@ -239,8 +239,8 @@ func (p *Protocol) runCounted(ctx context.Context, spec expt.JobSpec, replica in
 	if tr := obs.FromContext(ctx); tr != nil {
 		drv.SetTrace(tr, replica)
 	}
-	n := int64(spec.N)
-	rounds, ok, err := driveSliced(ctx, drv, func() bool { return p.counted.done(counters, n) }, spec.MaxRounds)
+	n, done := int64(spec.N), p.counted.done
+	rounds, ok, err := driveSliced(ctx, drv, func() bool { return done(counters, n) }, spec.MaxRounds)
 	if err != nil {
 		return rec, err
 	}
@@ -289,8 +289,8 @@ func splitGap(n, gap int) (nA, nB int64) {
 	return int64(n) - b, b
 }
 
-// leaderDone is the stop condition of the leader elections: one agent
-// still holds the tracked leader bit.
+// leaderDone is the stop condition of the leader elections: exactly one
+// agent still holds the tracked leader bit.
 func leaderDone(c []expt.Counter, _ int64) bool { return c[0].Count() == 1 }
 
 // tokenTracks are the counts of the cancelling–doubling exact majorities

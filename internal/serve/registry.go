@@ -13,8 +13,8 @@ package serve
 
 import "popkit/internal/catalog"
 
-// The catalogue's registry under the names it had when it lived in this
-// package; svcbench builds against them.
+// The catalogue's registry types under serve's names, which svcbench
+// builds against.
 type (
 	Registry   = catalog.Registry
 	Protocol   = catalog.Protocol
