@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"popkit/internal/catalog"
 	"popkit/internal/expt"
 )
 
@@ -228,8 +229,55 @@ func TestPredictPinned(t *testing.T) {
 		interactions float64
 		perReplica   time.Duration
 		class        Class
-	}{}
+	}{
+		{"aagmajority", 256, "dense", 78717.42180035812, 2155283, ClassInteractive},
+		{"aagmajority", 4096, "batch", 2.833827184812892e+06, 8388, ClassInteractive},
+		{"aagmajority", 1000000, "batch", 1.908683319772223e+09, 12062878580, ClassBatch},
+		{"aagmajority", 10000000, "aggregate", 2.5979300741344154e+10, 38787365717, ClassWhale},
+		{"approxmajority", 256, "dense", 11356.523406294144, 310941, ClassInteractive},
+		{"approxmajority", 4096, "batch", 272556.56175105943, 1000, ClassInteractive},
+		{"approxmajority", 1000000, "batch", 1.1052408446371418e+08, 698512213, ClassInteractive},
+		{"approxmajority", 10000000, "aggregate", 1.2894476520766656e+09, 1925158731, ClassBatch},
+		{"coalescence", 256, "dense", 131072, 3588751, ClassInteractive},
+		{"coalescence", 4096, "batch", 3.3554432e+07, 99321, ClassInteractive},
+		{"coalescence", 1000000, "batch", 2e+12, 12640000000000, ClassWhale},
+		{"coalescence", 10000000, "aggregate", 2e+14, 298602076349110, ClassWhale},
+		{"exactmajority", 256, "dense", 363408.7490014126, 9950131, ClassInteractive},
+		{"exactmajority", 4096, "batch", 1.3954895961654243e+08, 413064, ClassInteractive},
+		{"exactmajority", 1000000, "batch", 1.3815510557964273e+13, 87314026726334, ClassWhale},
+		{"exactmajority", 10000000, "aggregate", 1.611809565095832e+15, 2406448414084861, ClassWhale},
+		{"gs18leader", 256, "dense", 551021.9526025067, 15086981, ClassInteractive},
+		{"gs18leader", 4096, "dense", 1.9836790293690246e+07, 543131318, ClassInteractive},
+		{"gs18leader", 1000000, "dense", 1.3360783238405561e+10, 847875304309, ClassWhale},
+		{"gs18leader", 10000000, "dense", 1.818551051894091e+11, 11540524975319, ClassWhale},
+		{"gsexactmajority", 256, "dense", 78717.42180035812, 2155283, ClassInteractive},
+		{"gsexactmajority", 4096, "batch", 2.833827184812892e+06, 8388, ClassInteractive},
+		{"gsexactmajority", 1000000, "batch", 1.908683319772223e+09, 12062878580, ClassBatch},
+		{"gsexactmajority", 10000000, "aggregate", 2.5979300741344154e+10, 38787365717, ClassWhale},
+		{"leader", 256, "dense", 40213.57021888243, 1101047, ClassInteractive},
+		{"leader", 4096, "dense", 1.3739605278797674e+06, 37619039, ClassInteractive},
+		{"leader", 1000000, "dense", 8.858890937268336e+08, 56218521887, ClassWhale},
+		{"leader", 10000000, "dense", 1.19416674035164e+10, 757818213427, ClassWhale},
+		{"leaderexact", 256, "dense", 40213.57021888243, 1101047, ClassInteractive},
+		{"leaderexact", 4096, "dense", 1.3739605278797674e+06, 37619039, ClassInteractive},
+		{"leaderexact", 1000000, "dense", 8.858890937268336e+08, 56218521887, ClassWhale},
+		{"leaderexact", 10000000, "dense", 1.19416674035164e+10, 757818213427, ClassWhale},
+		{"majority", 256, "dense", 40213.57021888243, 1101047, ClassInteractive},
+		{"majority", 4096, "dense", 1.3739605278797674e+06, 37619039, ClassInteractive},
+		{"majority", 1000000, "dense", 8.858890937268336e+08, 56218521887, ClassWhale},
+		{"majority", 10000000, "dense", 1.19416674035164e+10, 757818213427, ClassWhale},
+		{"majorityexact", 256, "dense", 40213.57021888243, 1101047, ClassInteractive},
+		{"majorityexact", 4096, "dense", 1.3739605278797674e+06, 37619039, ClassInteractive},
+		{"majorityexact", 1000000, "dense", 8.858890937268336e+08, 56218521887, ClassWhale},
+		{"majorityexact", 10000000, "dense", 1.19416674035164e+10, 757818213427, ClassWhale},
+		{"plurality", 256, "dense", 40213.57021888243, 1101047, ClassInteractive},
+		{"plurality", 4096, "dense", 1.3739605278797674e+06, 37619039, ClassInteractive},
+		{"plurality", 1000000, "dense", 8.858890937268336e+08, 56218521887, ClassWhale},
+		{"plurality", 10000000, "dense", 1.19416674035164e+10, 757818213427, ClassWhale},
+	}
+	rows := map[string]int{}
 	for _, tc := range cases {
+		rows[tc.protocol]++
 		s := expt.JobSpec{Protocol: tc.protocol, N: tc.n, Replicas: 1, MaxRounds: budget[tc.protocol]}
 		kind := "counted"
 		if s.MaxRounds == 0 {
@@ -240,6 +288,11 @@ func TestPredictPinned(t *testing.T) {
 			t.Errorf("%s n=%d: tier %q, interactions %v, per replica %d, class %v; want %q, %v, %d, %v",
 				tc.protocol, tc.n, p.Tier, p.Interactions, int64(p.PerReplica), p.Class,
 				tc.tier, tc.interactions, int64(tc.perReplica), tc.class)
+		}
+	}
+	for _, name := range catalog.NewRegistry().Names() {
+		if rows[name] != 4 {
+			t.Errorf("%s has %d pinned rows, want one per size", name, rows[name])
 		}
 	}
 }
