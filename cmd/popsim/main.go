@@ -245,7 +245,7 @@ func main() {
 			Counts:     rec.Counts,
 		})
 	} else {
-		fmt.Print(catalog.Summary(spec, rec))
+		fmt.Print(p.Summary(spec, rec))
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "popsim: interrupted; partial summary flushed")

@@ -65,8 +65,10 @@ type Protocol struct {
 	// defaultMaxRounds is the max_rounds of an entry that takes one when
 	// the spec leaves it zero.
 	defaultMaxRounds float64
-	// counted is a counted entry's per-entry data; Replica runs it.
-	counted *counted
+	// framework and counted are the per-entry data of the two kinds of
+	// entry; Replica runs whichever is set.
+	framework *framework
+	counted   *counted
 }
 
 // Takes reports whether the protocol honours the named JobSpec parameter.

@@ -20,6 +20,11 @@ func smallSpec(name string) expt.JobSpec {
 	return spec
 }
 
+// noReplica is a replica body for entries that are registered but never run.
+func noReplica(context.Context, expt.JobSpec, int, uint64) (expt.ReplicaRecord, error) {
+	return expt.ReplicaRecord{}, nil
+}
+
 // TestReplicaTakesItsSeed: a replica body run with seed s reports s and
 // computes exactly the record Run streams for the replica whose split seed
 // is s. That is the contract popsim's summary mode relies on when it passes
@@ -65,7 +70,7 @@ func TestReplicaTakesItsSeed(t *testing.T) {
 // the budget of its own kind; an entry with no Params takes none of them.
 func TestNormalizeDerivesChecksFromParams(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register(&Protocol{Name: "bare", Kind: "test", Replica: runFramework}); err != nil {
+	if err := reg.Register(&Protocol{Name: "bare", Kind: "test", Replica: noReplica}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range reg.List() {
@@ -123,7 +128,7 @@ func TestPriorsAndLookup(t *testing.T) {
 // TestRegisterRejects: a nameless or bodiless entry and a duplicate name.
 func TestRegisterRejects(t *testing.T) {
 	reg := NewRegistry()
-	for _, p := range []*Protocol{{Name: "x"}, {Replica: runFramework}, {Name: "leader", Replica: runFramework}} {
+	for _, p := range []*Protocol{{Name: "x"}, {Replica: noReplica}, {Name: "leader", Replica: noReplica}} {
 		if err := reg.Register(p); err == nil {
 			t.Errorf("registered %+v", p)
 		}
@@ -197,7 +202,8 @@ func TestSummary(t *testing.T) {
 			"protocol=Plurality2 n=100 seed=6\niterations=1 rounds=30 (1.4 × ln²n) converged=true\nW1=100 W2=0 \n"},
 	}
 	for _, tc := range cases {
-		if got := Summary(tc.spec, tc.rec); got != tc.want {
+		p, _ := Lookup(tc.spec.Protocol)
+		if got := p.Summary(tc.spec, tc.rec); got != tc.want {
 			t.Errorf("%s: %q, want %q", tc.spec.Protocol, got, tc.want)
 		}
 	}

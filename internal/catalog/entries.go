@@ -19,18 +19,30 @@ import (
 
 // ---- framework protocols (frame executor, good-iteration semantics) ----
 
-// runFramework builds the program, seeds the inputs, and runs to the
-// convergence condition. A cancelled run returns the record as far as it
-// got, unconverged, with ctx's error, so popsim can still print a partial
-// summary.
-func runFramework(ctx context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
+// framework is what sets one framework entry's replicas apart: program
+// builds the entry's program for the spec; inputs lays out the initial
+// input variables (nil leaves every agent as the program declares it);
+// done is the stop condition, given the population size; and report
+// renders the counts of the program's output variables, given in
+// declaration order, as the last line of popsim's text summary.
+type framework struct {
+	program func(spec expt.JobSpec) *lang.Program
+	inputs  func(e *frame.Executor, spec expt.JobSpec)
+	done    func(e *frame.Executor, n int) bool
+	report  func(outputs []string, counts map[string]int64) string
+}
+
+// runFramework is the replica body of every framework entry: it builds the
+// program, seeds the inputs, runs to the stop condition, and counts each
+// of the program's output variables. A cancelled run returns the record as
+// far as it got, unconverged, with ctx's error, so popsim can still print
+// a partial summary.
+func (p *Protocol) runFramework(ctx context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
+	f := p.framework
 	rec := expt.ReplicaRecord{
 		Replica: replica, Protocol: spec.Protocol, N: spec.N, Seed: seed,
 	}
-	prog, err := frameworkProgram(spec)
-	if err != nil {
-		return rec, err
-	}
+	prog := f.program(spec)
 	e, err := frame.New(prog, spec.N, seed)
 	if err != nil {
 		return rec, err
@@ -42,43 +54,87 @@ func runFramework(ctx context.Context, spec expt.JobSpec, replica int, seed uint
 		e.Trace = tr
 		e.TraceReplica = replica
 	}
-	setupFrameworkInputs(e, spec)
-	cond := frameworkConvergence(spec)
+	if f.inputs != nil {
+		f.inputs(e, spec)
+	}
 	iters, ok := e.RunUntil(func(e *frame.Executor) bool {
-		return ctx.Err() != nil || cond(e)
+		return ctx.Err() != nil || f.done(e, spec.N)
 	}, spec.MaxIters)
 	err = ctx.Err()
 	rec.Iterations = iters
 	rec.Rounds = e.Rounds
 	rec.Converged = ok && err == nil
-	rec.Counts = frameworkCounts(e, spec)
+	vars := outputVars(prog)
+	rec.Counts = make(map[string]int64, len(vars))
+	for _, v := range vars {
+		rec.Counts[v] = int64(e.CountVar(v))
+	}
 	return rec, err
 }
 
-func frameworkProgram(spec expt.JobSpec) (*lang.Program, error) {
-	switch spec.Protocol {
-	case "leader":
-		return protocols.LeaderElection(), nil
-	case "leaderexact":
-		return protocols.LeaderElectionExact(), nil
-	case "majority":
-		return protocols.Majority(2), nil
-	case "majorityexact":
-		return protocols.MajorityExact(2), nil
-	case "plurality":
-		return protocols.Plurality(spec.Colours, 2), nil
+// states reports the compiled per-agent state count of the entry's program
+// at the default colours. The variable space is fixed by the program text,
+// so any legal n gives the same answer; n = 64 keeps the probe cheap.
+func (f *framework) states(int) uint64 {
+	e, err := frame.New(f.program(expt.JobSpec{N: 64, Colours: defaultColours}), 64, 1)
+	if err != nil {
+		return 0
 	}
-	return nil, fmt.Errorf("no framework program for %q", spec.Protocol)
+	return e.Space.NumStates()
 }
 
-// setupFrameworkInputs assigns the initial input variables: a gap-split
-// A/B population for the majority family, a decreasing colour split for
-// plurality.
-func setupFrameworkInputs(e *frame.Executor, spec expt.JobSpec) {
-	switch spec.Protocol {
-	case "majority", "majorityexact":
+// Summary renders a framework entry's replica as popsim's text summary:
+// the program as its text names it, population and seed; the iterations
+// and parallel rounds, also in units of ln²n; and the program's outputs.
+// It is defined for framework entries only.
+func (p *Protocol) Summary(spec expt.JobSpec, rec expt.ReplicaRecord) string {
+	prog := p.framework.program(spec)
+	return fmt.Sprintf("protocol=%s n=%d seed=%d\niterations=%d rounds=%.0f (%.1f × ln²n) converged=%v\n%s",
+		prog.Name, spec.N, rec.Seed,
+		rec.Iterations, rec.Rounds, rec.Rounds/math.Pow(math.Log(float64(spec.N)), 2), rec.Converged,
+		p.framework.report(outputVars(prog), rec.Counts))
+}
+
+// outputVars names a program's output variables in declaration order.
+func outputVars(prog *lang.Program) []string {
+	var vars []string
+	for _, d := range prog.Vars {
+		if d.Role == lang.Output {
+			vars = append(vars, d.Name)
+		}
+	}
+	return vars
+}
+
+// reportLeaders, reportYA and reportEach are the summary lines of the
+// leader elections, of the majorities and of plurality, which lists every
+// output's count.
+func reportLeaders(_ []string, c map[string]int64) string {
+	return fmt.Sprintf("leaders=%d\n", c["L"])
+}
+
+func reportYA(_ []string, c map[string]int64) string {
+	return fmt.Sprintf("YA=%d (on means A is the majority)\n", c["YA"])
+}
+
+func reportEach(outputs []string, c map[string]int64) string {
+	var b strings.Builder
+	for _, v := range outputs {
+		fmt.Fprintf(&b, "%s=%d ", v, c[v])
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// gapInputs splits the population into an A camp and a B camp with the
+// spec's gap; with tokens, each camp also holds its token variable (At or
+// Bt), as MajorityExact's inputs require.
+func gapInputs(tokens bool) func(*frame.Executor, expt.JobSpec) {
+	return func(e *frame.Executor, spec expt.JobSpec) {
 		a, _ := e.Space.LookupVar("A")
 		b, _ := e.Space.LookupVar("B")
+		at, _ := e.Space.LookupVar("At")
+		bt, _ := e.Space.LookupVar("Bt")
 		nB := (spec.N - spec.Gap) / 2
 		nA := nB + spec.Gap
 		e.SetInput(func(i int, s bitmask.State) bitmask.State {
@@ -90,9 +146,7 @@ func setupFrameworkInputs(e *frame.Executor, spec expt.JobSpec) {
 			default:
 				return s
 			}
-			if spec.Protocol == "majorityexact" {
-				at, _ := e.Space.LookupVar("At")
-				bt, _ := e.Space.LookupVar("Bt")
+			if tokens {
 				if i < nA {
 					s = at.Set(s, true)
 				} else {
@@ -101,105 +155,38 @@ func setupFrameworkInputs(e *frame.Executor, spec expt.JobSpec) {
 			}
 			return s
 		})
-	case "plurality":
-		colours := spec.Colours
-		vars := make([]bitmask.Var, colours)
-		for i := range vars {
-			vars[i], _ = e.Space.LookupVar(fmt.Sprintf("C%d", i+1))
-		}
-		sizes := make([]int, colours)
-		base := spec.N / (colours + 1)
-		rem := spec.N
-		for i := range sizes {
-			sizes[i] = base - i
-			rem -= sizes[i]
-		}
-		sizes[0] += rem
-		e.SetInput(func(i int, s bitmask.State) bitmask.State {
-			acc := 0
-			for c := 0; c < colours; c++ {
-				acc += sizes[c]
-				if i < acc {
-					return vars[c].Set(s, true)
-				}
+	}
+}
+
+// defaultColours is plurality's colour count when the spec leaves it zero.
+const defaultColours = 3
+
+// pluralityInputs gives the colours a decreasing split: colour c+1 gets
+// one agent fewer than colour c, and colour 1 also takes the remainder.
+func pluralityInputs(e *frame.Executor, spec expt.JobSpec) {
+	colours := spec.Colours
+	vars := make([]bitmask.Var, colours)
+	for i := range vars {
+		vars[i], _ = e.Space.LookupVar(fmt.Sprintf("C%d", i+1))
+	}
+	sizes := make([]int, colours)
+	base := spec.N / (colours + 1)
+	rem := spec.N
+	for i := range sizes {
+		sizes[i] = base - i
+		rem -= sizes[i]
+	}
+	sizes[0] += rem
+	e.SetInput(func(i int, s bitmask.State) bitmask.State {
+		acc := 0
+		for c := 0; c < colours; c++ {
+			acc += sizes[c]
+			if i < acc {
+				return vars[c].Set(s, true)
 			}
-			return s
-		})
-	}
-}
-
-func frameworkConvergence(spec expt.JobSpec) func(*frame.Executor) bool {
-	n := spec.N
-	switch spec.Protocol {
-	case "leader":
-		return func(e *frame.Executor) bool { return e.CountVar("L") == 1 }
-	case "leaderexact":
-		return func(e *frame.Executor) bool { return e.CountVar("L") == 1 && e.CountVar("R") == 1 }
-	case "majority":
-		return func(e *frame.Executor) bool {
-			y := e.CountVar("YA")
-			return (y == 0 || y == n) && e.Iterations >= 3
 		}
-	case "majorityexact":
-		return func(e *frame.Executor) bool {
-			return (e.CountVar("At") == 0 || e.CountVar("Bt") == 0) && e.Iterations >= 3
-		}
-	default: // plurality
-		return func(e *frame.Executor) bool { return e.CountVar("W1") == n }
-	}
-}
-
-func frameworkCounts(e *frame.Executor, spec expt.JobSpec) map[string]int64 {
-	out := map[string]int64{}
-	switch spec.Protocol {
-	case "leader", "leaderexact":
-		out["L"] = int64(e.CountVar("L"))
-	case "majority", "majorityexact":
-		out["YA"] = int64(e.CountVar("YA"))
-	case "plurality":
-		for c := 1; c <= spec.Colours; c++ {
-			key := fmt.Sprintf("W%d", c)
-			out[key] = int64(e.CountVar(key))
-		}
-	}
-	return out
-}
-
-// Summary renders a framework replica as popsim's text summary: the
-// program, population and seed; the iterations and parallel rounds, also
-// in units of ln²n; and the program's outputs.
-func Summary(spec expt.JobSpec, rec expt.ReplicaRecord) string {
-	var b strings.Builder
-	if prog, err := frameworkProgram(spec); err == nil {
-		fmt.Fprintf(&b, "protocol=%s n=%d seed=%d\n", prog.Name, spec.N, rec.Seed)
-	}
-	fmt.Fprintf(&b, "iterations=%d rounds=%.0f (%.1f × ln²n) converged=%v\n",
-		rec.Iterations, rec.Rounds, rec.Rounds/math.Pow(math.Log(float64(spec.N)), 2), rec.Converged)
-	switch spec.Protocol {
-	case "leader", "leaderexact":
-		fmt.Fprintf(&b, "leaders=%d\n", rec.Counts["L"])
-	case "majority", "majorityexact":
-		fmt.Fprintf(&b, "YA=%d (on means A is the majority)\n", rec.Counts["YA"])
-	case "plurality":
-		for c := 1; c <= spec.Colours; c++ {
-			fmt.Fprintf(&b, "W%d=%d ", c, rec.Counts[fmt.Sprintf("W%d", c)])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// frameworkStates computes the compiled per-agent state count of a
-// framework program. The variable space is fixed by the program text, so
-// any legal n gives the same answer; n = 64 keeps the probe cheap.
-func frameworkStates(build func() *lang.Program) func(int) uint64 {
-	return func(int) uint64 {
-		e, err := frame.New(build(), 64, 1)
-		if err != nil {
-			return 0
-		}
-		return e.Space.NumStates()
-	}
+		return s
+	})
 }
 
 // ---- counted protocols (species-count kernels via expt.Driver) ----
@@ -333,43 +320,60 @@ func builtins() []*Protocol {
 			Description: "LeaderElection (§3.1): w.h.p. unique leader in O(log² n) rounds",
 			Kind:        "framework",
 			Params:      []string{"max_iters"},
-			States:      frameworkStates(protocols.LeaderElection),
-			Replica:     runFramework,
+			framework: &framework{
+				program: func(expt.JobSpec) *lang.Program { return protocols.LeaderElection() },
+				done:    func(e *frame.Executor, _ int) bool { return e.CountVar("L") == 1 },
+				report:  reportLeaders,
+			},
 		},
 		{
 			Name:        "leaderexact",
 			Description: "LeaderElectionExact (§6.1): always-correct unique leader",
 			Kind:        "framework",
 			Params:      []string{"max_iters"},
-			States:      frameworkStates(protocols.LeaderElectionExact),
-			Replica:     runFramework,
+			framework: &framework{
+				program: func(expt.JobSpec) *lang.Program { return protocols.LeaderElectionExact() },
+				done:    func(e *frame.Executor, _ int) bool { return e.CountVar("L") == 1 && e.CountVar("R") == 1 },
+				report:  reportLeaders,
+			},
 		},
 		{
 			Name:        "majority",
 			Description: "Majority (§3.2): w.h.p. exact majority for any gap ≥ 1",
 			Kind:        "framework",
 			Params:      []string{"gap", "max_iters"},
-			States:      frameworkStates(func() *lang.Program { return protocols.Majority(2) }),
-			Replica:     runFramework,
+			framework: &framework{
+				program: func(expt.JobSpec) *lang.Program { return protocols.Majority(2) },
+				inputs:  gapInputs(false),
+				done: func(e *frame.Executor, n int) bool {
+					y := e.CountVar("YA")
+					return (y == 0 || y == n) && e.Iterations >= 3
+				},
+				report: reportYA,
+			},
 		},
 		{
 			Name:        "majorityexact",
 			Description: "MajorityExact (§6.2): always-correct exact majority",
 			Kind:        "framework",
 			Params:      []string{"gap", "max_iters"},
-			States:      frameworkStates(func() *lang.Program { return protocols.MajorityExact(2) }),
-			Replica:     runFramework,
+			framework: &framework{
+				program: func(expt.JobSpec) *lang.Program { return protocols.MajorityExact(2) },
+				inputs:  gapInputs(true),
+				done: func(e *frame.Executor, _ int) bool {
+					return (e.CountVar("At") == 0 || e.CountVar("Bt") == 0) && e.Iterations >= 3
+				},
+				report: reportYA,
+			},
 		},
 		{
 			Name:        "plurality",
 			Description: "Plurality consensus (§1.1): l-colour plurality with O(l²) states",
 			Kind:        "framework",
 			Params:      []string{"colours", "max_iters"},
-			States:      frameworkStates(func() *lang.Program { return protocols.Plurality(3, 2) }),
-			Replica:     runFramework,
 			check: func(spec *expt.JobSpec) error {
 				if spec.Colours == 0 {
-					spec.Colours = 3
+					spec.Colours = defaultColours
 				}
 				if spec.Colours < 2 {
 					return fmt.Errorf("colours must be ≥ 2 (got %d)", spec.Colours)
@@ -378,6 +382,12 @@ func builtins() []*Protocol {
 					return fmt.Errorf("n too small for %d colours (need at least %d agents)", spec.Colours, (spec.Colours+1)*spec.Colours)
 				}
 				return nil
+			},
+			framework: &framework{
+				program: func(spec expt.JobSpec) *lang.Program { return protocols.Plurality(spec.Colours, 2) },
+				inputs:  pluralityInputs,
+				done:    func(e *frame.Executor, n int) bool { return e.CountVar("W1") == n },
+				report:  reportEach,
 			},
 		},
 		{
@@ -516,6 +526,10 @@ func builtins() []*Protocol {
 		},
 	}
 	for _, p := range list {
+		if p.framework != nil {
+			p.Replica = p.runFramework
+			p.States = p.framework.states
+		}
 		if p.counted != nil {
 			p.Replica = p.runCounted
 		}
