@@ -19,8 +19,10 @@ bench:
 	$(GO) run ./cmd/popbench -out results
 
 # Compare kernel benchmarks of the working tree against a baseline ref
-# (default HEAD~1): make benchdiff [REF=main]. Set FAIL_OVER=10 to exit 1
-# when any ns/op or ns/interaction metric regresses by more than 10%.
+# (default HEAD~1): make benchdiff [REF=main]. Each side prints its median
+# and min–max range; overlapping ranges mark a delta unresolved. Set
+# FAIL_OVER=10 to exit 1 when any ns/op, ns/interaction or ns/firing median
+# regresses by more than 10%.
 benchdiff:
 	./scripts/benchdiff.sh $(REF)
 

@@ -5,16 +5,16 @@
 //
 // Usage:
 //
-//	benchdiff [-threshold PCT] [-fail-over PCT] old.txt new.txt
+//	benchdiff [-fail-over PCT] old.txt new.txt
 //
 // Each input is the stdout of `go test -bench ... [-count N]`. Samples of
 // the same benchmark are aggregated by median (robust to the odd noisy
-// run); the report shows old, new, spread, and delta per metric. With
-// -threshold > 0 the exit code is 1 if any time metric (ns/op, or the
+// run); the report shows each side's median with its [min–max] range and
+// the delta of the medians per metric. A delta whose two ranges overlap is
+// marked "unresolved": the runs cannot tell the sides apart. With
+// -fail-over > 0 the exit code is 1 if any time metric (ns/op, or the
 // kernel benchmarks' custom ns/interaction and ns/firing) regressed by
-// more than that percentage — the CI-gate mode. -fail-over is the
-// CI-facing spelling of the same gate; when both are given the stricter
-// (smaller) percentage wins.
+// more than that percentage — the CI-gate mode.
 package main
 
 import (
@@ -22,9 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // sampleSet holds all samples of one (benchmark, unit) pair.
@@ -81,22 +83,13 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// spread reports the half-range around the median as a percentage — a
-// poor man's confidence interval that needs no distribution assumptions.
-func spread(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := median(s)
-	if m == 0 {
-		return 0
-	}
-	return (s[len(s)-1] - s[0]) / 2 / m * 100
+// summary renders a side's median and its [min–max] range — a spread that
+// needs no distribution assumptions.
+func summary(xs []float64) string {
+	return fmt.Sprintf("%.2f [%.2f–%.2f]", median(xs), slices.Min(xs), slices.Max(xs))
 }
 
-// timeUnit reports whether a metric unit is one the -threshold gate
+// timeUnit reports whether a metric unit is one the -fail-over gate
 // covers: the standard ns/op plus the kernel benchmarks' per-activation
 // ns/interaction and per-firing ns/firing (see bench_kernel_test.go).
 // Allocation metrics stay report-only — alloc deltas are intentional far
@@ -106,19 +99,15 @@ func timeUnit(u string) bool {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 0, "exit 1 if any ns/op, ns/interaction or ns/firing metric regresses by more than this percent (0 = report only)")
-	failOver := flag.Float64("fail-over", 0, "CI-gate alias of -threshold; the stricter of the two wins")
+	failOver := flag.Float64("fail-over", 0, "exit 1 if any ns/op, ns/interaction or ns/firing metric regresses by more than this percent (0 = report only)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] [-fail-over PCT] old.txt new.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-fail-over PCT] old.txt new.txt")
 		os.Exit(2)
 	}
-	if *failOver < 0 || *threshold < 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: -threshold and -fail-over must be ≥ 0")
+	if *failOver < 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: -fail-over must be ≥ 0")
 		os.Exit(2)
-	}
-	if *failOver > 0 && (*threshold == 0 || *failOver < *threshold) {
-		*threshold = *failOver
 	}
 	old, err := parseBench(flag.Arg(0))
 	if err != nil {
@@ -173,15 +162,18 @@ func main() {
 			}
 			row := [4]string{n, "—", "—", "—"}
 			if haveOld {
-				row[1] = fmt.Sprintf("%.2f ±%2.0f%%", median(o), spread(o))
+				row[1] = summary(o)
 			}
 			if haveNew {
-				row[2] = fmt.Sprintf("%.2f ±%2.0f%%", median(c), spread(c))
+				row[2] = summary(c)
 			}
 			if haveOld && haveNew && median(o) != 0 {
 				delta := (median(c) - median(o)) / median(o) * 100
 				row[3] = fmt.Sprintf("%+.1f%%", delta)
-				if timeUnit(u) && *threshold > 0 && delta > *threshold {
+				if slices.Min(o) <= slices.Max(c) && slices.Min(c) <= slices.Max(o) {
+					row[3] += " unresolved"
+				}
+				if timeUnit(u) && *failOver > 0 && delta > *failOver {
 					regressed = true
 					row[3] += " !"
 				}
@@ -191,14 +183,16 @@ func main() {
 		if len(rows) == 0 {
 			continue
 		}
-		fmt.Printf("%-36s %20s %20s %10s\n", u, "old", "new", "delta")
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintf(tw, "%s\told\tnew\tdelta\n", u)
 		for _, r := range rows {
-			fmt.Printf("%-36s %20s %20s %10s\n", r[0], r[1], r[2], r[3])
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", r[0], r[1], r[2], r[3])
 		}
+		tw.Flush()
 		fmt.Println()
 	}
 	if regressed {
-		fmt.Fprintf(os.Stderr, "benchdiff: ns/op or ns/interaction regression beyond %.1f%%\n", *threshold)
+		fmt.Fprintf(os.Stderr, "benchdiff: ns/op, ns/interaction or ns/firing regression beyond %.1f%%\n", *failOver)
 		os.Exit(1)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,7 +70,7 @@ func measureBatch(n int64, target uint64) kernelRow {
 	var fired, interactions uint64
 	for fired < target {
 		pop := em.Population(n/2+1, n/2)
-		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(1))
+		br := engine.NewCountedRunner(proto, pop, engine.NewRNG(1), math.Inf(1))
 		t0 := time.Now()
 		for fired < target && br.LeapStep(0) {
 			fired++
@@ -100,7 +101,7 @@ func measureAggregate(n int64, targetInteractions uint64) kernelRow {
 	var fired, interactions uint64
 	for interactions < targetInteractions {
 		pop := em.Population(n/2+1, n/2)
-		ar := engine.NewAggregateRunner(proto, pop, engine.NewRNG(1))
+		ar := engine.NewCountedRunner(proto, pop, engine.NewRNG(1), engine.DefaultMinRunFirings)
 		left := targetInteractions - interactions
 		t0 := time.Now()
 		for ar.Interactions < left && ar.LeapStep(left) {

@@ -17,7 +17,7 @@ func TestApproxMajorityLargeGap(t *testing.T) {
 	const seeds = 10
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := p.Population(n/2+3000, n/2-3000, 0)
-		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		br := engine.NewCountedRunner(proto, pop, engine.NewRNG(seed), math.Inf(1))
 		_, ok := br.RunTracked(func() bool {
 			return p.Winner(pop) != 0
 		}, 10000)
@@ -38,7 +38,7 @@ func TestApproxMajorityConvergesInLogTime(t *testing.T) {
 	proto := engine.CompileProtocol(p.Rules())
 	const n = 1 << 20
 	pop := p.Population(n/2+20000, n/2-20000, 0)
-	br := engine.NewBatchRunner(proto, pop, engine.NewRNG(1))
+	br := engine.NewCountedRunner(proto, pop, engine.NewRNG(1), math.Inf(1))
 	rounds, ok := br.RunTracked(func() bool {
 		return p.Winner(pop) != 0
 	}, 10000)
@@ -60,7 +60,7 @@ func TestApproxMajorityTinyGapUnreliable(t *testing.T) {
 	const seeds = 40
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := p.Population(n/2+1, n/2-1, 0)
-		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		br := engine.NewCountedRunner(proto, pop, engine.NewRNG(seed), math.Inf(1))
 		if _, ok := br.RunTracked(func() bool {
 			return p.Winner(pop) != 0
 		}, 1e6); !ok {
@@ -82,7 +82,7 @@ func TestExactMajority4AlwaysCorrect(t *testing.T) {
 	const n = 2000
 	for seed := uint64(0); seed < 10; seed++ {
 		pop := p.Population(n/2+1, n/2-1)
-		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+		br := engine.NewCountedRunner(proto, pop, engine.NewRNG(seed), math.Inf(1))
 		if _, ok := br.RunTracked(func() bool {
 			d, _ := p.Decided(pop)
 			return d
@@ -106,7 +106,7 @@ func TestExactMajority4TimeShape(t *testing.T) {
 		const seeds = 5
 		for seed := uint64(0); seed < seeds; seed++ {
 			pop := p.Population(n/2+1, n/2-1)
-			br := engine.NewBatchRunner(proto, pop, engine.NewRNG(seed))
+			br := engine.NewCountedRunner(proto, pop, engine.NewRNG(seed), math.Inf(1))
 			rounds, ok := br.RunTracked(func() bool {
 				d, _ := p.Decided(pop)
 				return d
@@ -133,7 +133,7 @@ func TestCoalescenceLeader(t *testing.T) {
 	var prev float64
 	for _, n := range []int64{1000, 8000} {
 		pop := p.Population(n)
-		br := engine.NewBatchRunner(proto, pop, engine.NewRNG(3))
+		br := engine.NewCountedRunner(proto, pop, engine.NewRNG(3), math.Inf(1))
 		rounds, ok := br.RunTracked(func() bool {
 			return p.Leaders(pop) == 1
 		}, 1e9)

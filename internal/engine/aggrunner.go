@@ -1,23 +1,31 @@
 package engine
 
-import (
-	"math"
-	"slices"
+import "slices"
 
-	"popkit/internal/bitmask"
-	"popkit/internal/obs"
-)
+// pairRule is one rule-group entry of a pair-type dispatch list.
+type pairRule struct {
+	rule   int32
+	weight int32
+	t1, t2 int32 // output slots, -1 until first resolved
+}
 
-// AggregateRunner drives a Counted population through the same Markov chain
-// as Runner and BatchRunner, but simulates whole *runs* of
-// interactions per step instead of one firing at a time. BatchRunner's
-// geometric leaps make non-firing interactions free; at n ≥ 10^8 the E11
-// workload is firing-dominated and the ~100 ns per individual firing
-// becomes the wall. This runner batches the firings themselves.
-//
-// The construction is exact in distribution (law-identical, like
-// BatchRunner — not stream-identical). A step decomposes the schedule at
-// its first *collision*:
+// pairCacheLimit bounds the pair-type cache; beyond slots² entries the
+// dispatch lists are rebuilt per use.
+const pairCacheLimit = 1 << 14
+
+// DefaultMinRunFirings is the aggregate tier's MinRunFirings: the
+// aggregate-vs-leap crossover in expected firings per collision-free run.
+// It is calibrated from the committed kernel benchmarks (one aggregate
+// decomposition costs on the order of 50–100 leap steps).
+const DefaultMinRunFirings = 64
+
+// aggregateStep simulates one collision-free run (possibly truncated at
+// the interaction bound) plus, when not truncated, its closing collision
+// interaction. Leap steps make non-firing interactions free, but at
+// n ≥ 10^8 the E11 workload is firing-dominated and the ~100 ns per
+// individual firing becomes the wall; this step batches the firings
+// themselves. It is exact in distribution (law-identical, not
+// stream-identical) and decomposes the schedule at its first *collision*:
 //
 //  1. Draw ℓ, the length of the maximal prefix of activations whose
 //     participants are pairwise distinct, from its closed-form survival
@@ -37,161 +45,10 @@ import (
 //  4. Fire the collision interaction (the ℓ+1st) literally: its pair is
 //     uniform among ordered pairs with at least one already-touched agent.
 //
-// When a run is expected to contain few firings (q·E[ℓ] < MinRunFirings —
-// small populations, or the long quiescent tail of exact majority where
-// BatchRunner's one-geometric-per-firing leap is already optimal), the
-// step falls back to exactly that leap. Both step flavours are exact
-// transitions of the same chain, and the choice depends only on the
-// current counts, so mixing them preserves the law.
-//
-// Fired[i] counts the firings of rule i; FiredTotal is their sum.
-type AggregateRunner struct {
-	P   *Protocol
-	Pop *Counted
-	RNG *RNG
-
-	// Interactions counts scheduler activations including non-firing ones.
-	Interactions uint64
-
-	// Fired counts rule firings, indexed by rule; FiredTotal is the sum.
-	Fired      []uint64
-	FiredTotal uint64
-
-	// Stats, when non-nil, mirrors Fired into a shared obs.RuleStats.
-	Stats *obs.RuleStats
-
-	// MinRunFirings gates the aggregate path: a collision-free run is
-	// decomposed in aggregate only when its expected firing count q·E[ℓ]
-	// reaches this bound; below it a geometric leap plus one forced firing
-	// (BatchRunner's step) is cheaper. The default is calibrated from the
-	// committed kernel benchmarks (one aggregate decomposition costs on
-	// the order of 50–100 leap steps). Tests set 0 to force the aggregate
-	// path at small n.
-	MinRunFirings float64
-
-	idx *matchIndex
-
-	// Per-population constants of the run-length sampler.
-	lgN1    float64 // ln Γ(n+1)
-	lnPairs float64 // ln n + ln(n−1)
-	meanRun float64 // E[ℓ] ≈ √(πn/8)
-
-	// Slot-indexed scratch, zeroed per aggregate step.
-	compI []int64 // initiator species multiset of the run
-	compR []int64 // responder species multiset
-	compF []int64 // untouched ("fresh") agents per species
-	delta []int64 // net count delta accumulated over the run
-	aA    []int32 // small-path initiator slots
-	aB    []int32 // small-path responder slots
-
-	// pairRules caches, per (initiator slot, responder slot), the rule
-	// groups whose unique matching rule fires on that pair, with weights
-	// and lazily resolved output slots. Keyed like the transition cache:
-	// reset whenever the slot table reshapes.
-	pairRules [][]pairRule
-	pairBuilt []bool
-	pairGen   uint64
-	pairSlots int
-}
-
-// pairRule is one rule-group entry of a pair-type dispatch list.
-type pairRule struct {
-	rule   int32
-	weight int32
-	t1, t2 int32 // output slots, -1 until first resolved
-}
-
-// pairCacheLimit bounds the pair-type cache; beyond slots² entries the
-// dispatch lists are rebuilt per use.
-const pairCacheLimit = 1 << 14
-
-// defaultMinRunFirings is the aggregate-vs-leap crossover in expected
-// firings per collision-free run.
-const defaultMinRunFirings = 64
-
-// NewAggregateRunner assembles an aggregate runner. Like the other counted
-// runners it rejects protocols with ordered (first-match) groups, and its
-// match index takes over the population's count changes, so a population
-// can drive only one incremental runner at a time.
-func NewAggregateRunner(p *Protocol, pop *Counted, rng *RNG) *AggregateRunner {
-	n := float64(pop.n)
-	lg, _ := math.Lgamma(n + 1)
-	return &AggregateRunner{
-		P: p, Pop: pop, RNG: rng,
-		Fired:         make([]uint64, len(p.Set.Rules)),
-		MinRunFirings: defaultMinRunFirings,
-		idx:           newMatchIndex(p, pop),
-		lgN1:          lg,
-		lnPairs:       math.Log(n) + math.Log(n-1),
-		meanRun:       math.Sqrt(math.Pi * n / 8),
-	}
-}
-
-// Rounds returns elapsed parallel time (interactions / n).
-func (r *AggregateRunner) Rounds() float64 {
-	return float64(r.Interactions) / float64(r.Pop.n)
-}
-
-// InteractionCount returns Interactions.
-func (r *AggregateRunner) InteractionCount() uint64 { return r.Interactions }
-
-// SetStats attaches a per-rule firing tally (nil detaches).
-func (r *AggregateRunner) SetStats(s *obs.RuleStats) { r.Stats = s }
-
-// HistogramInto snapshots the population into dst (cleared first).
-func (r *AggregateRunner) HistogramInto(dst map[bitmask.State]int64) { r.Pop.HistogramInto(dst) }
-
-// Track registers a guard for incremental counting and returns its
-// tracker. RunTracked re-evaluates its stop condition only when some
-// tracked count moves.
-func (r *AggregateRunner) Track(name string, f bitmask.Formula) *Tracker {
-	return r.idx.track(name, f)
-}
-
-// LeapStep advances the chain by one step of whichever flavour the current
-// firing density favours: an aggregate collision-run decomposition, or a
-// geometric leap through the quiescent stretch plus one forced firing. It
-// returns false (without advancing) when no rule can ever fire again.
-// maxInteractions bounds the step: the runner never advances past the
-// bound (run decompositions are truncated to it, which is exact — the
-// first k activations of a run of length ≥ k are themselves a uniform
-// collision-free prefix).
-func (r *AggregateRunner) LeapStep(maxInteractions uint64) bool {
-	if maxInteractions > 0 && r.Interactions >= maxInteractions {
-		return true
-	}
-	r.idx.syncCaches()
-	q := r.idx.stepProbability()
-	if q <= 0 {
-		return false
-	}
-	if q*r.meanRun < r.MinRunFirings {
-		return r.leapOne(q, maxInteractions)
-	}
-	r.aggregateStep(maxInteractions)
-	return true
-}
-
-// leapOne is the sparse-regime step: one geometric leap over the
-// non-firing stretch, then one forced-pick firing.
-func (r *AggregateRunner) leapOne(q float64, maxInteractions uint64) bool {
-	skip := r.RNG.Geometric(q)
-	if maxInteractions > 0 && r.Interactions+skip+1 > maxInteractions {
-		r.Interactions = maxInteractions
-		return true
-	}
-	r.Interactions += skip + 1
-	idx := r.idx.fireForcedMatching(r.RNG)
-	r.Fired[idx]++
-	r.FiredTotal++
-	r.Stats.Fire(idx, 1)
-	return true
-}
-
-// aggregateStep simulates one collision-free run (possibly truncated at
-// the interaction bound) plus, when not truncated, its closing collision
-// interaction.
-func (r *AggregateRunner) aggregateStep(maxInteractions uint64) {
+// Runs expected to carry few firings (small populations, or the long
+// quiescent tail of exact majority) take a leap step instead, which is
+// already optimal there; MinRunFirings sets the crossover.
+func (r *CountedRunner) aggregateStep(maxInteractions uint64) {
 	pop := r.Pop
 	r.syncPairCache()
 	l := r.RNG.collisionRunLen(pop.n, r.lgN1, r.lnPairs)
@@ -231,7 +88,7 @@ func (r *AggregateRunner) aggregateStep(maxInteractions uint64) {
 }
 
 // resetScratch sizes and zeroes the slot-indexed scratch vectors.
-func (r *AggregateRunner) resetScratch(ns int) {
+func (r *CountedRunner) resetScratch(ns int) {
 	r.compI = resizeZero(r.compI, ns)
 	r.compR = resizeZero(r.compR, ns)
 	r.compF = resizeZero(r.compF, ns)
@@ -263,7 +120,7 @@ func growZero[T any](s []T, n int) []T {
 // pairing by nested hypergeometric contingency rows, per-pair rule-group
 // firing counts by conditional Binomial chains, and one count-delta
 // application per touched species.
-func (r *AggregateRunner) mvhRun(m int64) {
+func (r *CountedRunner) mvhRun(m int64) {
 	pop, rng := r.Pop, r.RNG
 	ns := len(pop.keys)
 
@@ -349,7 +206,7 @@ func (r *AggregateRunner) mvhRun(m int64) {
 // uniform scheduler slot, so the firing counts of the matching rule groups
 // follow a conditional Binomial chain; slots of non-matching groups are
 // non-firings and need no work at all.
-func (r *AggregateRunner) firePairs(a, b int32, K int64) {
+func (r *CountedRunner) firePairs(a, b int32, K int64) {
 	prs := r.pairRulesFor(a, b)
 	if len(prs) == 0 {
 		return
@@ -390,7 +247,7 @@ func (r *AggregateRunner) firePairs(a, b int32, K int64) {
 // scheduler slot and fires through the shared species-level fire path.
 // Exact for any m; preferred when m is small relative to the species count
 // so the O(live²) hypergeometric decomposition wouldn't amortize.
-func (r *AggregateRunner) smallRun(m int64) {
+func (r *CountedRunner) smallRun(m int64) {
 	pop, rng := r.Pop, r.RNG
 	if cap(r.aA) < int(m) {
 		r.aA = make([]int32, m)
@@ -438,7 +295,7 @@ func (r *AggregateRunner) smallRun(m int64) {
 // Touched agents are identified by their current species (exchangeability:
 // agents of one species are interchangeable for all future evolution), as
 // current count minus fresh count.
-func (r *AggregateRunner) collisionStep(m int64) {
+func (r *CountedRunner) collisionStep(m int64) {
 	pop, rng := r.Pop, r.RNG
 	ns := len(pop.keys)
 	r.compF = growZero(r.compF, ns) // new species from this run are all touched
@@ -477,7 +334,7 @@ func (r *AggregateRunner) collisionStep(m int64) {
 // pickCollision draws a species slot proportionally to the touched
 // (current minus fresh) or fresh per-species counts, with total mass
 // `total` and one agent at slot excl removed from the pool.
-func (r *AggregateRunner) pickCollision(touched bool, T, F int64, excl int32) int32 {
+func (r *CountedRunner) pickCollision(touched bool, T, F int64, excl int32) int32 {
 	pop := r.Pop
 	total := F
 	if touched {
@@ -505,7 +362,7 @@ func (r *AggregateRunner) pickCollision(touched bool, T, F int64, excl int32) in
 
 // syncPairCache revalidates the pair-type dispatch cache against the
 // current slot table.
-func (r *AggregateRunner) syncPairCache() {
+func (r *CountedRunner) syncPairCache() {
 	pop := r.Pop
 	if r.pairGen == pop.compactGen && r.pairSlots == len(pop.keys) {
 		return
@@ -532,7 +389,7 @@ func (r *AggregateRunner) syncPairCache() {
 
 // pairRulesFor returns the dispatch list of pair type (a, b), cached when
 // the cache fits.
-func (r *AggregateRunner) pairRulesFor(a, b int32) []pairRule {
+func (r *CountedRunner) pairRulesFor(a, b int32) []pairRule {
 	if r.pairBuilt != nil {
 		ci := int(a)*r.pairSlots + int(b)
 		if r.pairBuilt[ci] {
@@ -546,7 +403,7 @@ func (r *AggregateRunner) pairRulesFor(a, b int32) []pairRule {
 	return r.buildPairRules(a, b)
 }
 
-func (r *AggregateRunner) buildPairRules(a, b int32) []pairRule {
+func (r *CountedRunner) buildPairRules(a, b int32) []pairRule {
 	var prs []pairRule
 	sa, sb := r.Pop.keys[a], r.Pop.keys[b]
 	for gi := range r.P.groups {
@@ -559,55 +416,4 @@ func (r *AggregateRunner) buildPairRules(a, b int32) []pairRule {
 		}
 	}
 	return prs
-}
-
-// RunBatch advances until at least maxFirings rule firings have executed
-// (aggregate steps fire in lumps, so the total may overshoot), bounded by
-// maxInteractions total activations (0 = unbounded). It returns the number
-// of firings executed and whether the protocol can still move.
-func (r *AggregateRunner) RunBatch(maxFirings, maxInteractions uint64) (fired uint64, alive bool) {
-	start := r.FiredTotal
-	for r.FiredTotal-start < maxFirings {
-		if maxInteractions > 0 && r.Interactions >= maxInteractions {
-			return r.FiredTotal - start, true
-		}
-		if !r.LeapStep(maxInteractions) {
-			return r.FiredTotal - start, false
-		}
-	}
-	return r.FiredTotal - start, true
-}
-
-// RunTracked leaps until the condition holds or maxRounds elapses or the
-// protocol goes silent, returning the parallel time consumed and whether
-// the condition was met.
-//
-// When trackers are registered (Track), the condition is re-evaluated only
-// after steps that moved a tracked count. Conditions are checked at run
-// boundaries: a target hit mid-run is observed up to one collision-free
-// run (E[ℓ] ≈ 0.63·√n interactions, well under one parallel round) later —
-// the hitting times the registry protocols measure are against absorbing
-// targets, where the boundary is exact up to that sub-round granularity.
-func (r *AggregateRunner) RunTracked(cond func() bool, maxRounds float64) (rounds float64, ok bool) {
-	start := r.Rounds()
-	n := float64(r.Pop.n)
-	budget := uint64(math.Ceil(maxRounds*n)) + r.Interactions
-	gated := len(r.idx.trackers) > 0
-	check := true
-	for {
-		if check || !gated {
-			r.idx.trackersMoved = false
-			if cond() {
-				return r.Rounds() - start, true
-			}
-		}
-		if r.Interactions >= budget {
-			return r.Rounds() - start, false
-		}
-		if !r.LeapStep(budget) {
-			// Silent: the configuration can never change again.
-			return r.Rounds() - start, cond()
-		}
-		check = r.idx.trackersMoved
-	}
 }

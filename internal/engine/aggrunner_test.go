@@ -23,8 +23,7 @@ func aggEpidemicProtocol() (*Protocol, bitmask.State, bitmask.State, bitmask.For
 func TestAggregateRunnerSilence(t *testing.T) {
 	proto, infected, _, _ := aggEpidemicProtocol()
 	pop := NewCounted(map[bitmask.State]int64{infected: 512})
-	r := NewAggregateRunner(proto, pop, NewRNG(1))
-	r.MinRunFirings = 0
+	r := NewCountedRunner(proto, pop, NewRNG(1), 0)
 	if r.LeapStep(0) {
 		t.Fatal("fully infected epidemic should be silent")
 	}
@@ -41,7 +40,7 @@ func TestAggregateRunnerHorizon(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		for _, horizon := range []uint64{1, 7, 100, 1000} {
 			pop := NewCounted(map[bitmask.State]int64{infected: 8, healthy: 504})
-			r := NewAggregateRunner(proto, pop, NewRNG(7*horizon+1))
+			r := NewCountedRunner(proto, pop, NewRNG(7*horizon+1), DefaultMinRunFirings)
 			if force {
 				r.MinRunFirings = 0
 			}
@@ -70,8 +69,7 @@ func TestAggregateRunnerEpidemicCompletes(t *testing.T) {
 	proto, infected, healthy, isI := aggEpidemicProtocol()
 	const n = 4096
 	pop := NewCounted(map[bitmask.State]int64{infected: 1, healthy: n - 1})
-	r := NewAggregateRunner(proto, pop, NewRNG(99))
-	r.MinRunFirings = 0
+	r := NewCountedRunner(proto, pop, NewRNG(99), 0)
 	tr := r.Track("i", isI)
 	rounds, ok := r.RunTracked(func() bool { return tr.Count() == n }, 10000)
 	if !ok {
@@ -108,8 +106,7 @@ func TestAggregateRunnerWeightedGroups(t *testing.T) {
 	rs.AddWeighted(1, a, a, a, bitmask.And(a, bitmask.IsNot(vb)))
 	proto := CompileProtocol(rs)
 	pop := NewCounted(map[bitmask.State]int64{va.Set(zero, true): 2048})
-	r := NewAggregateRunner(proto, pop, NewRNG(5))
-	r.MinRunFirings = 0
+	r := NewCountedRunner(proto, pop, NewRNG(5), 0)
 	const horizon = 200000
 	for r.Interactions < horizon {
 		if !r.LeapStep(horizon) {

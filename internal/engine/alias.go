@@ -1,7 +1,7 @@
 package engine
 
 // Walker alias table: O(1) weighted draws after an O(#species) build. The
-// aggregate runner's composition path makes thousands of draws against a
+// aggregate step's composition path makes thousands of draws against a
 // weight vector frozen for the whole batch, so it rebuilds an alias table
 // lazily whenever some count changed and then samples at flat cost per
 // draw.

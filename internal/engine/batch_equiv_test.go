@@ -10,10 +10,10 @@ import (
 	"popkit/internal/engine"
 )
 
-// Statistical equivalence suite: BatchRunner and AggregateRunner skip RNG
-// draws whose outcome is forced, so their streams differ from Runner's —
-// the claim is equality in distribution, not per-seed equality. Each test
-// runs the same protocol under all three kernels across a bank of seeds and
+// Statistical equivalence suite: the counted tiers skip RNG draws whose
+// outcome is forced, so their streams differ from Runner's — the claim is
+// equality in distribution, not per-seed equality. Each test runs the same
+// protocol under all three tiers across a bank of seeds and
 // compares hitting-time distributions with a two-sample KS statistic (and
 // outcome frequencies with a chi-square statistic where the outcome is
 // random). Seeds are fixed, so the tests are deterministic; the thresholds
@@ -107,9 +107,9 @@ func denseTimes(t *testing.T, hs hitSpec) []float64 {
 }
 
 // countedTimes measures hitting times under one of the counted kernels
-// ("batch" or "aggregate"), through the tracker-gated RunTracked path. The
-// aggregate runner's leap fallback would make it identical to BatchRunner
-// at these population sizes, so MinRunFirings is forced to 0 — every step
+// ("batch" or "aggregate"), through the tracker-gated RunTracked path. Leap
+// steps alone would make the aggregate tier identical to the batch tier at
+// these population sizes, so MinRunFirings is forced to 0 — every step
 // exercises the run-decomposition path under test.
 func countedTimes(t *testing.T, hs hitSpec, kind string) []float64 {
 	t.Helper()
@@ -120,11 +120,9 @@ func countedTimes(t *testing.T, hs hitSpec, kind string) []float64 {
 		n := pop.N64()
 		var run engine.Kernel
 		if kind == "aggregate" {
-			ar := engine.NewAggregateRunner(hs.proto, pop, rng)
-			ar.MinRunFirings = 0
-			run = ar
+			run = engine.NewCountedRunner(hs.proto, pop, rng, 0)
 		} else {
-			run = engine.NewBatchRunner(hs.proto, pop, rng)
+			run = engine.NewCountedRunner(hs.proto, pop, rng, math.Inf(1))
 		}
 		trs := make([]*engine.Tracker, len(hs.track))
 		for ti, f := range hs.track {
@@ -149,7 +147,7 @@ func requireKS(t *testing.T, label string, a, b []float64) {
 
 // TestBatchEquivCoalescence compares leader-coalescence hitting times
 // (leaders == 1) at n = 256 across all three kernels. Coalescence has a
-// single rule, so BatchRunner's deterministic-rule fast path carries the
+// single rule, so the leap step's deterministic-rule fast path carries the
 // whole run.
 func TestBatchEquivCoalescence(t *testing.T) {
 	if testing.Short() {
@@ -226,11 +224,9 @@ func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 			var run engine.Kernel
 			switch kind {
 			case "batch":
-				run = engine.NewBatchRunner(proto, engine.NewCounted(counts), rng)
+				run = engine.NewCountedRunner(proto, engine.NewCounted(counts), rng, math.Inf(1))
 			case "aggregate":
-				ar := engine.NewAggregateRunner(proto, engine.NewCounted(counts), rng)
-				ar.MinRunFirings = 0
-				run = ar
+				run = engine.NewCountedRunner(proto, engine.NewCounted(counts), rng, 0)
 			default:
 				pop := engine.NewDenseInit(128, func(i int) bitmask.State {
 					if i < 66 {
@@ -286,7 +282,7 @@ func TestBatchEquivApproxMajorityOutcome(t *testing.T) {
 }
 
 // TestAggregateEquivFiredCounts cross-validates the aggregate kernel's
-// per-rule firing accounting against BatchRunner's: for a fixed interaction
+// per-rule firing accounting against the batch tier's: for a fixed interaction
 // horizon of the 3-state approximate majority, each rule's firing count is
 // itself a random variable whose distribution must agree between the
 // kernels. The aggregate path resolves firings through hypergeometric
@@ -311,7 +307,7 @@ func TestAggregateEquivFiredCounts(t *testing.T) {
 			var fired []uint64
 			var interactions uint64
 			if kind == "batch" {
-				run := engine.NewBatchRunner(proto, pop, rng)
+				run := engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 				for run.Interactions < horizon {
 					if !run.LeapStep(horizon) {
 						break
@@ -319,8 +315,7 @@ func TestAggregateEquivFiredCounts(t *testing.T) {
 				}
 				fired, interactions = run.Fired, run.Interactions
 			} else {
-				run := engine.NewAggregateRunner(proto, pop, rng)
-				run.MinRunFirings = 0
+				run := engine.NewCountedRunner(proto, pop, rng, 0)
 				for run.Interactions < horizon {
 					if !run.LeapStep(horizon) {
 						break

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/baseline"
@@ -44,7 +45,7 @@ func BenchmarkBatchStep(b *testing.B) {
 	const n = 1_000_000
 	rng := engine.NewRNG(1)
 	pop := em.Population(n/2+1, n/2)
-	br := engine.NewBatchRunner(proto, pop, rng)
+	br := engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 	var interactions uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,7 +53,7 @@ func BenchmarkBatchStep(b *testing.B) {
 			b.StopTimer()
 			interactions += br.Interactions
 			pop = em.Population(n/2+1, n/2)
-			br = engine.NewBatchRunner(proto, pop, rng)
+			br = engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 			b.StartTimer()
 		}
 	}
@@ -69,7 +70,7 @@ func BenchmarkBatchStepCoalescence(b *testing.B) {
 	const n = 1_000_000
 	rng := engine.NewRNG(1)
 	pop := cl.Population(n)
-	br := engine.NewBatchRunner(proto, pop, rng)
+	br := engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 	var interactions uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,7 +78,7 @@ func BenchmarkBatchStepCoalescence(b *testing.B) {
 			b.StopTimer()
 			interactions += br.Interactions
 			pop = cl.Population(n)
-			br = engine.NewBatchRunner(proto, pop, rng)
+			br = engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 			b.StartTimer()
 		}
 	}
@@ -96,8 +97,8 @@ func BenchmarkBatchRunTracked(b *testing.B) {
 		proto := engine.CompileProtocol(em.Rules())
 		const n, gap = 4096, 1
 		rng := engine.NewRNG(1)
-		benchRunTracked(b, func() (*engine.BatchRunner, func() bool) {
-			br := engine.NewBatchRunner(proto, em.Population(n/2+gap, n/2), rng)
+		benchRunTracked(b, func() (*engine.CountedRunner, func() bool) {
+			br := engine.NewCountedRunner(proto, em.Population(n/2+gap, n/2), rng, math.Inf(1))
 			ta := br.Track("A", bitmask.Is(em.IsA))
 			return br, func() bool { a := ta.Count(); return a == 0 || a == n }
 		})
@@ -107,8 +108,8 @@ func BenchmarkBatchRunTracked(b *testing.B) {
 		proto := engine.CompileProtocol(cl.Rules())
 		const n = 32768
 		rng := engine.NewRNG(1)
-		benchRunTracked(b, func() (*engine.BatchRunner, func() bool) {
-			br := engine.NewBatchRunner(proto, cl.Population(n), rng)
+		benchRunTracked(b, func() (*engine.CountedRunner, func() bool) {
+			br := engine.NewCountedRunner(proto, cl.Population(n), rng, math.Inf(1))
 			tl := br.Track("L", bitmask.Is(cl.L))
 			return br, func() bool { return tl.Count() == 1 }
 		})
@@ -116,7 +117,7 @@ func BenchmarkBatchRunTracked(b *testing.B) {
 }
 
 // benchRunTracked times b.N replicas built by build and reports ns/firing.
-func benchRunTracked(b *testing.B, build func() (*engine.BatchRunner, func() bool)) {
+func benchRunTracked(b *testing.B, build func() (*engine.CountedRunner, func() bool)) {
 	var firings uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -147,7 +148,7 @@ func BenchmarkAggregateStep(b *testing.B) {
 	const n = 100_000_000
 	rng := engine.NewRNG(1)
 	pop := em.Population(n/2+1, n/2)
-	ar := engine.NewAggregateRunner(proto, pop, rng)
+	ar := engine.NewCountedRunner(proto, pop, rng, engine.DefaultMinRunFirings)
 	var interactions uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,7 +156,7 @@ func BenchmarkAggregateStep(b *testing.B) {
 			b.StopTimer()
 			interactions += ar.Interactions
 			pop = em.Population(n/2+1, n/2)
-			ar = engine.NewAggregateRunner(proto, pop, rng)
+			ar = engine.NewCountedRunner(proto, pop, rng, engine.DefaultMinRunFirings)
 			b.StartTimer()
 		}
 	}

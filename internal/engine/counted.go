@@ -36,7 +36,7 @@ type Counted struct {
 	// alias is a Walker alias table over slot counts (see alias.go),
 	// rebuilt lazily by sampleSlotAlias when any count changed since the
 	// last build (aliasOK false). It serves draw-heavy static-weight
-	// consumers — the aggregate runner's per-agent composition path — at
+	// consumers — the aggregate step's per-agent composition path — at
 	// O(1) per draw.
 	alias   aliasTable
 	aliasOK bool

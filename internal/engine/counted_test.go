@@ -54,13 +54,13 @@ func TestSecondRunnerPanics(t *testing.T) {
 	rs.Add(bitmask.Is(a), bitmask.IsNot(a), bitmask.True(), bitmask.Is(a))
 	p := CompileProtocol(rs)
 	pop := NewCounted(map[bitmask.State]int64{{}: 90, a.Set(bitmask.State{}, true): 10})
-	NewBatchRunner(p, pop, NewRNG(1))
+	NewCountedRunner(p, pop, NewRNG(1), math.Inf(1))
 	defer func() {
 		if recover() == nil {
 			t.Error("a second runner on the same population did not panic")
 		}
 	}()
-	NewAggregateRunner(p, pop, NewRNG(2))
+	NewCountedRunner(p, pop, NewRNG(2), DefaultMinRunFirings)
 }
 
 // TestBatchRunnerAgreesWithDense runs the same cancellation protocol on both
@@ -111,7 +111,7 @@ func TestBatchRunnerAgreesWithDense(t *testing.T) {
 		pop := NewCounted(map[bitmask.State]int64{
 			sA: nA, sB: nB, {}: n - nA - nB,
 		})
-		br := NewBatchRunner(p, pop, NewRNG(seed))
+		br := NewCountedRunner(p, pop, NewRNG(seed), math.Inf(1))
 		rounds, ok := br.RunTracked(func() bool { return pop.Count(gB) == 0 }, 1e6)
 		if !ok {
 			t.Fatalf("counted run %d did not absorb", seed)
@@ -138,7 +138,7 @@ func TestLeapStepSilentDetection(t *testing.T) {
 	p := CompileProtocol(rs)
 	sA := a.Set(bitmask.State{}, true)
 	pop := NewCounted(map[bitmask.State]int64{sA: 1, {}: 99})
-	br := NewBatchRunner(p, pop, NewRNG(1))
+	br := NewCountedRunner(p, pop, NewRNG(1), math.Inf(1))
 	// Only one A agent: the rule (A)+(A) can never fire.
 	if br.LeapStep(0) {
 		t.Error("LeapStep fired in a silent configuration")
@@ -154,13 +154,39 @@ func TestLeapStepHonorsBudget(t *testing.T) {
 	sA := a.Set(bitmask.State{}, true)
 	// Two A's among 10^6: firing is rare, the budget hits first.
 	pop := NewCounted(map[bitmask.State]int64{sA: 2, {}: 1_000_000 - 2})
-	br := NewBatchRunner(p, pop, NewRNG(1))
+	br := NewCountedRunner(p, pop, NewRNG(1), math.Inf(1))
 	const budget = 1000
 	if !br.LeapStep(budget) {
 		t.Fatal("LeapStep reported silence with a fireable rule")
 	}
 	if br.Interactions > budget {
 		t.Errorf("Interactions = %d exceeds budget %d", br.Interactions, budget)
+	}
+}
+
+// TestBoundReachedDrawsNothing pins the bound rule LeapStep and RunBatch
+// share on both tiers: a runner already at its interaction bound returns
+// alive without consuming RNG output, whether its next step would be a
+// leap (batch) or an aggregate step (q·E[ℓ] ≈ 160 here).
+func TestBoundReachedDrawsNothing(t *testing.T) {
+	proto, infected, healthy, _ := aggEpidemicProtocol()
+	const n, bound = 1 << 20, 5000
+	for _, minRun := range []float64{math.Inf(1), DefaultMinRunFirings} {
+		pop := NewCounted(map[bitmask.State]int64{infected: n / 2, healthy: n / 2})
+		r := NewCountedRunner(proto, pop, NewRNG(3), minRun)
+		if _, alive := r.RunBatch(math.MaxUint64, bound); !alive || r.Interactions != bound {
+			t.Fatalf("minRun=%v: RunBatch stopped at %d interactions (alive %v), want %d", minRun, r.Interactions, alive, bound)
+		}
+		rng := *r.RNG
+		if !r.LeapStep(bound) {
+			t.Errorf("minRun=%v: LeapStep at the bound reported silence", minRun)
+		}
+		if fired, alive := r.RunBatch(10, bound); fired != 0 || !alive {
+			t.Errorf("minRun=%v: RunBatch at the bound = (%d, %v), want (0, true)", minRun, fired, alive)
+		}
+		if *r.RNG != rng || r.Interactions != bound {
+			t.Errorf("minRun=%v: a step at the bound drew from the RNG or moved to %d interactions", minRun, r.Interactions)
+		}
 	}
 }
 
@@ -181,7 +207,7 @@ func TestLeapMatchesTheory(t *testing.T) {
 	var total float64
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := NewCounted(map[bitmask.State]int64{sL: 2, {}: n - 2})
-		br := NewBatchRunner(p, pop, NewRNG(seed))
+		br := NewCountedRunner(p, pop, NewRNG(seed), math.Inf(1))
 		if !br.LeapStep(0) {
 			t.Fatal("unexpected silence")
 		}
@@ -211,7 +237,7 @@ func TestLeapAtTinyRate(t *testing.T) {
 	var total float64
 	for seed := uint64(0); seed < seeds; seed++ {
 		pop := NewCounted(map[bitmask.State]int64{sL: 7, {}: n - 7})
-		br := NewBatchRunner(p, pop, NewRNG(seed))
+		br := NewCountedRunner(p, pop, NewRNG(seed), math.Inf(1))
 		if fired, _ := br.RunBatch(6, 0); fired != 6 {
 			t.Fatalf("seed %d: %d firings, want 6", seed, fired)
 		}
@@ -233,7 +259,7 @@ func TestCountedHistogramAndCompact(t *testing.T) {
 	p := CompileProtocol(rs)
 	sA := a.Set(bitmask.State{}, true)
 	pop := NewCounted(map[bitmask.State]int64{{}: 10, sA: 10})
-	br := NewBatchRunner(p, pop, NewRNG(3))
+	br := NewCountedRunner(p, pop, NewRNG(3), math.Inf(1))
 	for i := 0; i < 200 && pop.CountState(bitmask.State{}) > 0; i++ {
 		if !br.LeapStep(0) {
 			break

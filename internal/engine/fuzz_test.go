@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -130,9 +131,9 @@ func FuzzRunnerConservation(f *testing.F) {
 			pop.compact()
 		}
 
-		// BatchRunner.
+		// Batch tier.
 		pop := NewCounted(counts)
-		br := NewBatchRunner(proto, pop, NewRNG(seed))
+		br := NewCountedRunner(proto, pop, NewRNG(seed), math.Inf(1))
 		br.Track("a", trackF[0])
 		var fired uint64
 		for fired < budget {
@@ -144,24 +145,24 @@ func FuzzRunnerConservation(f *testing.F) {
 				break
 			}
 			fired += f
-			checkCounted(t, "BatchRunner", pop, br.idx, total)
+			checkCounted(t, "batch", pop, br.idx, total)
 		}
 		var tally uint64
 		for _, k := range br.Fired {
 			tally += k
 		}
 		if tally != fired || fired > budget {
-			t.Fatalf("BatchRunner: Fired sums to %d, %d firings counted, budget %d", tally, fired, budget)
+			t.Fatalf("batch: Fired sums to %d, %d firings counted, budget %d", tally, fired, budget)
 		}
 
-		// AggregateRunner, both flavours: default gating (mostly geometric
+		// Aggregate tier, both flavours: default gating (mostly geometric
 		// leaps at fuzz-sized populations) and forced run decomposition.
 		for _, force := range []bool{false, true} {
-			label := "AggregateRunner/leap"
+			label := "aggregate/leap"
 			pop = NewCounted(counts)
-			ar := NewAggregateRunner(proto, pop, NewRNG(seed))
+			ar := NewCountedRunner(proto, pop, NewRNG(seed), DefaultMinRunFirings)
 			if force {
-				label = "AggregateRunner/aggregate"
+				label = "aggregate/runs"
 				ar.MinRunFirings = 0
 			}
 			ar.Track("a", trackF[0])
@@ -244,11 +245,11 @@ func TestIncrementalStateEveryFiring(t *testing.T) {
 		pop := NewCounted(map[bitmask.State]int64{zero: n})
 		switch label {
 		case "batch":
-			br := NewBatchRunner(proto, pop, NewRNG(5))
+			br := NewCountedRunner(proto, pop, NewRNG(5), math.Inf(1))
 			br.Track("A", a)
 			return kernel{label, func() bool { _, ok := br.RunBatch(1, 0); return ok }, pop, br.idx}
 		default:
-			ar := NewAggregateRunner(proto, pop, NewRNG(5))
+			ar := NewCountedRunner(proto, pop, NewRNG(5), DefaultMinRunFirings)
 			if label == "aggregate/runs" {
 				ar.MinRunFirings = 0
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -93,7 +94,7 @@ func TestBatchRunnerGroupWeights(t *testing.T) {
 	}
 
 	pop := NewCounted(map[bitmask.State]int64{{}: 100})
-	br := NewBatchRunner(p, pop, NewRNG(4))
+	br := NewCountedRunner(p, pop, NewRNG(4), math.Inf(1))
 	// Fire 4000 events. The counter group holds 3 of 4 slots and always
 	// matches; the toggler (1 slot) matches only while ¬A agents remain.
 	counterFires, togglerFires := 0, 0

@@ -6,9 +6,9 @@ import (
 )
 
 // Kernel is the seam between a driver and the kernel simulating its
-// population. The dense Runner, BatchRunner and AggregateRunner implement
-// it, so a driver picks one kernel when it is built and needs no kind
-// switch afterwards.
+// population. The dense Runner and the CountedRunner implement it, so a
+// driver picks one kernel when it is built and needs no kind switch
+// afterwards.
 type Kernel interface {
 	// Track registers an incremental count of agents matching f.
 	Track(name string, f bitmask.Formula) *Tracker
@@ -31,8 +31,7 @@ type Kernel interface {
 
 var (
 	_ Kernel = (*Runner)(nil)
-	_ Kernel = (*BatchRunner)(nil)
-	_ Kernel = (*AggregateRunner)(nil)
+	_ Kernel = (*CountedRunner)(nil)
 )
 
 // A Tracker incrementally maintains the number of agents matching a guard,

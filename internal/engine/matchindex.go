@@ -60,7 +60,7 @@ type matchIndex struct {
 
 	// occ1[i], occ2[i] count occupied species (not agents) matching rule
 	// i's guards. When a guard has exactly one occupied species the
-	// corresponding participant pick is deterministic, and BatchRunner
+	// corresponding participant pick is deterministic, and the leap step
 	// skips the RNG draw entirely.
 	occ1, occ2 []int64
 
@@ -573,10 +573,10 @@ func (ix *matchIndex) applyEffect(o int32) {
 // pair) event, conditioned on the interaction firing, skipping RNG draws
 // whose outcome is forced: the rule pick when exactly one rule has matching
 // pairs, and the participant picks when their guard has exactly one
-// occupied species (occ1/occ2). Shared by BatchRunner (every firing) and
-// AggregateRunner (its sparse-regime fallback). It reads the rule-pick
-// weights of the stepProbability call just before it; the fired rule's
-// index is returned so callers can keep their own accounting.
+// occupied species (occ1/occ2). CountedRunner's leap step fires through
+// it. It reads the rule-pick weights of the stepProbability call just
+// before it; the fired rule's index is returned so callers can keep their
+// own accounting.
 func (ix *matchIndex) fireForcedMatching(rng *RNG) int {
 	// Rule pick, probability ∝ weight × matching pairs. With a single
 	// active rule the pick is certain and the Float64 draw is skipped.

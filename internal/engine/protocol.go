@@ -182,7 +182,7 @@ func (p *Protocol) groupAdmits(gi int32, s bitmask.State, responder bool) bool {
 }
 
 // GroupTally aggregates per-rule firing counts (indexed by rule, as
-// produced by obs.RuleStats or BatchRunner.Fired) into per-group totals
+// produced by obs.RuleStats or CountedRunner.Fired) into per-group totals
 // keyed by group name; unnamed groups key as "group<i>". Extra trailing
 // counts are ignored so a tally sized for a different protocol cannot
 // corrupt the map.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -58,7 +59,7 @@ func TestBatchRunnerStatsMirrorFired(t *testing.T) {
 	var sA, s0 bitmask.State
 	sA = a.Set(sA, true)
 	pop := NewCounted(map[bitmask.State]int64{sA: 10, s0: 290})
-	r := NewBatchRunner(p, pop, NewRNG(11))
+	r := NewCountedRunner(p, pop, NewRNG(11), math.Inf(1))
 	r.Stats = obs.NewRuleStats(p.NumRules())
 	r.RunTracked(func() bool { return false }, 10)
 	fired := r.Stats.Fired()

@@ -42,9 +42,6 @@ type Config struct {
 	ReplicaSink fleet.ResultSink
 }
 
-// DefaultConfig is the popbench default.
-func DefaultConfig() Config { return Config{Seeds: 10} }
-
 // Result is one experiment's output: tables for EXPERIMENTS.md plus
 // optional named CSV figure series.
 type Result struct {

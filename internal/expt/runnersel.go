@@ -11,14 +11,15 @@ import (
 	"popkit/internal/rules"
 )
 
-// Runner selection: the engine offers three exact kernels with different
-// capability/cost envelopes, and each experiment should get the fastest one
-// that is admissible for its (protocol, n) point. EXPERIMENTS.md tabulates
-// their capabilities; the measured per-interaction costs come from the
-// committed kernel benchmark results/BENCH_kernel.json (E11 exact-majority
-// workload, see BenchmarkBatchStep/BenchmarkAggregateStep).
+// Runner selection: the engine's two exact kernels run three tiers with
+// different capability/cost envelopes, and each experiment should get the
+// fastest one that is admissible for its (protocol, n) point.
+// EXPERIMENTS.md tabulates their capabilities; the measured
+// per-interaction costs come from the committed kernel benchmark
+// results/BENCH_kernel.json (E11 exact-majority workload, see
+// BenchmarkBatchStep/BenchmarkAggregateStep).
 
-// RunnerKind names one of the engine's kernels.
+// RunnerKind names one of the kernel tiers.
 type RunnerKind int
 
 const (
@@ -27,15 +28,18 @@ const (
 	// (first-match) rule groups, and the fastest at toy sizes where most
 	// interactions fire.
 	RunnerDense RunnerKind = iota
-	// RunnerBatch is engine.BatchRunner: a species-vector population with
-	// geometric leaps over non-firing interactions, forced picks skipping
-	// their RNG draws, and per-rule firing counts. Exact in distribution.
+	// RunnerBatch is engine.CountedRunner taking only leap steps: a
+	// species-vector population with geometric leaps over non-firing
+	// interactions, forced picks skipping their RNG draws, and per-rule
+	// firing counts. Exact in distribution.
 	RunnerBatch
-	// RunnerAggregate is engine.AggregateRunner: the counted chain advanced
-	// one collision-free run at a time, resolving the firings of each run
-	// through hypergeometric composition and binomial chains instead of one
-	// pick per firing. Exact in distribution; the fastest kernel once runs
-	// are long enough (ℓ ≈ 0.63·√n) to amortize the decomposition.
+	// RunnerAggregate is engine.CountedRunner with its aggregate step
+	// enabled at engine.DefaultMinRunFirings: firing-dense stretches
+	// advance one collision-free run at a time, resolving the firings of
+	// each run through hypergeometric composition and binomial chains
+	// instead of one pick per firing. Exact in distribution; the fastest
+	// tier once runs are long enough (ℓ ≈ 0.63·√n) to amortize the
+	// decomposition.
 	RunnerAggregate
 )
 
@@ -154,10 +158,12 @@ func NewDriver(proto *engine.Protocol, counts map[bitmask.State]int64, rng *engi
 	switch kind {
 	case RunnerDense:
 		d.k = engine.NewRunner(proto, denseLayout(counts, n), rng)
-	case RunnerAggregate:
-		d.k = engine.NewAggregateRunner(proto, engine.NewCounted(counts), rng)
 	default:
-		d.k = engine.NewBatchRunner(proto, engine.NewCounted(counts), rng)
+		minRun := math.Inf(1) // the batch tier never takes an aggregate step
+		if kind == RunnerAggregate {
+			minRun = engine.DefaultMinRunFirings
+		}
+		d.k = engine.NewCountedRunner(proto, engine.NewCounted(counts), rng, minRun)
 	}
 	return d
 }

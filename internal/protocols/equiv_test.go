@@ -14,6 +14,7 @@ package protocols_test
 // token configurations they converge.
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -130,7 +131,7 @@ func majorityTimes(t *testing.T, build func() majoritySpec, kind string, seedRoo
 			rounds = run.Rounds()
 		case "batch":
 			pop := engine.NewCounted(spec.counts)
-			run := engine.NewBatchRunner(proto, pop, rng)
+			run := engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 			ta, tb, to := run.Track("a", spec.tokA), run.Track("b", spec.tokB), run.Track("o", spec.out)
 			a = func() int64 { return ta.Count() }
 			b = func() int64 { return tb.Count() }
@@ -138,10 +139,9 @@ func majorityTimes(t *testing.T, build func() majoritySpec, kind string, seedRoo
 			rounds, ok = run.RunTracked(done, 2e6)
 		case "aggregate":
 			pop := engine.NewCounted(spec.counts)
-			run := engine.NewAggregateRunner(proto, pop, rng)
-			// Force the run-decomposition path at these small n (the leap
-			// fallback would make it identical to BatchRunner).
-			run.MinRunFirings = 0
+			// Force the run-decomposition path at these small n (leap steps
+			// alone would make it identical to the batch tier).
+			run := engine.NewCountedRunner(proto, pop, rng, 0)
 			ta, tb, to := run.Track("a", spec.tokA), run.Track("b", spec.tokB), run.Track("o", spec.out)
 			a = func() int64 { return ta.Count() }
 			b = func() int64 { return tb.Count() }
@@ -284,7 +284,7 @@ func TestGS18KernelEquivalence(t *testing.T) {
 				flipping = append(flipping, float64(tf.Count()))
 			} else {
 				pop := engine.NewCounted(counts)
-				r := engine.NewBatchRunner(proto, pop, rng)
+				r := engine.NewCountedRunner(proto, pop, rng, math.Inf(1))
 				tl, tf := r.Track("l", isL), r.Track("f", isF)
 				r.RunTracked(func() bool { return false }, horizon)
 				leaders = append(leaders, float64(tl.Count()))

@@ -12,6 +12,7 @@ package protocols_test
 // rule can fire on a non-matching pair under the unordered-group scheduler.
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -83,7 +84,7 @@ func FuzzRelatedInvariants(f *testing.F) {
 			var lvl bitmask.Field
 			var maxLevel int
 			var pop *engine.Counted
-			var br *engine.BatchRunner
+			var br *engine.CountedRunner
 			if pick%3 == 0 {
 				m := NewCDMajority(int(n))
 				if err := m.Rules().Validate(); err != nil {
@@ -91,7 +92,7 @@ func FuzzRelatedInvariants(f *testing.F) {
 				}
 				tok, opA, out, lvl, maxLevel = m.Tok, m.OpA, m.Out, m.Lvl, m.MaxLevel
 				pop = engine.NewCounted(m.InitCounts(nA, nB))
-				br = engine.NewBatchRunner(engine.CompileProtocol(m.Rules()), pop, engine.NewRNG(seed))
+				br = engine.NewCountedRunner(engine.CompileProtocol(m.Rules()), pop, engine.NewRNG(seed), math.Inf(1))
 			} else {
 				m := NewPRMajority(int(n))
 				if err := m.Rules().Validate(); err != nil {
@@ -99,7 +100,7 @@ func FuzzRelatedInvariants(f *testing.F) {
 				}
 				tok, opA, out, lvl, maxLevel = m.Tok, m.OpA, m.Out, m.Ph, m.MaxPhase
 				pop = engine.NewCounted(m.InitCounts(nA, nB))
-				br = engine.NewBatchRunner(engine.CompileProtocol(m.Rules()), pop, engine.NewRNG(seed))
+				br = engine.NewCountedRunner(engine.CompileProtocol(m.Rules()), pop, engine.NewRNG(seed), math.Inf(1))
 			}
 			wantW := (nA - nB) * (int64(1) << uint(maxLevel))
 			checkMajorityInvariants(t, "init", pop, tok, opA, out, lvl, int64(maxLevel), n, wantW)
@@ -113,7 +114,7 @@ func FuzzRelatedInvariants(f *testing.F) {
 			}
 			rng := engine.NewRNG(seed)
 			pop := engine.NewCounted(g.InitCounts(n, rng))
-			br := engine.NewBatchRunner(engine.CompileProtocol(g.Rules()), pop, rng)
+			br := engine.NewCountedRunner(engine.CompileProtocol(g.Rules()), pop, rng, math.Inf(1))
 			// Keep the budget small: the batch kernel's cost grows with the
 			// species count, which grows with firings on this state-rich
 			// protocol.

@@ -1,6 +1,7 @@
 package semilinear
 
 import (
+	"math"
 	"testing"
 
 	"popkit/internal/bitmask"
@@ -50,7 +51,7 @@ func runCombo(t *testing.T, pred Predicate, counts []int64, filler int64, seed u
 		table[box.InitAgent(bitmask.State{}, -1)] += filler
 	}
 	pop := engine.NewCounted(table)
-	br := engine.NewBatchRunner(engine.CompileProtocol(box.Rules()), pop, engine.NewRNG(seed))
+	br := engine.NewCountedRunner(engine.CompileProtocol(box.Rules()), pop, engine.NewRNG(seed), math.Inf(1))
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	gD0 := bitmask.Compile(bitmask.Is(box.D0))
 	n := int64(pop.N())

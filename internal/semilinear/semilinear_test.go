@@ -53,7 +53,7 @@ func runSlowBox(t *testing.T, pred Predicate, counts []int64, filler int64, seed
 	}
 	pop := engine.NewCounted(table)
 	p := engine.CompileProtocol(box.Rules())
-	br := engine.NewBatchRunner(p, pop, engine.NewRNG(seed))
+	br := engine.NewCountedRunner(p, pop, engine.NewRNG(seed), math.Inf(1))
 
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	gD0 := bitmask.Compile(bitmask.Is(box.D0))
@@ -159,7 +159,7 @@ func TestSlowBoxStability(t *testing.T) {
 	}
 	pop := engine.NewCounted(table)
 	p := engine.CompileProtocol(box.Rules())
-	br := engine.NewBatchRunner(p, pop, engine.NewRNG(5))
+	br := engine.NewCountedRunner(p, pop, engine.NewRNG(5), math.Inf(1))
 	gD1 := bitmask.Compile(bitmask.Is(box.D1))
 	n := int64(pop.N())
 	countF := func(f bitmask.Formula) int64 { return pop.CountFormula(f) }

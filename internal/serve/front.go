@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"popkit/internal/catalog"
@@ -128,6 +129,11 @@ type Front struct {
 	store    *store.Store
 	flight   *store.Flight
 	journals *journalSet
+	// protocols is the GET /v1/protocols body, rendered by the first GET:
+	// it calls every entry's States, and gs18leader's builds the whole
+	// GS18 ruleset, too slow to repeat per request or to pay in NewFront.
+	protocolsOnce sync.Once
+	protocols     []byte
 }
 
 // NewFront builds a binary's request front over exec. prefix names its
@@ -722,18 +728,25 @@ func (f *Front) handleProtocols(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	list := f.cfg.Registry.List()
-	docs := make([]protocolDoc, len(list))
-	for i, p := range list {
-		docs[i] = protocolDoc{
-			Name: p.Name, Description: p.Description, Kind: p.Kind, Params: p.Params,
-			StateRich: p.Hints.StateRich,
+	f.protocolsOnce.Do(func() {
+		list := f.cfg.Registry.List()
+		docs := make([]protocolDoc, len(list))
+		for i, p := range list {
+			docs[i] = protocolDoc{
+				Name: p.Name, Description: p.Description, Kind: p.Kind, Params: p.Params,
+				StateRich: p.Hints.StateRich,
+			}
+			if p.States != nil {
+				docs[i].States = p.States(1024)
+			}
 		}
-		if p.States != nil {
-			docs[i].States = p.States(1024)
-		}
-	}
-	WriteJSON(w, struct {
-		Protocols []protocolDoc `json:"protocols"`
-	}{docs})
+		// WriteJSON's layout; the marshal cannot fail on strings, numbers
+		// and bools.
+		body, _ := json.MarshalIndent(struct {
+			Protocols []protocolDoc `json:"protocols"`
+		}{docs}, "", "  ")
+		f.protocols = append(body, '\n')
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(f.protocols)
 }

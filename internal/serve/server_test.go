@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,6 +302,42 @@ func TestProtocolsEndpoint(t *testing.T) {
 	}
 	if string(body) != wantProtocolsBody {
 		t.Fatalf("GET /v1/protocols:\n%s\nwant\n%s", body, wantProtocolsBody)
+	}
+}
+
+// TestProtocolsRenderedOnce checks that GET /v1/protocols builds its body
+// on the first request only: a second GET calls no entry's States.
+func TestProtocolsRenderedOnce(t *testing.T) {
+	var calls atomic.Int32
+	reg := NewRegistry()
+	err := reg.Register(&Protocol{
+		Name: "counting", Kind: "test",
+		States: func(int) uint64 { calls.Add(1); return 2 },
+		Replica: func(context.Context, expt.JobSpec, int, uint64) (expt.ReplicaRecord, error) {
+			return expt.ReplicaRecord{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Registry: reg})
+	var bodies [2][]byte
+	for i := range bodies {
+		resp, err := http.Get(ts.URL + "/v1/protocols")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Fatalf("after GET %d: States called %d times, want 1", i+1, got)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Contains(bodies[0], []byte(`"counting"`)) {
+		t.Errorf("GET bodies differ or miss the entry:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 

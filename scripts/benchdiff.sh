@@ -9,13 +9,14 @@
 # once. The two binaries then run alternately, one -test.count=1 pass at a
 # time, with the side that goes first switching every repetition, so host
 # drift during the run falls on both sides alike. cmd/benchdiff (stdlib
-# benchstat-style comparator) renders the medians and deltas.
+# benchstat-style comparator) renders each side's median with its min–max
+# range and the delta, marked "unresolved" when the ranges overlap.
 #
 # Environment knobs:
 #   COUNT=5        benchmark repetitions per side (default 5; QUICK uses 2)
 #   BENCHTIME=1s   -benchtime per benchmark (QUICK uses 100ms)
 #   QUICK=1        fast smoke mode for CI / make check
-#   FAIL_OVER=10   exit 1 if any ns/op, ns/interaction or ns/firing metric
+#   FAIL_OVER=10   exit 1 if any ns/op, ns/interaction or ns/firing median
 #                  regresses by more than this percent (benchdiff -fail-over)
 set -euo pipefail
 cd "$(dirname "$0")/.."

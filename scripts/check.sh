@@ -29,7 +29,11 @@ echo "== go test -race -short (protocol library) =="
 go test -race -short ./internal/protocols/
 
 echo "== coverage floors (engine, obs, catalog, serve, fleet, client, cluster, store, qos, protocols ≥ 80%) =="
-cover=$(go test -cover ./internal/engine/ ./internal/obs/ ./internal/catalog/ ./internal/serve/ ./internal/fleet/ ./internal/client/ ./internal/cluster/ ./internal/store/ ./internal/qos/ ./internal/protocols/ | tee /dev/stderr)
+# The output is captured, then written through the inherited stderr:
+# `tee /dev/stderr` would reopen a redirected caller's log and truncate it.
+cover=$(go test -cover ./internal/engine/ ./internal/obs/ ./internal/catalog/ ./internal/serve/ ./internal/fleet/ ./internal/client/ ./internal/cluster/ ./internal/store/ ./internal/qos/ ./internal/protocols/) \
+    || { printf '%s\n' "$cover" >&2; exit 1; }
+printf '%s\n' "$cover" >&2
 echo "$cover" | awk '
     /coverage:/ {
         pct = $0
