@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -86,7 +87,16 @@ func median(xs []float64) float64 {
 // summary renders a side's median and its [min–max] range — a spread that
 // needs no distribution assumptions.
 func summary(xs []float64) string {
-	return fmt.Sprintf("%.2f [%.2f–%.2f]", median(xs), slices.Min(xs), slices.Max(xs))
+	return fmt.Sprintf("%s [%s–%s]", num(median(xs)), num(slices.Min(xs)), num(slices.Max(xs)))
+}
+
+// num formats one value: two decimals from 1 up, and three significant
+// digits below 1, so a per-interaction cost of 0.00014 ns stays readable.
+func num(v float64) string {
+	if v == 0 || math.Abs(v) >= 1 {
+		return fmt.Sprintf("%.2f", v)
+	}
+	return strconv.FormatFloat(v, 'f', 2-int(math.Floor(math.Log10(math.Abs(v)))), 64)
 }
 
 // timeUnit reports whether a metric unit is one the -fail-over gate

@@ -8,8 +8,9 @@
 // copy of what a protocol is.
 //
 // Determinism: replica i of a job derives its whole RNG stream from
-// expt.ReplicaSeed(spec.Seed, i), and Protocol.Run delivers records in
-// replica order through a fleet.OrderedSink, so the same spec yields
+// expt.ReplicaSeed(spec.Seed, i), and Records delivers a job's records in
+// replica order through a fleet.OrderedSink, whether Protocol.Run or
+// popserved's job pool schedules the replicas, so the same spec yields
 // byte-identical output from popsim -ndjson and from the service, for any
 // worker count.
 package catalog
@@ -189,44 +190,64 @@ type RunOptions struct {
 	Observe func(fleet.Result)
 	// FleetStats, when non-nil, is filled with the job's per-worker fleet
 	// tallies — work-stealing traffic, retry attempts, busy time
-	// (fleet.Options.Stats) — valid once Run returns. (It has nothing to do
-	// with /v1/sweep; "sweep" in older comments meant one job's replica
-	// fan-out, a usage retired when the parameter-grid sweep API arrived.)
+	// (fleet.Options.Stats) — valid once Run returns.
 	FleetStats *fleet.Stats
-	// Join, when non-nil, receives the fleet's Helper once the job starts,
-	// so goroutines outside the fleet can run its unclaimed replicas
-	// (fleet.Options.Join) — how popserved's idle job slots lend
-	// themselves to a running job.
-	Join func(*fleet.Helper)
 }
 
 // Run executes the spec's replicas [opts.Start, spec.Replicas) across the
 // fleet, delivering records to sink in replica order as they complete (sink
-// is never called concurrently). It returns the first replica's error in
-// replica order, if any — cancellations and panics included — and reports a
-// panicking sink, so a record that never reached the stream can't pass for
-// success.
+// is never called concurrently), and returns Records.Err.
 func (p *Protocol) Run(ctx context.Context, spec expt.JobSpec, opts RunOptions, sink func(expt.ReplicaRecord)) error {
-	ordered := fleet.NewOrderedSinkAt(fleet.SinkFunc(func(r fleet.Result) {
-		sink(recordOf(spec, r))
-	}), opts.Start)
-	var fanout fleet.ResultSink = ordered
+	out := NewRecords(spec, opts.Start, sink)
+	var fanout fleet.ResultSink = out
 	if opts.Observe != nil {
-		fanout = fleet.MultiSink{ordered, fleet.SinkFunc(opts.Observe)}
+		fanout = fleet.MultiSink{out, fleet.SinkFunc(opts.Observe)}
 	}
-	results := fleet.Run(ctx, p.Jobs(spec, opts.Start), fleet.Options{
+	fleet.Run(ctx, p.Jobs(spec, opts.Start), fleet.Options{
 		Workers:    opts.Workers,
 		MaxRetries: opts.MaxRetries,
 		Sink:       fanout,
 		Stats:      opts.FleetStats,
-		Join:       opts.Join,
 	})
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("replica %d (seed %d): %w", r.ID, r.Seed, r.Err)
+	return out.Err()
+}
+
+// Records turns one job's replica results into its record stream: each
+// result becomes a wire record (recordOf) delivered to the sink in replica
+// order from the job's first replica, through a fleet.OrderedSink, and the
+// first failure in replica order is kept for Err. Protocol.Run feeds it
+// from a fleet; popserved's job pool feeds it one replica at a time. Emit
+// is safe for concurrent use.
+type Records struct {
+	ordered *fleet.OrderedSink
+	err     error // guarded by ordered's lock: written only from its inner sink
+}
+
+// NewRecords returns the record stream of spec's replicas from start on.
+func NewRecords(spec expt.JobSpec, start int, sink func(expt.ReplicaRecord)) *Records {
+	out := &Records{}
+	out.ordered = fleet.NewOrderedSinkAt(fleet.SinkFunc(func(r fleet.Result) {
+		if r.Err != nil && out.err == nil {
+			out.err = fmt.Errorf("replica %d (seed %d): %w", r.ID, r.Seed, r.Err)
 		}
+		sink(recordOf(spec, r))
+	}), start)
+	return out
+}
+
+// Emit implements fleet.ResultSink.
+func (o *Records) Emit(r fleet.Result) { o.ordered.Emit(r) }
+
+// Err returns the first replica's error in replica order, if any —
+// cancellations and panics included — and otherwise reports a panicking
+// sink, so a record that never reached the stream can't pass for success.
+// Valid once every replica's result has been emitted.
+func (o *Records) Err() error {
+	sinkErr := o.ordered.SinkErr() // takes ordered's lock, so err is settled
+	if o.err != nil {
+		return o.err
 	}
-	return ordered.SinkErr()
+	return sinkErr
 }
 
 // Registry maps protocol names to runnable workloads.

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -63,8 +64,10 @@ func LoadJournal(path string, spec JobSpec) (j *Journal, replay [][]byte, err er
 		return &Journal{f: f}, nil, nil
 	}
 
-	stored, rest, ok := cutLine(data)
-	if !ok {
+	// A torn, corrupt or out-of-order record ends the prefix; the rest is
+	// truncated away below.
+	stored, replay, valid, stop := ReadRecords(data)
+	if errors.Is(stop, ErrTornHeader) {
 		// Even the header is torn — the job never journaled a record, so
 		// restart the file from scratch.
 		if err := rewrite(f, append(header, '\n')); err != nil {
@@ -75,21 +78,6 @@ func LoadJournal(path string, spec JobSpec) (j *Journal, replay [][]byte, err er
 	if !bytes.Equal(stored, header) {
 		return nil, nil, fmt.Errorf("journal %s holds a different job spec (stored %s)", path, stored)
 	}
-
-	valid := len(stored) + 1
-	for len(rest) > 0 {
-		line, tail, ok := cutLine(rest)
-		if !ok {
-			break // torn trailing write
-		}
-		var rec ReplicaRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Replica != len(replay) || rec.Err != "" {
-			break // corrupt or out-of-order: the prefix ends here
-		}
-		replay = append(replay, append(line, '\n'))
-		valid += len(line) + 1
-		rest = tail
-	}
 	if valid < len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
 			return nil, nil, err
@@ -99,6 +87,43 @@ func LoadJournal(path string, spec JobSpec) (j *Journal, replay [][]byte, err er
 		return nil, nil, err
 	}
 	return &Journal{f: f, next: len(replay)}, replay, nil
+}
+
+// ErrTornHeader is ReadRecords' reason for data without one complete
+// line: not even the header survived.
+var ErrTornHeader = errors.New("torn header")
+
+// ReadRecords reads the layout journals and result-store objects share: a
+// header line (the job spec), then one line per successful replica record,
+// in replica order from 0. It returns the header, the lines of the valid
+// record prefix (each newline-terminated) and the byte length of header
+// and prefix together, and stop says why the prefix ends before data does:
+// a torn trailing record, a bad record line, or a record out of order or
+// failed. stop is nil when every line is valid, and ErrTornHeader, with
+// nothing else, when the header itself is torn.
+func ReadRecords(data []byte) (header []byte, lines [][]byte, valid int, stop error) {
+	header, rest, ok := cutLine(data)
+	if !ok {
+		return nil, nil, 0, ErrTornHeader
+	}
+	valid = len(header) + 1
+	for len(rest) > 0 {
+		line, tail, ok := cutLine(rest)
+		if !ok {
+			return header, lines, valid, errors.New("torn trailing record")
+		}
+		var rec ReplicaRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return header, lines, valid, fmt.Errorf("bad record line: %v", err)
+		}
+		if rec.Replica != len(lines) || rec.Err != "" {
+			return header, lines, valid, fmt.Errorf("record %d out of order or failed", rec.Replica)
+		}
+		lines = append(lines, append(line, '\n'))
+		valid += len(line) + 1
+		rest = tail
+	}
+	return header, lines, valid, nil
 }
 
 // cutLine splits data at the first newline; ok is false when no complete

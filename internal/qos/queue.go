@@ -2,7 +2,6 @@ package qos
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -136,12 +135,13 @@ type tenantQ struct {
 // Queue is the per-tenant weighted fair queue: deficit round-robin across
 // tenants, strict class priority (interactive > batch > whale) so small
 // jobs never sit behind whales, and concurrency caps on running whales.
-// All methods are safe for concurrent use.
+// It is plain data, not safe for concurrent use: its one user, popserved's
+// job pool, calls every method under the pool's lock, so that each
+// scheduling decision and the wakeups that follow it are made under one
+// lock.
 type Queue struct {
 	cfg QueueConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond
 	tenants map[string]*tenantQ
 	order   []*tenantQ
 	rr      int // next tenant index the DRR scan starts from
@@ -158,13 +158,11 @@ type Queue struct {
 // NewQueue builds a queue; see QueueConfig for defaults.
 func NewQueue(cfg QueueConfig) *Queue {
 	cfg.fillDefaults()
-	q := &Queue{
+	return &Queue{
 		cfg:     cfg,
 		tenants: make(map[string]*tenantQ),
 		whales:  make(map[string]int),
 	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
 }
 
 func (q *Queue) weightOf(tenant string) int {
@@ -186,7 +184,6 @@ func (q *Queue) charge(cost time.Duration) time.Duration {
 
 // evictIdleTenant drops one tenant with nothing queued and no running
 // whales, making room for a new one. Reports whether it found a victim.
-// Caller holds q.mu.
 func (q *Queue) evictIdleTenant() bool {
 	for i, t := range q.order {
 		if t.depth == 0 && q.whales[t.name] == 0 {
@@ -207,8 +204,6 @@ func (q *Queue) evictIdleTenant() bool {
 // limit rejected it (per-tenant depth, global depth, tenant cardinality,
 // or a closed queue).
 func (q *Queue) Enqueue(it *Item) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
@@ -234,33 +229,14 @@ func (q *Queue) Enqueue(it *Item) error {
 	t.depth++
 	t.queuedCharge += q.charge(it.Cost)
 	q.size++
-	q.cond.Broadcast()
 	return nil
 }
 
-// Next blocks until an item is dispatchable and returns it, or returns
-// false once the queue is closed and drained. Callers must call Done with
-// the item after running it (it releases the whale slot).
-func (q *Queue) Next() (*Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if it := q.pick(); it != nil {
-			return it, true
-		}
-		if q.closed && q.size == 0 {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-}
-
-// TryNext is the non-blocking Next: it returns a dispatchable item, or nil
-// when none is dispatchable right now. drained reports a closed, empty
-// queue — the point where Next returns false.
+// TryNext returns the next dispatchable item, or nil when none is
+// dispatchable right now; drained reports a closed, empty queue, which
+// will never dispatch again. Callers must call Done with the item once it
+// has run (it releases the whale slot).
 func (q *Queue) TryNext() (it *Item, drained bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	it = q.pick()
 	return it, it == nil && q.closed && q.size == 0
 }
@@ -271,8 +247,6 @@ func (q *Queue) TryNext() (it *Item, drained bool) {
 // exactly as a running whale does, so whale dispatch and whale lending
 // together never exceed the cap. Release it with ReleaseWhaleSlot.
 func (q *Queue) AcquireWhaleSlot() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.whalesTotal+q.whalesLent >= q.cfg.WhaleGlobal {
 		return false
 	}
@@ -282,22 +256,18 @@ func (q *Queue) AcquireWhaleSlot() bool {
 
 // ReleaseWhaleSlot returns a slot AcquireWhaleSlot took.
 func (q *Queue) ReleaseWhaleSlot() {
-	q.mu.Lock()
 	if q.whalesLent > 0 {
 		q.whalesLent--
 	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }
 
 // Done releases the resources the dispatch of it acquired (the whale
-// concurrency slot). Must be called exactly once per item Next or TryNext
+// concurrency slot). Must be called exactly once per item TryNext
 // returned.
 func (q *Queue) Done(it *Item) {
 	if it.Class != ClassWhale {
 		return
 	}
-	q.mu.Lock()
 	if q.whales[it.Tenant] > 0 {
 		q.whales[it.Tenant]--
 		if q.whales[it.Tenant] == 0 {
@@ -307,20 +277,13 @@ func (q *Queue) Done(it *Item) {
 	if q.whalesTotal > 0 {
 		q.whalesTotal--
 	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }
 
-// Close stops intake. Workers keep draining queued items; Next returns
-// false once the queue is empty. Safe to call more than once.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
+// Close stops intake. Queued items still dispatch; TryNext reports the
+// queue drained once they have. Safe to call more than once.
+func (q *Queue) Close() { q.closed = true }
 
-// pick implements the dispatch policy under q.mu:
+// pick implements the dispatch policy:
 //
 //  1. strict class priority: all interactive heads across tenants are
 //     considered before any batch head, batch before whale — the "small
@@ -393,9 +356,12 @@ func (q *Queue) pick() *Item {
 	return nil
 }
 
-// dequeue pops t's head item in class. Caller holds q.mu.
+// dequeue pops t's head item in class.
 func (q *Queue) dequeue(t *tenantQ, class Class) {
 	it := t.lanes[class][0]
+	// The lane's backing array outlives the reslice; clear the slot so a
+	// dispatched item's job is not kept reachable after it ends.
+	t.lanes[class][0] = nil
 	t.lanes[class] = t.lanes[class][1:]
 	t.depth--
 	t.queuedCharge -= q.charge(it.Cost)
@@ -411,11 +377,7 @@ func (q *Queue) dequeue(t *tenantQ, class Class) {
 }
 
 // Depth samples total queued items.
-func (q *Queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
+func (q *Queue) Depth() int { return q.size }
 
 // Capacity is the per-tenant depth bound (the historical queue_capacity
 // gauge semantics: what one tenant can have queued).
@@ -423,8 +385,6 @@ func (q *Queue) Capacity() int { return q.cfg.PerTenantDepth }
 
 // TenantDepth samples one tenant's queued items.
 func (q *Queue) TenantDepth(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if t := q.tenants[tenant]; t != nil {
 		return t.depth
 	}
@@ -434,8 +394,6 @@ func (q *Queue) TenantDepth(tenant string) int {
 // TenantQueuedCharge samples the tenant's queued capped-cost backlog — the
 // cost-aware half of a Retry-After hint.
 func (q *Queue) TenantQueuedCharge(tenant string) time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if t := q.tenants[tenant]; t != nil {
 		return t.queuedCharge
 	}
@@ -443,16 +401,8 @@ func (q *Queue) TenantQueuedCharge(tenant string) time.Duration {
 }
 
 // WhalesRunning samples the number of running whale-class jobs.
-func (q *Queue) WhalesRunning() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.whalesTotal
-}
+func (q *Queue) WhalesRunning() int { return q.whalesTotal }
 
 // Overloaded reports queue pressure: total backlog at or beyond ShedDepth.
 // The server sheds whale admissions while it holds.
-func (q *Queue) Overloaded() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size >= q.cfg.ShedDepth
-}
+func (q *Queue) Overloaded() bool { return q.size >= q.cfg.ShedDepth }

@@ -2,7 +2,9 @@ package qos
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,29 +15,15 @@ func item(tenant string, c Class, cost time.Duration, tag string) *Item {
 	return &Item{Tenant: tenant, Class: c, Cost: cost, Job: tag}
 }
 
-// next returns the queue's next item or fails the test after a timeout —
-// Next blocks, so a missing wakeup would otherwise hang the suite.
+// next returns the queue's next dispatchable item, failing the test when
+// none is.
 func next(t *testing.T, q *Queue) *Item {
 	t.Helper()
-	type res struct {
-		it *Item
-		ok bool
+	it, _ := q.TryNext()
+	if it == nil {
+		t.Fatal("no dispatchable item")
 	}
-	ch := make(chan res, 1)
-	go func() {
-		it, ok := q.Next()
-		ch <- res{it, ok}
-	}()
-	select {
-	case r := <-ch:
-		if !r.ok {
-			t.Fatal("queue closed unexpectedly")
-		}
-		return r.it
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not return")
-		return nil
-	}
+	return it
 }
 
 func TestFIFOWithinTenantAndClass(t *testing.T) {
@@ -151,32 +139,30 @@ func TestWhaleCaps(t *testing.T) {
 	first := next(t, q)
 
 	// The global cap holds the second whale back even though a worker asks.
-	got := make(chan *Item, 1)
-	go func() {
-		it, ok := q.Next()
-		if ok {
-			got <- it
-		}
-	}()
-	select {
-	case it := <-got:
-		t.Fatalf("second whale %v dispatched past the global cap", it.Job)
-	case <-time.After(100 * time.Millisecond):
+	if it, drained := q.TryNext(); it != nil || drained {
+		t.Fatalf("second whale dispatched past the global cap (%v, drained %v)", it, drained)
 	}
 	// A batch job is unaffected by whale caps.
 	q.Enqueue(item("c", ClassBatch, time.Second, "batch"))
-	select {
-	case it := <-got:
-		if it.Job.(string) != "batch" {
-			t.Fatalf("expected the batch job to bypass capped whales, got %v", it.Job)
-		}
-		q.Done(it)
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch job did not dispatch while whales were capped")
-	}
-	// Finishing the first whale frees the slot.
-	q.Done(first)
 	it := next(t, q)
+	if it.Job.(string) != "batch" {
+		t.Fatalf("expected the batch job to bypass capped whales, got %v", it.Job)
+	}
+	q.Done(it)
+	// Finishing the first whale frees the slot; a slot lent to a whale
+	// takes it just as a running whale does.
+	q.Done(first)
+	if !q.AcquireWhaleSlot() {
+		t.Fatal("no whale slot free with no whale running")
+	}
+	if it, _ := q.TryNext(); it != nil {
+		t.Fatalf("whale %v dispatched while a lent slot held the global cap", it.Job)
+	}
+	if q.AcquireWhaleSlot() {
+		t.Fatal("a second lent whale slot past WhaleGlobal = 1")
+	}
+	q.ReleaseWhaleSlot()
+	it = next(t, q)
 	if it.Job.(string) != "w2" {
 		t.Fatalf("after Done, got %v, want w2", it.Job)
 	}
@@ -187,6 +173,27 @@ func TestWhaleCaps(t *testing.T) {
 	if q.WhalesRunning() != 0 {
 		t.Fatalf("whales running after Done = %d, want 0", q.WhalesRunning())
 	}
+}
+
+// TestDispatchedItemNotRetained: once dispatched, an item is no longer
+// reachable from the queue, so the job it carries can be collected when it
+// ends.
+func TestDispatchedItemNotRetained(t *testing.T) {
+	q := NewQueue(QueueConfig{})
+	var freed atomic.Bool
+	job := &[64]byte{} // large enough to escape the tiny allocator
+	runtime.SetFinalizer(job, func(*[64]byte) { freed.Store(true) })
+	q.Enqueue(&Item{Tenant: "t", Class: ClassBatch, Cost: time.Second, Job: job})
+	q.Done(next(t, q))
+	job = nil
+	for i := 0; i < 100 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("a dispatched item's job is still reachable from its lane")
+	}
+	runtime.KeepAlive(q)
 }
 
 func TestPerTenantWhaleCap(t *testing.T) {
@@ -249,20 +256,26 @@ func TestIdleTenantEviction(t *testing.T) {
 
 func TestCloseDrainsThenStops(t *testing.T) {
 	q := NewQueue(QueueConfig{})
+	if it, drained := q.TryNext(); it != nil || drained {
+		t.Fatalf("empty open queue: item %v, drained %v; want nil, false", it, drained)
+	}
 	q.Enqueue(item("t", ClassBatch, time.Second, "1"))
 	q.Enqueue(item("t", ClassBatch, time.Second, "2"))
 	q.Close()
 	for i := 0; i < 2; i++ {
-		it, ok := q.Next()
-		if !ok {
-			t.Fatalf("queued item %d lost on close", i)
+		it, drained := q.TryNext()
+		if it == nil || drained {
+			t.Fatalf("queued item %d lost on close (drained %v)", i, drained)
 		}
 		q.Done(it)
 	}
-	if _, ok := q.Next(); ok {
-		t.Fatal("Next returned an item from an empty closed queue")
+	if it, drained := q.TryNext(); it != nil || !drained {
+		t.Fatalf("empty closed queue: item %v, drained %v; want nil, true", it, drained)
 	}
 	q.Close() // idempotent
+	if _, drained := q.TryNext(); !drained {
+		t.Fatal("a second Close undid the drain")
+	}
 }
 
 func TestDepthAndChargeSampling(t *testing.T) {
@@ -301,7 +314,9 @@ func TestDepthAndChargeSampling(t *testing.T) {
 
 // TestConcurrentProducersConsumers is the race-detector workout: many
 // producers and consumers over all classes and several tenants, with whale
-// caps in play, must neither deadlock nor lose items.
+// caps in play, must neither deadlock nor lose items. They share the queue
+// the way popserved's job pool does: every call under one mutex, with a
+// condition variable on it waking consumers after each change.
 func TestConcurrentProducersConsumers(t *testing.T) {
 	q := NewQueue(QueueConfig{
 		PerTenantDepth: 1000,
@@ -309,6 +324,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		WhaleGlobal:    2,
 		WhalePerTenant: 1,
 	})
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
 	const perTenant = 50
 	tenants := []string{"a", "b", "c"}
 	var produced sync.WaitGroup
@@ -322,33 +339,50 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 				if c == ClassWhale {
 					cost = time.Hour
 				}
-				for q.Enqueue(item(tn, c, cost, tn)) != nil {
+				for {
+					mu.Lock()
+					err := q.Enqueue(item(tn, c, cost, tn))
+					cond.Broadcast()
+					mu.Unlock()
+					if err == nil {
+						break
+					}
 					time.Sleep(time.Millisecond)
 				}
 			}
 		}(tn)
 	}
-	var mu sync.Mutex
 	got := 0
 	var workers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			mu.Lock()
+			defer mu.Unlock()
 			for {
-				it, ok := q.Next()
-				if !ok {
+				it, drained := q.TryNext()
+				if drained {
 					return
 				}
-				mu.Lock()
+				if it == nil {
+					cond.Wait()
+					continue
+				}
 				got++
 				mu.Unlock()
+				runtime.Gosched() // the item runs with the lock released
+				mu.Lock()
 				q.Done(it)
+				cond.Broadcast()
 			}
 		}()
 	}
 	produced.Wait()
+	mu.Lock()
 	q.Close()
+	cond.Broadcast()
+	mu.Unlock()
 	workers.Wait()
 	if want := perTenant * len(tenants); got != want {
 		t.Fatalf("dispatched %d items, want %d", got, want)

@@ -113,10 +113,10 @@ type Metrics struct {
 	InFlight             *obs.GaugeInt
 
 	// FleetSteals counts replicas run on a lent job slot — a slot with no
-	// dispatchable queued job that ran another job's unclaimed replica
-	// (each job's own fleet is one worker wide, so lending is the only
-	// stealing left). FleetRetries counts crash-retry attempts. Both are
-	// fleet.Stats totals summed across jobs.
+	// dispatchable queued job that claimed another job's back replica.
+	// FleetRetries counts crash-retry attempts (each replica's
+	// fleet.Result.Attempts beyond the first). The job pool tallies both
+	// as each replica reports.
 	FleetSteals  *obs.Counter
 	FleetRetries *obs.Counter
 	// ReplicaDuration is the per-replica wall-clock histogram, fed from
@@ -171,8 +171,8 @@ type MetricsSnapshot struct {
 	Interactions uint64 `json:"interactions_total"`
 	// InteractionsPerSec is the lifetime average service throughput.
 	InteractionsPerSec float64 `json:"interactions_per_sec"`
-	// FleetSteals/FleetRetries are the replica fleet's cumulative
-	// work-stealing and crash-retry tallies across all jobs.
+	// FleetSteals/FleetRetries are the cumulative replicas run on a lent
+	// slot and crash-retry attempts across all jobs.
 	FleetSteals     int64   `json:"fleet_steals_total"`
 	FleetRetries    int64   `json:"fleet_retries_total"`
 	QueueDepth      int     `json:"queue_depth"`

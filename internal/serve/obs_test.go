@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"popkit/internal/expt"
+	"popkit/internal/fault"
 	"popkit/internal/obs"
 )
 
@@ -162,7 +163,8 @@ func TestMetricsJSONFieldOrder(t *testing.T) {
 
 // TestFleetTelemetryReachesMetrics: after a multi-replica job, the
 // replica-duration histogram has one sample per replica and the fleet
-// tallies are present in the snapshot.
+// tallies are present in the snapshot; replicas that crash and are retried
+// count one retry per extra attempt.
 func TestFleetTelemetryReachesMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp := postSpec(t, ts.URL, `{"protocol":"coalescence","n":2000,"seed":7,"replicas":6}`)
@@ -178,6 +180,18 @@ func TestFleetTelemetryReachesMetrics(t *testing.T) {
 	}
 	if snap.FleetSteals < 0 || snap.FleetRetries != 0 {
 		t.Errorf("fleet tallies wrong: steals=%d retries=%d", snap.FleetSteals, snap.FleetRetries)
+	}
+
+	if err := fault.Enable("fleet/replica=panic(times=2)"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Reset)
+	s2, ts2 := newTestServer(t, Config{MaxRetries: 3})
+	resp = postSpec(t, ts2.URL, `{"protocol":"coalescence","n":2000,"seed":7,"replicas":6}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got, done := s2.Metrics().FleetRetries.Load(), s2.Metrics().ReplicasCompleted.Load(); got != 2 || done != 6 {
+		t.Errorf("two injected crashes: fleet_retries_total = %d, replicas completed = %d; want 2 and 6", got, done)
 	}
 }
 

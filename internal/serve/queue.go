@@ -13,10 +13,10 @@ import (
 	"popkit/internal/qos"
 )
 
-// queuedJob is one submitted Job travelling through the queue to a pool
-// worker. The worker journals each record as it completes, streams it into
-// the records channel (in replica order), closes the channel, and then
-// runs Job.Done; the terminal error, if any, is available from err() once
+// queuedJob is one submitted Job travelling through the queue to the job
+// slots. The slots journal each record as it completes, stream it into the
+// records channel (in replica order), close the channel, and then run
+// Job.Done; the terminal error, if any, is available from err() once
 // records is closed. Job.Tenant and Job.Pred drive QoS scheduling (fair
 // queueing, whale caps) and the prediction-error feedback loop; their zero
 // values — the default tenant, a zero-cost interactive prediction — are
@@ -24,6 +24,18 @@ import (
 type queuedJob struct {
 	*Job
 	records chan expt.ReplicaRecord
+
+	// Set when a slot dispatches the job. Slots claim the unclaimed
+	// replicas [lo, hi) of replicas — the dispatching slot from the front,
+	// lent slots from the back — and the slot that reports the last one in
+	// flight ends the job. The pool's mu guards lo, hi and inFlight.
+	item     *qos.Item
+	ctx      context.Context
+	release  func() // cancels ctx and detaches it from the pool's hard stop
+	replicas []fleet.Job
+	out      *catalog.Records
+	lo, hi   int
+	inFlight int
 
 	mu      sync.Mutex
 	termErr error
@@ -43,7 +55,7 @@ func (j *queuedJob) err() error {
 }
 
 // stream is the job's Stream: each record with its wire line as the
-// worker delivers it, then the terminal error.
+// slots deliver it, then the terminal error.
 func (j *queuedJob) stream(emit func(expt.ReplicaRecord, []byte)) error {
 	for rec := range j.records {
 		if line, err := rec.MarshalLine(); err == nil {
@@ -53,49 +65,43 @@ func (j *queuedJob) stream(emit func(expt.ReplicaRecord, []byte)) error {
 	return j.err()
 }
 
-// pool is the per-tenant fair job queue plus the job slots draining it.
-// Each of the workers slots runs one replica at a time. A slot that frees
-// dispatches a queued job if one is dispatchable and runs that job's
-// replicas; only when none is dispatchable does it lend itself to the
-// oldest running job, running that job's unclaimed replicas one at a time
-// and checking the queue again between them. So total replica parallelism
-// is exactly workers, and lending delays a newly dispatchable job by at
-// most one replica. A slot lent to a whale job holds one of the queue's
-// WhaleGlobal slots while it runs, so whales never fill every slot.
-// Scheduling — class priority, weighted deficit-round-robin across tenants,
-// whale concurrency caps — lives in qos.Queue; this type owns execution,
-// lending and the metrics feedback loops.
+// pool is the per-tenant fair job queue plus the job slots draining it, and
+// the only scheduler of a served job's replicas. Each of the workers slots
+// runs one replica at a time. A slot that frees claims the next replica of
+// the job it dispatched while any is left; otherwise it dispatches a queued
+// job if one is dispatchable; only when none is does it lend itself to the
+// oldest running job, claiming that job's back replica and checking the
+// queue again after it. So total replica parallelism is exactly workers,
+// and lending delays a newly dispatchable job by at most one replica. A
+// slot lent to a whale job holds one of the queue's WhaleGlobal slots while
+// it runs, so whales never fill every slot. Scheduling policy — class
+// priority, weighted deficit-round-robin across tenants, whale concurrency
+// caps — lives in qos.Queue; this type makes every decision under its one
+// lock, runs the replicas and owns the metrics feedback loops.
 type pool struct {
-	q          *qos.Queue
 	model      *qos.Model
 	qm         *qos.Metrics
 	workers    int
 	maxRetries int
 	metrics    *Metrics
 
-	// mu guards running; cond wakes idle slots when a queued job may have
-	// become dispatchable, a job opens for lending, or the queue closes.
+	// mu guards q, running and the claim state of every running job; cond
+	// wakes idle slots when a queued job may have become dispatchable, a
+	// job opens for lending, or the queue closes.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	running []*lendable
+	q       *qos.Queue
+	running []*queuedJob // dispatched and not yet ended, oldest first
 
-	// hard aborts in-flight fleets when the drain deadline is blown.
+	// hard aborts in-flight jobs when the drain deadline is blown.
 	hard     context.Context
 	hardStop context.CancelFunc
 
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
 
 	// jitter is a lock-free splitmix64 stream randomizing Retry-After
 	// hints, so a burst of rejected clients doesn't return in lockstep.
 	jitter atomic.Uint64
-}
-
-// lendable is a running job that idle slots may help, until every one of
-// its replicas has been claimed.
-type lendable struct {
-	h     *fleet.Helper
-	whale bool
 }
 
 func newPool(qcfg qos.QueueConfig, workers, maxRetries int, metrics *Metrics, model *qos.Model, qm *qos.Metrics) *pool {
@@ -123,7 +129,7 @@ func newPool(qcfg qos.QueueConfig, workers, maxRetries int, metrics *Metrics, mo
 	p.jitter.Store(1)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go p.worker()
+		go p.worker(w)
 	}
 	return p
 }
@@ -137,6 +143,8 @@ func (p *pool) tryEnqueue(j *queuedJob) error {
 	if tenant == "" {
 		tenant = qos.DefaultTenant
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	err := p.q.Enqueue(&qos.Item{
 		Tenant: tenant,
 		Class:  j.Pred.Class,
@@ -144,35 +152,29 @@ func (p *pool) tryEnqueue(j *queuedJob) error {
 		Job:    j,
 	})
 	if err == nil {
-		p.wake()
+		p.cond.Broadcast()
 	}
 	return err
 }
 
-// wake rouses the idle slots to look at the queue and the running jobs
-// again.
-func (p *pool) wake() {
+// sample reads one of the queue's gauges under p.mu.
+func sample[T any](p *pool, read func(*qos.Queue) T) T {
 	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	return read(p.q)
 }
 
 // depth samples the number of queued (not yet started) jobs.
-func (p *pool) depth() int { return p.q.Depth() }
+func (p *pool) depth() int { return sample(p, (*qos.Queue).Depth) }
 
 // capacity is the per-tenant queue bound (historical queue_capacity gauge).
 func (p *pool) capacity() int { return p.q.Capacity() }
 
 // overloaded reports queue pressure at or beyond the shed threshold.
-func (p *pool) overloaded() bool { return p.q.Overloaded() }
-
-// tenantQueuedCharge samples one tenant's capped-cost backlog.
-func (p *pool) tenantQueuedCharge(tenant string) time.Duration {
-	return p.q.TenantQueuedCharge(tenant)
-}
+func (p *pool) overloaded() bool { return sample(p, (*qos.Queue).Overloaded) }
 
 // whalesRunning samples currently executing whale-class jobs.
-func (p *pool) whalesRunning() int { return p.q.WhalesRunning() }
+func (p *pool) whalesRunning() int { return sample(p, (*qos.Queue).WhalesRunning) }
 
 // retryAfterTenant computes the Retry-After hint for a rejected request:
 // roughly the time for the backlog to clear one slot — the whole queue's
@@ -182,8 +184,11 @@ func (p *pool) whalesRunning() int { return p.q.WhalesRunning() }
 // minutes of backlog is told to come back later than one with none; the
 // empty tenant has none. Bounded to [1, 60].
 func (p *pool) retryAfterTenant(tenant string) int {
-	base := 1 + int(p.q.TenantQueuedCharge(tenant).Seconds())/p.workers
-	global := 1 + 2*p.q.Depth()/p.workers
+	p.mu.Lock()
+	charge, depth := p.q.TenantQueuedCharge(tenant), p.q.Depth()
+	p.mu.Unlock()
+	base := 1 + int(charge.Seconds())/p.workers
+	global := 1 + 2*depth/p.workers
 	if global > base {
 		base = global
 	}
@@ -212,10 +217,10 @@ func (p *pool) retryHint(sec int) int {
 // drained. Callers that need a deadline race close against a timer and then
 // call abort.
 func (p *pool) close() {
-	p.closeOnce.Do(func() {
-		p.q.Close()
-		p.wake()
-	})
+	p.mu.Lock()
+	p.q.Close()
+	p.cond.Broadcast()
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
@@ -223,21 +228,30 @@ func (p *pool) close() {
 // jobs are still drained (each sees its cancelled context immediately).
 func (p *pool) abort() { p.hardStop() }
 
-// worker is one job slot: it dispatches queued jobs first, lends itself to
-// running jobs when none is dispatchable, and sleeps when there is neither.
-func (p *pool) worker() {
+// worker is job slot number slot. It makes every decision under p.mu —
+// claim the next replica of the job it dispatched, else dispatch a queued
+// job, else lend itself to the oldest running job, else exit once the
+// queue is drained or sleep — and releases the lock only to run a replica
+// or end a job. It decides afresh after each release, so no wakeup sent
+// meanwhile is lost.
+func (p *pool) worker(slot int) {
 	defer p.wg.Done()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var own *queuedJob // the job this slot dispatched
 	for {
-		it, drained := p.q.TryNext()
-		if it != nil {
-			p.mu.Unlock()
-			p.dispatch(it)
-			p.mu.Lock()
+		if own != nil && own.lo < own.hi {
+			p.run(own, slot, false)
 			continue
 		}
-		if p.lend() {
+		own = nil
+		it, drained := p.q.TryNext()
+		if it != nil {
+			own = p.dispatch(it)
+			continue
+		}
+		if j := p.lendTo(); j != nil {
+			p.run(j, slot, true)
 			continue
 		}
 		if drained {
@@ -247,150 +261,138 @@ func (p *pool) worker() {
 	}
 }
 
-// dispatch runs one queued job on the calling slot.
-func (p *pool) dispatch(it *qos.Item) {
+// dispatch starts the queued job it carries: it opens the job's replicas to
+// claims and adds it to running. Caller holds p.mu.
+func (p *pool) dispatch(it *qos.Item) *queuedJob {
 	j := it.Job.(*queuedJob)
 	p.qm.QueueWait(it.Tenant, time.Since(it.Enqueued))
 	p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
-	p.runJob(j)
-	p.q.Done(it)
+	p.metrics.InFlight.Add(1)
+	// Merge the request context with the pool's hard stop so either aborts
+	// the job.
+	ctx, cancel := context.WithCancel(j.Ctx)
+	stop := context.AfterFunc(p.hard, cancel)
+	j.item, j.ctx = it, ctx
+	j.release = func() { stop(); cancel() }
+	j.replicas = j.Proto.Jobs(j.Spec, j.Start)
+	j.lo, j.hi = 0, len(j.replicas)
+	j.out = catalog.NewRecords(j.Spec, j.Start, func(rec expt.ReplicaRecord) { p.deliver(j, rec) })
+	p.running = append(p.running, j)
+	p.cond.Broadcast()
+	p.settle(j) // a job with nothing to run ends here
+	return j
+}
+
+// lendTo returns the oldest running job with an unclaimed replica that an
+// idle slot may run, first taking a WhaleGlobal slot for a whale job (run
+// gives it back). Caller holds p.mu.
+func (p *pool) lendTo() *queuedJob {
+	for _, j := range p.running {
+		if j.lo < j.hi && (j.item.Class != qos.ClassWhale || p.q.AcquireWhaleSlot()) {
+			return j
+		}
+	}
+	return nil
+}
+
+// run claims one of j's unclaimed replicas — the front one, or the back
+// one when this slot is lent to j — runs it on this slot and reports it.
+// Caller holds p.mu, which is released while the replica runs.
+func (p *pool) run(j *queuedJob, slot int, lent bool) {
+	i := j.lo
+	if lent {
+		j.hi--
+		i = j.hi
+	} else {
+		j.lo++
+	}
+	j.inFlight++
+	p.mu.Unlock()
+	r := fleet.RunOne(j.ctx, j.replicas[i], slot, p.maxRetries)
+	p.metrics.ReplicaDuration.Observe(r.Elapsed)
+	if j.Pred.PerReplica > 0 {
+		// Feed the cost model's EWMA and the drift histogram from every
+		// completed replica — this is how a grid measured on other
+		// hardware converges onto this machine.
+		p.model.Observe(j.Pred, r.Elapsed)
+		p.qm.ObservePrediction(j.Pred.PerReplica, r.Elapsed)
+	}
+	p.metrics.FleetRetries.Add(uint64(r.Attempts - 1))
+	if lent {
+		p.metrics.FleetSteals.Add(1)
+	}
+	j.out.Emit(r)
+	p.mu.Lock()
+	j.inFlight--
+	if lent && j.item.Class == qos.ClassWhale {
+		p.q.ReleaseWhaleSlot()
+		p.cond.Broadcast()
+	}
+	p.settle(j)
+}
+
+// deliver is j's record sink, called in replica order: it tallies the
+// record, journals it and streams it.
+func (p *pool) deliver(j *queuedJob, rec expt.ReplicaRecord) {
+	if rec.Err == "" {
+		p.metrics.ReplicasCompleted.Add(1)
+		p.metrics.Interactions.Add(rec.Interactions)
+	}
+	if j.Journal != nil {
+		// Journal first: the record is durable even if the stream's client
+		// is gone, which is exactly what a resumed request harvests.
+		j.Journal.Append(rec)
+	}
+	select {
+	case j.records <- rec:
+	case <-j.ctx.Done():
+		// The consumer is gone; drop the record rather than block the
+		// slot forever.
+	}
+}
+
+// settle ends j once every replica has been claimed and has reported: j
+// leaves running and frees its queue slot under p.mu, then ends with the
+// lock released. Caller holds p.mu.
+func (p *pool) settle(j *queuedJob) {
+	if j.lo < j.hi || j.inFlight > 0 {
+		return
+	}
+	// slices.Delete clears the vacated tail slot, so an ended job is not
+	// kept reachable from the backing array.
+	i := slices.Index(p.running, j)
+	p.running = slices.Delete(p.running, i, i+1)
+	p.q.Done(j.item)
 	p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
-	if it.Class == qos.ClassWhale {
+	if j.item.Class == qos.ClassWhale {
 		// A freed whale slot may make a queued whale dispatchable on
 		// another idle slot.
-		p.wake()
+		p.cond.Broadcast()
 	}
-}
-
-// lend runs one unclaimed replica of the oldest running job this slot may
-// help and reports whether it ran one. A whale job is helped only while a
-// WhaleGlobal slot is free. Jobs with nothing left to claim leave running.
-// Caller holds p.mu; it is released while the replica runs.
-func (p *pool) lend() bool {
-	for i := 0; i < len(p.running); {
-		l := p.running[i]
-		if l.whale && !p.q.AcquireWhaleSlot() {
-			i++
-			continue
-		}
-		p.mu.Unlock()
-		ran := l.h.RunOne()
-		p.mu.Lock()
-		if l.whale {
-			p.q.ReleaseWhaleSlot()
-			p.cond.Broadcast()
-		}
-		if ran {
-			return true
-		}
-		p.withdraw(l)
-		// running may have changed while p.mu was released.
-		i = 0
-	}
-	return false
-}
-
-// offer opens a running job's unclaimed replicas to idle slots.
-func (p *pool) offer(h *fleet.Helper, whale bool) *lendable {
-	l := &lendable{h: h, whale: whale}
-	p.mu.Lock()
-	p.running = append(p.running, l)
-	p.cond.Broadcast()
 	p.mu.Unlock()
-	return l
+	p.end(j)
+	p.mu.Lock()
 }
 
-// withdraw removes l from running. Caller holds p.mu. slices.Delete
-// clears the vacated tail slot, so a finished job's sweep and results are
-// not kept reachable from the backing array.
-func (p *pool) withdraw(l *lendable) {
-	if i := slices.Index(p.running, l); i >= 0 {
-		p.running = slices.Delete(p.running, i, i+1)
-	}
-}
-
-// runJob executes one job's replicas and streams its records. For
-// journaled jobs it also appends each completed record to the journal
-// before offering it to the (possibly disconnected) stream, and runs Done
-// — which closes the journal — only once the fleet is done: the ordering
-// that makes a resumed request safe to admit.
-func (p *pool) runJob(j *queuedJob) {
-	defer func() {
-		close(j.records)
-		if j.Done != nil {
-			j.Done()
-		}
-	}()
-	p.metrics.InFlight.Add(1)
-	defer p.metrics.InFlight.Add(-1)
-
-	// Merge the request context with the pool's hard-stop so either aborts
-	// the fleet.
-	ctx, cancel := context.WithCancel(j.Ctx)
-	defer cancel()
-	stop := context.AfterFunc(p.hard, cancel)
-	defer stop()
-
-	// The job's own slot runs its replicas in order; idle slots join
-	// through the helper.
-	var fstats fleet.Stats
-	var lent *lendable
-	opts := catalog.RunOptions{
-		Workers:    1,
-		MaxRetries: p.maxRetries,
-		Start:      j.Start,
-		FleetStats: &fstats,
-		Join: func(h *fleet.Helper) {
-			lent = p.offer(h, j.Pred.Class == qos.ClassWhale)
-		},
-		Observe: func(r fleet.Result) {
-			p.metrics.ReplicaDuration.Observe(r.Elapsed)
-			if j.Pred.PerReplica > 0 {
-				// Feed the cost model's EWMA and the drift histogram from
-				// every completed replica — this is how a grid measured on
-				// other hardware converges onto this machine.
-				p.model.Observe(j.Pred, r.Elapsed)
-				p.qm.ObservePrediction(j.Pred.PerReplica, r.Elapsed)
-			}
-		},
-	}
-	runErr := j.Proto.Run(ctx, j.Spec, opts, func(rec expt.ReplicaRecord) {
-		if rec.Err == "" {
-			p.metrics.ReplicasCompleted.Add(1)
-			p.metrics.Interactions.Add(rec.Interactions)
-		}
-		if j.Journal != nil {
-			// Journal first: the record is durable even if the stream's
-			// client is gone, which is exactly what a resumed request
-			// harvests.
-			j.Journal.Append(rec)
-		}
-		select {
-		case j.records <- rec:
-		case <-ctx.Done():
-			// The consumer is gone; drop the record rather than block the
-			// worker forever.
-		}
-	})
-
-	if lent != nil {
-		p.mu.Lock()
-		p.withdraw(lent)
-		p.mu.Unlock()
-	}
-
-	tot := fstats.Totals()
-	p.metrics.FleetSteals.Add(tot.Steals)
-	p.metrics.FleetRetries.Add(tot.Retries)
-
-	switch {
-	case runErr == nil:
+// end tallies an ended job's outcome and closes its stream. For journaled
+// jobs it runs Done — which closes the journal — only after the last
+// record was appended: the ordering that makes a resumed request safe to
+// admit.
+func (p *pool) end(j *queuedJob) {
+	switch err := j.out.Err(); {
+	case err == nil:
 		p.metrics.JobsCompleted.Add(1)
-	case ctx.Err() != nil:
-		j.finish(context.Cause(ctx))
+	case j.ctx.Err() != nil:
+		j.finish(context.Cause(j.ctx))
 		p.metrics.JobsCancelled.Add(1)
 	default:
-		j.finish(runErr)
+		j.finish(err)
 		p.metrics.JobsFailed.Add(1)
+	}
+	j.release()
+	p.metrics.InFlight.Add(-1)
+	close(j.records)
+	if j.Done != nil {
+		j.Done()
 	}
 }

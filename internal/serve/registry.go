@@ -1,7 +1,8 @@
 // Package serve exposes the simulation stack as an HTTP service: a
 // bounded job queue with backpressure over the protocol catalogue
-// (internal/catalog), a worker pool backed by the replica fleet, and NDJSON
-// streaming of per-replica results.
+// (internal/catalog), job slots that schedule every job's replicas and run
+// each through the fleet's single-replica executor, and NDJSON streaming
+// of per-replica results.
 //
 // Determinism survives the network boundary by construction: a job is an
 // expt.JobSpec, replica i derives its whole RNG stream from

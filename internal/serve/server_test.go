@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -188,46 +190,78 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
+// TestClientDisconnectCancelsJob: a client that walks away mid-stream
+// cancels its job — on one slot, and with a second slot lent to the job —
+// and every slot is free again for the next job.
 func TestClientDisconnectCancelsJob(t *testing.T) {
-	started := make(chan struct{}, 8)
-	release := make(chan struct{})
-	defer close(release)
-	s, ts := newTestServer(t, Config{
-		Registry: blockingRegistry(t, started, release),
-		Workers:  1,
-	})
+	for _, tc := range []struct {
+		name              string
+		workers, replicas int
+	}{
+		{"one slot", 1, 2},
+		// The second slot is lent to the job: both slots hold one of its
+		// replicas when the client goes.
+		{"lent slot", 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			started := make(chan struct{}, 8)
+			release := make(chan struct{})
+			defer close(release)
+			s, ts := newTestServer(t, Config{
+				Registry: blockingRegistry(t, started, release),
+				Workers:  tc.workers,
+			})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate",
-		strings.NewReader(`{"protocol":"block","n":10,"seed":1,"replicas":2}`))
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		errc <- err
-	}()
-	<-started
-	cancel() // client walks away mid-stream
-	<-errc
+			ctx, cancel := context.WithCancel(context.Background())
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate",
+				strings.NewReader(fmt.Sprintf(`{"protocol":"block","n":10,"seed":1,"replicas":%d}`, tc.replicas)))
+			errc := make(chan error, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				errc <- err
+			}()
+			for i := 0; i < tc.workers; i++ {
+				<-started // every slot is running one of the job's replicas
+			}
+			cancel() // client walks away mid-stream
+			<-errc
 
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().JobsCancelled.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("job not marked cancelled (cancelled=%d failed=%d completed=%d)",
-				s.Metrics().JobsCancelled.Load(), s.Metrics().JobsFailed.Load(), s.Metrics().JobsCompleted.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Metrics().JobsCancelled.Load() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("job not marked cancelled (cancelled=%d failed=%d completed=%d)",
+						s.Metrics().JobsCancelled.Load(), s.Metrics().JobsFailed.Load(), s.Metrics().JobsCompleted.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	// The worker must be free again: a normal job completes.
-	resp := postSpec(t, ts.URL, `{"protocol":"leader","n":64,"seed":4}`)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"converged":true`)) {
-		t.Fatalf("post-cancel job failed: %d %s", resp.StatusCode, body)
+			// Every slot must be free again: a job with one replica per
+			// slot runs on all of them at once and completes.
+			done := make(chan []byte, 1)
+			go func() {
+				done <- postJob(t, ts.URL, "", fmt.Sprintf(`{"protocol":"block","n":10,"seed":4,"replicas":%d}`, tc.workers))
+			}()
+			for i := 0; i < tc.workers; i++ {
+				select {
+				case <-started:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("post-cancel job started on %d of %d slots", i, tc.workers)
+				}
+			}
+			for i := 0; i < tc.workers; i++ {
+				release <- struct{}{}
+			}
+			if body := <-done; bytes.Count(body, []byte(`"converged":true`)) != tc.workers {
+				t.Fatalf("post-cancel job failed: %s", body)
+			}
+			if got := s.Metrics().JobsCancelled.Load(); got != 1 {
+				t.Fatalf("jobs_cancelled = %d, want exactly 1", got)
+			}
+		})
 	}
 }
 
@@ -532,6 +566,47 @@ func TestPoolDrainAndAbort(t *testing.T) {
 	}
 	if got := m.JobsCancelled.Load(); got != 1 {
 		t.Errorf("cancelled counter = %d, want 1", got)
+	}
+}
+
+// TestPoolCloseWakesEverySlot: close() returns however its wakeup lands
+// against the slots' claims. Each iteration builds a two-slot pool,
+// enqueues a one-replica job (one slot dispatches it while the other looks
+// for a replica to lend), yields a varying number of times so close() lands
+// at a different point of that, and closes. A slot that missed close()'s
+// wakeup would park for good, and close() would never return.
+func TestPoolCloseWakesEverySlot(t *testing.T) {
+	proto := &Protocol{
+		Name: "nop",
+		Kind: "test",
+		Replica: func(_ context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
+			return expt.ReplicaRecord{Replica: replica, Protocol: spec.Protocol, N: spec.N, Seed: seed, Converged: true}, nil
+		},
+	}
+	m, model, qm := NewMetrics(), qos.MustNewModel(qos.ModelOptions{}), qos.NewMetrics(nil)
+	for i := 0; i < 20000; i++ {
+		p := newPool(qos.QueueConfig{}, 2, 0, m, model, qm)
+		j := &queuedJob{
+			Job: &Job{
+				Spec:  expt.JobSpec{Protocol: "nop", N: 10, Seed: uint64(i), Replicas: 1},
+				Proto: proto,
+				Ctx:   context.Background(),
+			},
+			records: make(chan expt.ReplicaRecord, 1),
+		}
+		if err := p.tryEnqueue(j); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < i%200; k++ {
+			runtime.Gosched()
+		}
+		closed := make(chan struct{})
+		go func() { p.close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: close() blocked for 2s; a slot missed its wakeup", i)
+		}
 	}
 }
 

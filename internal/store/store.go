@@ -288,8 +288,8 @@ func readObject(path, hash string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	header, rest, ok := cutLine(data)
-	if !ok {
+	header, lines, _, stop := expt.ReadRecords(data)
+	if errors.Is(stop, expt.ErrTornHeader) {
 		return nil, errors.New("store: torn object header")
 	}
 	// The file name is the SHA-256 of the header bytes (Commit hashes the
@@ -302,37 +302,13 @@ func readObject(path, hash string) ([][]byte, error) {
 	if err := json.Unmarshal(header, &spec); err != nil {
 		return nil, fmt.Errorf("store: bad object header: %v", err)
 	}
-	lines := make([][]byte, 0, spec.Replicas)
-	for len(rest) > 0 {
-		line, tail, ok := cutLine(rest)
-		if !ok {
-			return nil, errors.New("store: torn trailing record")
-		}
-		var rec expt.ReplicaRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("store: bad record line: %v", err)
-		}
-		if rec.Replica != len(lines) || rec.Err != "" {
-			return nil, fmt.Errorf("store: record %d out of order or failed", rec.Replica)
-		}
-		lines = append(lines, append(line, '\n'))
-		rest = tail
+	if stop != nil {
+		return nil, fmt.Errorf("store: %w", stop)
 	}
 	if len(lines) != spec.Replicas {
 		return nil, fmt.Errorf("store: object holds %d of %d records", len(lines), spec.Replicas)
 	}
 	return lines, nil
-}
-
-// cutLine splits data at the first newline; ok=false means no complete line
-// remains (the journal package's torn-write detection, applied to objects).
-func cutLine(data []byte) (line, rest []byte, ok bool) {
-	for i, b := range data {
-		if b == '\n' {
-			return data[:i], data[i+1:], true
-		}
-	}
-	return nil, nil, false
 }
 
 // Commit stores the completed job's record lines under the spec's content
