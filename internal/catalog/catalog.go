@@ -189,7 +189,7 @@ type RunOptions struct {
 	// don't.
 	Observe func(fleet.Result)
 	// FleetStats, when non-nil, is filled with the job's per-worker fleet
-	// tallies — work-stealing traffic, retry attempts, busy time
+	// tallies — replicas run, retry attempts, busy time
 	// (fleet.Options.Stats) — valid once Run returns.
 	FleetStats *fleet.Stats
 }

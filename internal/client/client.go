@@ -41,8 +41,6 @@ type Options struct {
 	// BackoffMax caps the exponential backoff. Default 5s. A server
 	// Retry-After hint overrides the computed backoff entirely.
 	BackoffMax time.Duration
-	// JitterSeed seeds the deterministic backoff jitter (tests).
-	JitterSeed uint64
 	// Tenant, when non-empty, is sent as X-Popkit-Tenant on every request,
 	// so the server's fair queueing bills this client's jobs to the right
 	// per-tenant lane. Empty means the server's default tenant.
@@ -77,7 +75,7 @@ func New(opt Options) *Client {
 	if opt.BackoffMax <= 0 {
 		opt.BackoffMax = 5 * time.Second
 	}
-	return &Client{opt: opt, rng: opt.JitterSeed}
+	return &Client{opt: opt}
 }
 
 func (c *Client) logf(format string, args ...any) {

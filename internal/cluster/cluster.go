@@ -66,9 +66,6 @@ type Config struct {
 	// shard — re-dispatches that deliver at least one new replica reset the
 	// budget, like the client's own retry accounting. Default 4.
 	DispatchRetries int
-	// MaxInflightShards caps concurrently dispatched shards per job.
-	// Default 2×registered workers (min 4).
-	MaxInflightShards int
 	// JournalDir, when non-empty, enables coordinator checkpoint/resume
 	// for jobs that carry a job_id (same journal format as popserved).
 	JournalDir string

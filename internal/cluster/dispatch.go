@@ -159,15 +159,10 @@ func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobS
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	maxInflight := c.cfg.MaxInflightShards
-	if maxInflight == 0 {
-		total, _ := c.workers.counts()
-		maxInflight = 2 * total
-		if maxInflight < 4 {
-			maxInflight = 4
-		}
-	}
-	sem := make(chan struct{}, maxInflight)
+	// Concurrently dispatched shards per job: 2 × registered workers, at
+	// least 4.
+	total, _ := c.workers.counts()
+	sem := make(chan struct{}, max(2*total, 4))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

@@ -7,20 +7,19 @@
 // sweep therefore produces byte-identical output for any worker count,
 // including the sequential loop it replaces.
 //
-// The executor is a bounded work-stealing pool: jobs are split into
-// contiguous per-worker deques, owners pop from the front, and an idle
-// worker steals from the back of the most loaded victim. Replicas that
+// The executor is a bounded pool over one shared cursor: each worker claims
+// the lowest unclaimed replica, so replicas start in ID order and an ordered
+// sink holds only the results that overtook a slower replica. Replicas that
 // panic are captured and reported as error results instead of killing the
-// sweep; per-replica timeouts and context cancellation mark the affected
-// results with the corresponding error. With Options.MaxRetries set, a
-// panicking (or fault-injected) replica is re-executed from its own seed —
-// because every attempt restarts the replica's entire RNG stream, a
-// recovered replica's value is byte-identical to one that never crashed.
+// sweep; context cancellation marks the affected results with its error.
+// With Options.MaxRetries set, a panicking (or fault-injected) replica is
+// re-executed from its own seed — because every attempt restarts the
+// replica's entire RNG stream, a recovered replica's value is
+// byte-identical to one that never crashed.
 //
-// RunOne is the single-replica executor under Run: panic capture, the
-// per-replica timeout and the retry budget, with no pool around it.
-// popserved's job pool schedules a served job's replicas itself and runs
-// each one through it.
+// RunOne is the single-replica executor under Run: panic capture and the
+// retry budget, with no pool around it. popserved's job pool schedules a
+// served job's replicas itself and runs each one through it.
 package fleet
 
 import (
@@ -57,11 +56,6 @@ type Job struct {
 	// (or pass the seed to frame.New) should derive them from this value
 	// only, so the trajectory is independent of scheduling.
 	Seed uint64
-	// Timeout bounds the replica's wall-clock time; zero means none. On
-	// expiry the result carries context.DeadlineExceeded. The replica's
-	// goroutine is signalled via its context; a body that never checks it
-	// keeps running detached, but the sweep moves on.
-	Timeout time.Duration
 	// Run computes the replica. Its value is opaque to the executor.
 	Run func(ctx context.Context, rng *engine.RNG) (any, error)
 }
@@ -112,8 +106,8 @@ type Options struct {
 	// waste the budget.
 	MaxRetries int
 	// Stats, when non-nil, is filled with per-worker utilization tallies
-	// (jobs run, steals, retry attempts, busy time). Valid once Run
-	// returns; collecting stats never affects scheduling or results.
+	// (jobs run, retry attempts, busy time). Valid once Run returns;
+	// collecting stats never affects scheduling or results.
 	Stats *Stats
 }
 
@@ -121,9 +115,6 @@ type Options struct {
 type WorkerStats struct {
 	// Jobs is the number of replicas the worker executed.
 	Jobs uint64 `json:"jobs"`
-	// Steals is how many of those were claimed from another worker's
-	// deque — the load-balancing traffic.
-	Steals uint64 `json:"steals"`
 	// Retries is the number of extra attempts consumed by crashed
 	// replicas (sum of Attempts−1).
 	Retries uint64 `json:"retries"`
@@ -132,11 +123,8 @@ type WorkerStats struct {
 	Busy time.Duration `json:"busy_ns"`
 }
 
-func (ws *WorkerStats) add(r Result, stolen bool) {
+func (ws *WorkerStats) add(r Result) {
 	ws.Jobs++
-	if stolen {
-		ws.Steals++
-	}
 	ws.Retries += uint64(r.Attempts - 1)
 	ws.Busy += r.Elapsed
 }
@@ -164,7 +152,6 @@ func (s *Stats) Totals() WorkerStats {
 	}
 	for _, w := range s.workers {
 		t.Jobs += w.Jobs
-		t.Steals += w.Steals
 		t.Retries += w.Retries
 		t.Busy += w.Busy
 	}
@@ -172,9 +159,10 @@ func (s *Stats) Totals() WorkerStats {
 }
 
 // Run executes the jobs across the pool and returns their results indexed
-// by job position. It blocks until every replica has completed, timed out,
-// or been cancelled; cancelling ctx marks not-yet-started replicas with
-// ctx.Err() without running them.
+// by job position. Workers claim jobs in position order from one shared
+// cursor. It blocks until every replica has completed or been cancelled;
+// cancelling ctx marks not-yet-started replicas with ctx.Err() without
+// running them.
 func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -187,7 +175,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	s := &sweep{ctx: ctx, jobs: jobs, results: results, opts: opts, deques: newDeques(len(jobs), workers)}
+	s := &sweep{ctx: ctx, jobs: jobs, results: results, opts: opts}
 
 	if opts.Stats != nil {
 		opts.Stats.workers = make([]WorkerStats, workers)
@@ -203,8 +191,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for idx, stolen, ok := s.deques.next(w); ok; idx, stolen, ok = s.deques.next(w) {
-				s.run(w, idx, stolen)
+			for idx := s.claim(); idx < len(jobs); idx = s.claim() {
+				s.run(w, idx)
 			}
 		}(w)
 	}
@@ -218,21 +206,25 @@ type sweep struct {
 	jobs     []Job
 	results  []Result
 	opts     Options
-	deques   *deques
+	claimed  atomic.Int64 // the next claim takes jobs[claimed]
 	done     atomic.Int64
 	inFlight atomic.Int64
 }
 
+// claim hands out the lowest unclaimed job index; an index past the end
+// means the sweep is drained.
+func (s *sweep) claim() int { return int(s.claimed.Add(1) - 1) }
+
 // run executes the claimed replica idx as worker w, then records, tallies
 // and emits its result.
-func (s *sweep) run(w, idx int, stolen bool) {
+func (s *sweep) run(w, idx int) {
 	s.inFlight.Add(1)
 	r := RunOne(s.ctx, s.jobs[idx], w, s.opts.MaxRetries)
 	s.inFlight.Add(-1)
 	s.results[idx] = r
 	s.done.Add(1)
 	if st := s.opts.Stats; st != nil {
-		st.workers[w].add(r, stolen)
+		st.workers[w].add(r)
 	}
 	if s.opts.Sink != nil {
 		emit(s.opts.Sink, r)
@@ -278,17 +270,10 @@ func retryable(err error) bool {
 	return errors.As(err, &pe) || fault.IsInjected(err)
 }
 
-// runAttempt executes one attempt with panic capture and an optional
-// deadline. The body runs in its own goroutine so a timeout can abandon it;
-// the buffered channel lets an abandoned body finish without leaking a
-// blocked goroutine.
+// runAttempt executes one attempt with panic capture. The body runs in its
+// own goroutine so a cancelled or expired ctx can abandon it; the buffered
+// channel lets an abandoned body finish without leaking a blocked goroutine.
 func runAttempt(ctx context.Context, job Job) (any, error) {
-	jctx := ctx
-	if job.Timeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, job.Timeout)
-		defer cancel()
-	}
 	type outcome struct {
 		value any
 		err   error
@@ -302,95 +287,17 @@ func runAttempt(ctx context.Context, job Job) (any, error) {
 				ch <- outcome{err: &PanicError{Value: r, Stack: stack}}
 			}
 		}()
-		if err := fpReplica.Inject(jctx); err != nil {
+		if err := fpReplica.Inject(ctx); err != nil {
 			ch <- outcome{err: err}
 			return
 		}
-		v, err := job.Run(jctx, engine.NewRNG(job.Seed))
+		v, err := job.Run(ctx, engine.NewRNG(job.Seed))
 		ch <- outcome{value: v, err: err}
 	}()
 	select {
 	case out := <-ch:
 		return out.value, out.err
-	case <-jctx.Done():
-		return nil, jctx.Err()
-	}
-}
-
-// deques is the work-stealing queue set: worker w owns the contiguous job
-// range [bounds[w], bounds[w+1]) packed into one atomic word as
-// head<<32 | tail. The owner CASes head forward; thieves CAS tail backward,
-// so claims are unique without locks.
-type deques struct {
-	words  []atomic.Uint64
-	bounds []int
-}
-
-func newDeques(jobs, workers int) *deques {
-	d := &deques{
-		words:  make([]atomic.Uint64, workers),
-		bounds: make([]int, workers+1),
-	}
-	for w := 0; w < workers; w++ {
-		lo := w * jobs / workers
-		hi := (w + 1) * jobs / workers
-		d.bounds[w] = lo
-		d.bounds[w+1] = hi
-		d.words[w].Store(uint64(lo)<<32 | uint64(hi))
-	}
-	return d
-}
-
-// next claims the worker's next job index: its own deque front first, then
-// the back of the fullest victim. stolen reports whether the claim came
-// from a victim's deque; ok=false means the whole sweep is drained.
-func (d *deques) next(w int) (idx int, stolen, ok bool) {
-	if idx, ok := d.popFront(w); ok {
-		return idx, false, true
-	}
-	for {
-		victim, remaining := -1, 0
-		for v := range d.words {
-			if v == w {
-				continue
-			}
-			word := d.words[v].Load()
-			if r := int(word&0xffffffff) - int(word>>32); r > remaining {
-				victim, remaining = v, r
-			}
-		}
-		if victim < 0 {
-			return 0, false, false
-		}
-		if idx, ok := d.popBack(victim); ok {
-			return idx, true, true
-		}
-		// Lost the race for that victim; rescan.
-	}
-}
-
-func (d *deques) popFront(w int) (int, bool) {
-	for {
-		word := d.words[w].Load()
-		head, tail := word>>32, word&0xffffffff
-		if head >= tail {
-			return 0, false
-		}
-		if d.words[w].CompareAndSwap(word, (head+1)<<32|tail) {
-			return int(head), true
-		}
-	}
-}
-
-func (d *deques) popBack(w int) (int, bool) {
-	for {
-		word := d.words[w].Load()
-		head, tail := word>>32, word&0xffffffff
-		if head >= tail {
-			return 0, false
-		}
-		if d.words[w].CompareAndSwap(word, head<<32|(tail-1)) {
-			return int(tail - 1), true
-		}
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }

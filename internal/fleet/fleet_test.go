@@ -6,8 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,10 +162,8 @@ func TestRetryDoesNotMaskDeterministicFailures(t *testing.T) {
 		bodyRuns.Add(1)
 		return nil, boom
 	}
-	jobs[1].Timeout = 5 * time.Millisecond
-	jobs[1].Run = func(ctx context.Context, _ *engine.RNG) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
+	jobs[1].Run = func(context.Context, *engine.RNG) (any, error) {
+		return nil, context.DeadlineExceeded
 	}
 	res := Run(context.Background(), jobs, Options{Workers: 2, MaxRetries: 5})
 	if !errors.Is(res[0].Err, boom) || bodyRuns.Load() != 1 {
@@ -222,22 +220,6 @@ func TestReplicaFailpointRetry(t *testing.T) {
 	res = Run(context.Background(), jobs, Options{Workers: 1})
 	if !fault.IsInjected(res[0].Err) {
 		t.Fatalf("want injected error surfaced, got %v", res[0].Err)
-	}
-}
-
-func TestReplicaTimeout(t *testing.T) {
-	jobs := makeJobs(3)
-	jobs[1].Timeout = 10 * time.Millisecond
-	jobs[1].Run = func(ctx context.Context, _ *engine.RNG) (any, error) {
-		<-ctx.Done() // cooperative body: stops when told
-		return nil, ctx.Err()
-	}
-	res := Run(context.Background(), jobs, Options{Workers: 2})
-	if !errors.Is(res[1].Err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", res[1].Err)
-	}
-	if res[0].Err != nil || res[2].Err != nil {
-		t.Error("timeout leaked into other replicas")
 	}
 }
 
@@ -310,34 +292,6 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	jobs := make([]Job, 10)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{ID: i, Tag: fmt.Sprintf("g%d", i%2), Run: func(context.Context, *engine.RNG) (any, error) {
-			return float64(i), nil
-		}}
-	}
-	col := NewCollector()
-	Run(context.Background(), jobs, Options{Workers: 4, Sink: col})
-	if got := col.Tags(); len(got) != 2 || got[0] != "g0" || got[1] != "g1" {
-		t.Fatalf("tags = %v", got)
-	}
-	even := col.Samples("g0")
-	want := []float64{0, 2, 4, 6, 8}
-	if len(even) != len(want) {
-		t.Fatalf("g0 samples = %v", even)
-	}
-	for i := range want {
-		if even[i] != want[i] {
-			t.Fatalf("g0 samples out of replica order: %v", even)
-		}
-	}
-	if s := col.Summary("g1"); s.N != 5 || s.Mean != 5 {
-		t.Errorf("g1 summary = %+v", s)
-	}
-}
-
 func TestProgressReports(t *testing.T) {
 	// Run joins the reporter goroutine before returning, so reading the
 	// buffer afterwards is race-free.
@@ -353,37 +307,62 @@ func TestProgressReports(t *testing.T) {
 	}
 }
 
-// TestStealing races four workers over the deque set and checks every job
-// is claimed exactly once — workers that drain their own deque must steal
-// the rest without duplicating or dropping claims.
-func TestStealing(t *testing.T) {
-	const n = 50
-	d := newDeques(n, 4)
-	claimed := make([]atomic.Int32, n)
-	var finished atomic.Int32
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func(w int) {
-			for {
-				idx, _, ok := d.next(w)
-				if !ok {
-					if finished.Add(1) == 4 {
-						close(done)
-					}
-					return
+// TestClaimsFollowReplicaOrder: workers claim the lowest unclaimed replica,
+// so while replica 0 blocks one worker, the other runs 1..7 in ID order and
+// an ordered sink never waits behind a whole per-worker range.
+func TestClaimsFollowReplicaOrder(t *testing.T) {
+	const n = 8
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	rest := make(chan struct{})
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{ID: i, Run: func(context.Context, *engine.RNG) (any, error) {
+			if i == 0 {
+				select {
+				case <-rest:
+				case <-time.After(5 * time.Second):
+					return nil, errors.New("replicas 1..7 never finished")
 				}
-				claimed[idx].Add(1)
+				return i, nil
 			}
-		}(w)
+			mu.Lock()
+			defer mu.Unlock()
+			if order = append(order, i); len(order) == n-1 {
+				close(rest)
+			}
+			return i, nil
+		}}
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("deque drain deadlocked")
+	res := Run(context.Background(), jobs, Options{Workers: 2})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
-	for i := range claimed {
-		if c := claimed[i].Load(); c != 1 {
-			t.Fatalf("job %d claimed %d times", i, c)
+	for k, id := range order {
+		if id != k+1 {
+			t.Fatalf("replicas 1..7 ran in order %v, want ID order", order)
+		}
+	}
+}
+
+// TestEachReplicaRunsOnce races four workers over one cursor: every replica
+// must run exactly once, none dropped or duplicated.
+func TestEachReplicaRunsOnce(t *testing.T) {
+	const n = 500
+	runs := make([]atomic.Int32, n)
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{ID: i, Run: func(context.Context, *engine.RNG) (any, error) {
+			runs[i].Add(1)
+			return i, nil
+		}}
+	}
+	res := Run(context.Background(), jobs, Options{Workers: 4})
+	for i := range runs {
+		if c := runs[i].Load(); c != 1 || res[i].Value != i {
+			t.Fatalf("replica %d ran %d times, result %+v", i, c, res[i])
 		}
 	}
 }

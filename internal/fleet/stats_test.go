@@ -9,10 +9,9 @@ import (
 	"popkit/internal/engine"
 )
 
-// TestStatsAccounting runs a lopsided sweep (one slow worker forces steals)
-// and checks the tallies balance: jobs sum to the sweep size, busy time is
-// recorded, and steals appear when workers outnumber their fair share of
-// slow jobs.
+// TestStatsAccounting runs a lopsided sweep (a quarter of the jobs are slow)
+// and checks the tallies balance: jobs sum to the sweep size and busy time
+// is recorded.
 func TestStatsAccounting(t *testing.T) {
 	const n = 40
 	jobs := make([]Job, n)
@@ -22,8 +21,6 @@ func TestStatsAccounting(t *testing.T) {
 			ID:   i,
 			Seed: uint64(i + 1),
 			Run: func(ctx context.Context, rng *engine.RNG) (any, error) {
-				// The first deque's jobs are slow, so other workers drain
-				// their own deques and steal from worker 0.
 				if i < n/4 {
 					time.Sleep(2 * time.Millisecond)
 				}
@@ -51,9 +48,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if tot.Busy <= 0 {
 		t.Fatal("no busy time recorded")
-	}
-	if tot.Steals == 0 {
-		t.Fatal("lopsided sweep recorded no steals")
 	}
 }
 

@@ -118,10 +118,11 @@ type ModelOptions struct {
 	// WhaleMin is the smallest predicted total cost classed whale.
 	// Default 30s.
 	WhaleMin time.Duration
-	// Alpha is the EWMA weight of each new observation in the per-tier
-	// correction factor. Default 0.25.
-	Alpha float64
 }
+
+// alpha is the EWMA weight of each new observation in the per-tier
+// correction factor.
+const alpha = 0.25
 
 // Model predicts job cost from the kernel grid and the paper's
 // expected-interaction bounds, self-correcting from observed durations.
@@ -129,7 +130,6 @@ type ModelOptions struct {
 type Model struct {
 	interactiveMax time.Duration
 	whaleMin       time.Duration
-	alpha          float64
 
 	mu   sync.Mutex
 	grid map[string][]gridRow // tier → rows sorted by N ascending
@@ -149,13 +149,9 @@ func NewModel(opts ModelOptions) (*Model, error) {
 	if opts.WhaleMin < opts.InteractiveMax {
 		return nil, fmt.Errorf("qos: WhaleMin %v below InteractiveMax %v", opts.WhaleMin, opts.InteractiveMax)
 	}
-	if opts.Alpha <= 0 || opts.Alpha > 1 {
-		opts.Alpha = 0.25
-	}
 	m := &Model{
 		interactiveMax: opts.InteractiveMax,
 		whaleMin:       opts.WhaleMin,
-		alpha:          opts.Alpha,
 		grid:           make(map[string][]gridRow),
 		corr:           make(map[string]float64),
 	}
@@ -359,7 +355,7 @@ func (m *Model) Observe(p Prediction, actual time.Duration) {
 		m.corr[p.Tier] = ratio
 		return
 	}
-	next := prev*(1-m.alpha) + ratio*m.alpha
+	next := prev*(1-alpha) + ratio*alpha
 	if next < 0.01 {
 		next = 0.01
 	} else if next > 100 {
@@ -378,10 +374,6 @@ func (m *Model) Corrections() map[string]float64 {
 	}
 	return out
 }
-
-// InteractiveMax / WhaleMin expose the class thresholds.
-func (m *Model) InteractiveMax() time.Duration { return m.interactiveMax }
-func (m *Model) WhaleMin() time.Duration       { return m.whaleMin }
 
 // DeriveDeadline turns a predicted total cost into a per-job wall-clock
 // budget: slack × prediction, clamped to [floor, cap]. The slack absorbs

@@ -383,14 +383,6 @@ func (q *Queue) Depth() int { return q.size }
 // gauge semantics: what one tenant can have queued).
 func (q *Queue) Capacity() int { return q.cfg.PerTenantDepth }
 
-// TenantDepth samples one tenant's queued items.
-func (q *Queue) TenantDepth(tenant string) int {
-	if t := q.tenants[tenant]; t != nil {
-		return t.depth
-	}
-	return 0
-}
-
 // TenantQueuedCharge samples the tenant's queued capped-cost backlog — the
 // cost-aware half of a Retry-After hint.
 func (q *Queue) TenantQueuedCharge(tenant string) time.Duration {

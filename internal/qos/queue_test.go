@@ -285,12 +285,6 @@ func TestDepthAndChargeSampling(t *testing.T) {
 	if d := q.Depth(); d != 2 {
 		t.Fatalf("depth = %d, want 2", d)
 	}
-	if d := q.TenantDepth("t"); d != 2 {
-		t.Fatalf("tenant depth = %d, want 2", d)
-	}
-	if d := q.TenantDepth("ghost"); d != 0 {
-		t.Fatalf("ghost tenant depth = %d", d)
-	}
 	if c := q.TenantQueuedCharge("t"); c != 13*time.Second {
 		t.Fatalf("queued charge = %v, want 13s", c)
 	}

@@ -233,6 +233,8 @@ func (c *ComboSlowBox) InitAgent(s bitmask.State, colour int) bitmask.State {
 // Output reads an agent's combined decided output.
 func (c *ComboSlowBox) Output(s bitmask.State) bool { return c.D1.Get(s) }
 
+func (c *ComboSlowBox) decided() (d0, d1 bitmask.Var) { return c.D0, c.D1 }
+
 // Canonical reports whether every atom's blackbox has reached its final
 // marker configuration.
 func (c *ComboSlowBox) Canonical(count func(f bitmask.Formula) int64) bool {

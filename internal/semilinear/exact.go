@@ -28,7 +28,8 @@ import (
 // framework rounds of leader convergence, and with certainty once the
 // slow blackbox has stabilized. Modulo predicates have no fast box here
 // (a documented substitution; see DESIGN.md): they converge through the
-// slow path alone, still exactly.
+// slow path alone, still exactly. So do boolean combinations (AndPred,
+// OrPred, NotPred), whose slow blackbox is a ComboSlowBox.
 type Exact struct {
 	Pred Predicate
 
@@ -43,8 +44,8 @@ type Exact struct {
 	P    bitmask.Var // output
 	L    bitmask.Var // leader flag
 	R    bitmask.Var // coalescing fallback set
-	slow *SlowBox
-	fast *FastBox // nil for Mod predicates
+	slow stableBox
+	fast *FastBox // nil unless Pred is a Threshold
 
 	// Runners of the background (slow box + R coalescence) and of the fast
 	// box's cancel and duplicate phases composed with it, built once so
@@ -55,8 +56,18 @@ type Exact struct {
 	gHasPos, gHasNeg, gD0, gD1, gL, gP bitmask.Guard
 }
 
+// stableBox is the slow blackbox Exact runs in the background: a SlowBox
+// for one threshold or mod, a ComboSlowBox for a boolean combination.
+type stableBox interface {
+	Rules() *rules.Ruleset
+	InitAgent(s bitmask.State, colour int) bitmask.State
+	decided() (d0, d1 bitmask.Var)
+}
+
 // NewExact builds the protocol for the predicate over n agents whose
 // colours are given by colour(i) ∈ {0…arity−1} or −1 for uncoloured.
+// It panics on a predicate outside the boolean closure of thresholds and
+// mods.
 func NewExact(pred Predicate, n int, colour func(i int) int, seed uint64) *Exact {
 	sp := bitmask.NewSpace()
 	e := &Exact{
@@ -69,7 +80,16 @@ func NewExact(pred Predicate, n int, colour func(i int) int, seed uint64) *Exact
 		R:     sp.Bool("R"),
 		logN:  math.Log(float64(n)),
 	}
-	e.slow = NewSlowBox(sp, "S", pred)
+	switch pred.(type) {
+	case Threshold, Mod:
+		e.slow = NewSlowBox(sp, "S", pred)
+	default:
+		combo, err := NewComboSlowBox(sp, "S", pred)
+		if err != nil {
+			panic(err)
+		}
+		e.slow = combo
+	}
 	if th, ok := pred.(Threshold); ok {
 		e.fast = NewFastBox(sp, "F", th)
 	}
@@ -95,8 +115,9 @@ func NewExact(pred Predicate, n int, colour func(i int) int, seed uint64) *Exact
 		e.gHasPos = bitmask.Compile(e.fast.HasPos())
 		e.gHasNeg = bitmask.Compile(e.fast.HasNeg())
 	}
-	e.gD0 = bitmask.Compile(bitmask.Is(e.slow.D0))
-	e.gD1 = bitmask.Compile(bitmask.Is(e.slow.D1))
+	d0, d1 := e.slow.decided()
+	e.gD0 = bitmask.Compile(bitmask.Is(d0))
+	e.gD1 = bitmask.Compile(bitmask.Is(d1))
 	e.gL = bitmask.Compile(bitmask.Is(e.L))
 	e.gP = bitmask.Compile(bitmask.Is(e.P))
 	return e
@@ -195,8 +216,9 @@ func (e *Exact) RunIteration(colour func(i int) int) {
 	if e.fast != nil {
 		fastTrue = e.fastAttempt(colour)
 	} else {
-		// Modulo predicates: follow the slow blackbox's (eventual)
-		// verdict; undecided populations leave P alone.
+		// Modulo predicates and combinations: follow the slow
+		// blackbox's (eventual) verdict; undecided populations leave P
+		// alone.
 		decided, value := e.SlowDecided()
 		if !decided {
 			e.chargeLeaves(2)

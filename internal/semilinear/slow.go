@@ -192,6 +192,8 @@ func (b *SlowBox) setOut(s bitmask.State, val bool) bitmask.State {
 // Output reads an agent's decided output.
 func (b *SlowBox) Output(s bitmask.State) bool { return b.D1.Get(s) }
 
+func (b *SlowBox) decided() (d0, d1 bitmask.Var) { return b.D0, b.D1 }
+
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

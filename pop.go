@@ -192,7 +192,8 @@ func (s *OscSim) Step(rounds float64) {
 func (s *OscSim) Species() [3]int { return s.Osc.SpeciesCounts(s.Sim.Pop) }
 
 // Boolean combinators over predicates (the semi-linear class is the
-// boolean closure of thresholds and mods).
+// boolean closure of thresholds and mods). NewSemilinearExact runs a
+// combination through its slow path only, with no fast blackbox.
 type (
 	// AndPredicate is the conjunction of predicates.
 	AndPredicate = semilinear.AndPred

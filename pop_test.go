@@ -94,6 +94,33 @@ func TestFacadeCombinators(t *testing.T) {
 	_ = OrPredicate{Parts: []Predicate{pred}}
 }
 
+// TestFacadeCombinedPredicateExact: a boolean combination runs on
+// NewSemilinearExact (through its slow path) and stabilizes to the
+// oracle's value on both sides of each atom's threshold.
+func TestFacadeCombinedPredicateExact(t *testing.T) {
+	pred := AndPredicate{Parts: []Predicate{
+		Threshold{Coef: []int{1}, C: 3},
+		NotPredicate{Inner: Threshold{Coef: []int{1}, C: 7}},
+	}}
+	for _, k := range []int{2, 5, 9} {
+		colour := func(i int) int {
+			if i < k {
+				return 0
+			}
+			return -1
+		}
+		counts := []int64{int64(k)}
+		e := NewSemilinearExact(pred, 200, colour, 1)
+		iters, ok := e.RunUntilStable(colour, counts, 400)
+		if !ok {
+			t.Fatalf("k=%d: not stable after %d iterations", k, iters)
+		}
+		if want := pred.Eval(counts); (e.Output() == 200) != want {
+			t.Errorf("k=%d: output %d of 200, oracle %v", k, e.Output(), want)
+		}
+	}
+}
+
 func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	c, err := CompileProgram(LeaderElection(), CompileOptions{Control: XPreReduced})
 	if err != nil {

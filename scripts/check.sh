@@ -16,6 +16,25 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== go test -json (full run: no test may skip) =="
+# A test that skips on every run checks nothing. Packages without test files
+# emit a package-level skip event with no Test field; only events that name
+# a test count.
+tmpj=$(mktemp)
+go test -count=1 -json ./... > "$tmpj" || {
+    # Replay the run's text output without the per-test progress lines.
+    jq -rj 'select(.Output != null) | .Output' "$tmpj" | grep -v -e '^=== ' -e '^--- PASS' >&2 || true
+    rm -f "$tmpj"
+    exit 1
+}
+skipped=$(jq -r 'select(.Action == "skip" and .Test != null) | "\(.Package) \(.Test)"' "$tmpj")
+rm -f "$tmpj"
+if [ -n "$skipped" ]; then
+    echo "check: tests skipped in a full run:" >&2
+    echo "$skipped" >&2
+    exit 1
+fi
+
 echo "== go test -race (fleet, engine, fault, client, catalog, serve, cluster, store, qos) =="
 go test -race ./internal/fleet/... ./internal/engine/... ./internal/fault/... ./internal/client/... ./internal/catalog/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/qos/...
 
