@@ -180,9 +180,6 @@ type RunOptions struct {
 	// own seed (fleet.Options.MaxRetries), so transient crashes never
 	// reach the stream.
 	MaxRetries int
-	// Start skips replicas below this index — the checkpoint-resume case,
-	// where a journal already holds records [0, Start).
-	Start int
 	// Observe, when non-nil, receives every fleet result as it completes —
 	// called concurrently from worker goroutines, unlike the ordered record
 	// sink — carrying the latency and attempt telemetry the wire records
@@ -194,16 +191,16 @@ type RunOptions struct {
 	FleetStats *fleet.Stats
 }
 
-// Run executes the spec's replicas [opts.Start, spec.Replicas) across the
-// fleet, delivering records to sink in replica order as they complete (sink
-// is never called concurrently), and returns Records.Err.
+// Run executes the spec's replicas [0, spec.Replicas) across the fleet,
+// delivering records to sink in replica order as they complete (sink is
+// never called concurrently), and returns Records.Err.
 func (p *Protocol) Run(ctx context.Context, spec expt.JobSpec, opts RunOptions, sink func(expt.ReplicaRecord)) error {
-	out := NewRecords(spec, opts.Start, sink)
+	out := NewRecords(spec, 0, sink)
 	var fanout fleet.ResultSink = out
 	if opts.Observe != nil {
 		fanout = fleet.MultiSink{out, fleet.SinkFunc(opts.Observe)}
 	}
-	fleet.Run(ctx, p.Jobs(spec, opts.Start), fleet.Options{
+	fleet.Run(ctx, p.Jobs(spec, 0), fleet.Options{
 		Workers:    opts.Workers,
 		MaxRetries: opts.MaxRetries,
 		Sink:       fanout,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"popkit/internal/expt"
 	"popkit/internal/serve"
 )
 
@@ -179,7 +181,7 @@ func newFlakyWorker(t *testing.T, lines int64) (*flakyWorker, string) {
 
 // TestWorkerLossRedispatchesShard is the fail-over contract: a worker that
 // dies mid-stream loses its shard to another worker, which resumes at the
-// exact replica the stream stopped at (RunOptions.Start under the hood),
+// exact replica the stream stopped at (the shard spec's start window),
 // and the merged output is still byte-identical to a single-node run.
 func TestWorkerLossRedispatchesShard(t *testing.T) {
 	want := singleNodeBytes(t, testSpecJSON)
@@ -463,6 +465,72 @@ func TestMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(string(plist), `"exactmajority"`) {
 		t.Fatalf("protocols listing missing exactmajority: %s", plist)
 	}
+}
+
+// outcomeRegistry registers two test protocols on worker and coordinator
+// alike: "fail", whose replicas always fail, and "block", whose replicas
+// run until their context ends.
+func outcomeRegistry(t *testing.T) *serve.Registry {
+	t.Helper()
+	reg := serve.NewRegistry()
+	for _, p := range []*serve.Protocol{
+		{Name: "fail", Kind: "test", Replica: func(context.Context, expt.JobSpec, int, uint64) (expt.ReplicaRecord, error) {
+			return expt.ReplicaRecord{}, errors.New("replica failed on purpose")
+		}},
+		{Name: "block", Kind: "test", Replica: func(ctx context.Context, _ expt.JobSpec, _ int, _ uint64) (expt.ReplicaRecord, error) {
+			<-ctx.Done()
+			return expt.ReplicaRecord{}, ctx.Err()
+		}},
+	} {
+		if err := reg.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// checkOutcomes fails t unless the coordinator counted jobs as failed,
+// completed and cancelled as given.
+func checkOutcomes(t *testing.T, c *Coordinator, failed, completed, cancelled uint64) {
+	t.Helper()
+	m := c.Metrics()
+	if f, d, x := m.JobsFailed.Load(), m.JobsCompleted.Load(), m.JobsCancelled.Load(); f != failed || d != completed || x != cancelled {
+		t.Fatalf("jobs failed/completed/cancelled = %d/%d/%d, want %d/%d/%d", f, d, x, failed, completed, cancelled)
+	}
+}
+
+// TestFailedShardCountsJobFailed: a job whose replica fails on every
+// dispatch ends with the in-band error line and counts jobs_failed once,
+// neither completed nor cancelled.
+func TestFailedShardCountsJobFailed(t *testing.T) {
+	reg := outcomeRegistry(t)
+	c, base := newCoordinator(t, Config{
+		Registry:        reg,
+		Workers:         []string{newPopserved(t, serve.Config{Registry: reg, Workers: 1})},
+		ClientRetries:   1,
+		DispatchRetries: 1,
+	})
+	status, body := post(t, base, "/v1/jobs", `{"protocol":"fail","n":10,"seed":1,"replicas":2}`)
+	if status != http.StatusOK || !bytes.Contains(lastLine(body), []byte(`"error"`)) {
+		t.Fatalf("status %d, want 200 ending in an in-band error: %s", status, body)
+	}
+	checkOutcomes(t, c, 1, 0, 0)
+}
+
+// TestDeadlineCountsJobCancelled: a job that runs out its deadline counts
+// jobs_cancelled once, neither completed nor failed.
+func TestDeadlineCountsJobCancelled(t *testing.T) {
+	reg := outcomeRegistry(t)
+	c, base := newCoordinator(t, Config{
+		Registry:   reg,
+		Workers:    []string{newPopserved(t, serve.Config{Registry: reg, Workers: 1})},
+		JobTimeout: 200 * time.Millisecond,
+	})
+	status, body := post(t, base, "/v1/jobs", `{"protocol":"block","n":10,"seed":1,"replicas":1}`)
+	if status != http.StatusOK || !bytes.Contains(body, []byte("deadline")) {
+		t.Fatalf("status %d, want 200 with the deadline in-band: %s", status, body)
+	}
+	checkOutcomes(t, c, 0, 0, 1)
 }
 
 // TestProbeLoopRevivesWorker covers Start's background sweep end to end: a

@@ -54,7 +54,7 @@ func (c *Coordinator) shardSizeFor(remaining, liveWorkers int) int {
 }
 
 // merged is the value carried through the ordered merge: the decoded record
-// (for journaling) plus its exact wire line (for byte-identical output).
+// plus its exact wire line (for byte-identical output).
 type merged struct {
 	rec  expt.ReplicaRecord
 	line []byte
@@ -84,50 +84,16 @@ func (c *Coordinator) noLiveWorkers() *serve.Rejection {
 
 // Submit starts dispatching j's replicas, or refuses as Refuse does when no
 // worker is live — a sweep point asks only here, so it fails at once
-// rather than after the dispatch retries. The merged lines travel to the
-// Stream's caller verbatim — never decoded and re-encoded — and Done runs
-// once every shard has settled.
-func (c *Coordinator) Submit(j *serve.Job) (serve.Stream, *serve.Rejection) {
+// rather than after the dispatch retries. The merged lines reach j.Emit
+// verbatim — never decoded and re-encoded — and j ends once every shard
+// has settled.
+func (c *Coordinator) Submit(j *serve.Job) *serve.Rejection {
 	if rej := c.noLiveWorkers(); rej != nil {
-		return nil, rej
+		return rej
 	}
-	lines := make(chan merged)
-	var err error
-	// The goroutine ends with the job, which j.Ctx bounds; the Stream waits
-	// for it when read to the end.
-	go func() {
-		defer close(lines)
-		dropped := false
-		err = c.execute(j.Ctx, j.Tenant, j.Spec, j.Start, j.Journal, func(m merged) {
-			if dropped {
-				return
-			}
-			select {
-			case lines <- m:
-			case <-j.Ctx.Done():
-				// The reader may be gone. The merge still journals, and the
-				// stream stays a gap-free prefix.
-				dropped = true
-			}
-		})
-		switch {
-		case err == nil:
-			c.metrics.JobsCompleted.Add(1)
-		case j.Ctx.Err() != nil:
-			c.metrics.JobsCancelled.Add(1)
-		default:
-			c.metrics.JobsFailed.Add(1)
-		}
-		if j.Done != nil {
-			j.Done()
-		}
-	}()
-	return func(emit func(expt.ReplicaRecord, []byte)) error {
-		for m := range lines {
-			emit(m.rec, m.line)
-		}
-		return err
-	}, nil
+	// The goroutine ends with the job, which j.Ctx bounds.
+	go func() { j.End(c.execute(j.Ctx, j.Tenant, j.Spec, j.Start, j.Emit)) }()
+	return nil
 }
 
 // RetryAfter is one probe interval plus a second — about when a worker
@@ -137,20 +103,14 @@ func (c *Coordinator) RetryAfter(string) int {
 }
 
 // execute dispatches replicas [start, spec.Replicas) across the live
-// workers and delivers every merged record — in replica order, exactly
-// once — to write. With a journal, each line is made durable before it is
-// written. Returns the first shard failure (cancellations included) after
-// all shards settle.
-func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobSpec, start int, journal *expt.Journal, write func(merged)) error {
+// workers and delivers every merged record with its wire line — in replica
+// order, exactly once — to emit. Returns the first shard failure
+// (cancellations included) after all shards settle.
+func (c *Coordinator) execute(ctx context.Context, tenant string, spec expt.JobSpec, start int, emit func(expt.ReplicaRecord, []byte)) error {
 	inner := fleet.SinkFunc(func(r fleet.Result) {
 		m := r.Value.(merged)
-		if journal != nil {
-			// Journal first: the record survives a coordinator crash even
-			// if the requesting client is gone.
-			journal.AppendLine(m.rec, m.line)
-		}
 		c.metrics.RecordsMerged.Inc()
-		write(m)
+		emit(m.rec, m.line)
 	})
 	ordered := fleet.NewOrderedSinkAt(inner, start)
 

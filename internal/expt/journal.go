@@ -19,9 +19,9 @@ import (
 // the replicas past the journaled prefix.
 //
 // Only the contiguous successful prefix is durable: failed records and
-// out-of-order arrivals are ignored by Append, so a resumed job recomputes
-// everything from the first gap. Each accepted record is fsynced before
-// Append returns; a torn trailing write from a crash is detected and
+// out-of-order arrivals are ignored by AppendLine, so a resumed job
+// recomputes everything from the first gap. Each accepted record is fsynced
+// before AppendLine returns; a torn trailing write from a crash is detected and
 // truncated away on load.
 type Journal struct {
 	f    *os.File
@@ -76,7 +76,7 @@ func LoadJournal(path string, spec JobSpec) (j *Journal, replay [][]byte, err er
 		return &Journal{f: f}, nil, nil
 	}
 	if !bytes.Equal(stored, header) {
-		return nil, nil, fmt.Errorf("journal %s holds a different job spec (stored %s)", path, stored)
+		return nil, nil, fmt.Errorf("journal %s holds a %w (stored %s)", path, ErrSpecMismatch, stored)
 	}
 	if valid < len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
@@ -88,6 +88,10 @@ func LoadJournal(path string, spec JobSpec) (j *Journal, replay [][]byte, err er
 	}
 	return &Journal{f: f, next: len(replay)}, replay, nil
 }
+
+// ErrSpecMismatch is LoadJournal's error for a journal that holds another
+// job's spec.
+var ErrSpecMismatch = errors.New("different job spec")
 
 // ErrTornHeader is ReadRecords' reason for data without one complete
 // line: not even the header survived.
@@ -153,22 +157,11 @@ func rewrite(f *os.File, content []byte) error {
 // Next returns the index of the first replica not yet journaled.
 func (j *Journal) Next() int { return j.next }
 
-// Append journals one record. Records that are failed (Err set) or not the
-// next expected replica are ignored without error — the journal only ever
-// grows by the contiguous successful prefix. The record is durable (synced)
-// when Append returns nil.
-func (j *Journal) Append(rec ReplicaRecord) error {
-	line, err := rec.MarshalLine()
-	if err != nil {
-		return err
-	}
-	return j.AppendLine(rec, line)
-}
-
-// AppendLine journals rec with its exact wire bytes (newline-terminated) —
-// the consumer case, where the line was received from a stream and must be
-// re-streamed verbatim on resume rather than re-marshalled. The same skip
-// rules as Append apply.
+// AppendLine journals rec as line, its exact newline-terminated wire bytes,
+// which a resume re-streams verbatim. Records that are failed (Err set) or
+// not the next expected replica are ignored without error — the journal
+// only ever grows by the contiguous successful prefix. The record is
+// durable (synced) when AppendLine returns nil.
 func (j *Journal) AppendLine(rec ReplicaRecord, line []byte) error {
 	if rec.Err != "" || rec.Replica != j.next {
 		return nil

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +21,16 @@ func journalRec(i int) ReplicaRecord {
 	}
 }
 
+// appendRec journals rec under its marshalled wire line, the line a served
+// job streams.
+func appendRec(j *Journal, rec ReplicaRecord) error {
+	line, err := rec.MarshalLine()
+	if err != nil {
+		return err
+	}
+	return j.AppendLine(rec, line)
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j1.ndjson")
 	spec := journalSpec()
@@ -34,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	var want bytes.Buffer
 	for i := 0; i < 3; i++ {
 		rec := journalRec(i)
-		if err := j.Append(rec); err != nil {
+		if err := appendRec(j, rec); err != nil {
 			t.Fatal(err)
 		}
 		line, _ := rec.MarshalLine()
@@ -62,13 +73,13 @@ func TestJournalSkipsFailedAndOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.Append(journalRec(0))
+	appendRec(j, journalRec(0))
 
 	bad := journalRec(1)
 	bad.Err = "replica panicked: boom"
-	j.Append(bad)           // failed: ignored
-	j.Append(journalRec(2)) // out of order: ignored
-	j.Append(journalRec(1)) // the real next
+	appendRec(j, bad)           // failed: ignored
+	appendRec(j, journalRec(2)) // out of order: ignored
+	appendRec(j, journalRec(1)) // the real next
 	if j.Next() != 2 {
 		t.Fatalf("next = %d, want 2", j.Next())
 	}
@@ -89,8 +100,12 @@ func TestJournalSpecMismatch(t *testing.T) {
 
 	other := journalSpec()
 	other.Seed = 43
-	if _, _, err := LoadJournal(path, other); err == nil || !strings.Contains(err.Error(), "different job spec") {
+	_, _, err = LoadJournal(path, other)
+	if err == nil || !strings.Contains(err.Error(), "different job spec") {
 		t.Fatalf("spec mismatch not detected: %v", err)
+	}
+	if !errors.Is(err, ErrSpecMismatch) {
+		t.Fatalf("spec mismatch %v is not ErrSpecMismatch", err)
 	}
 }
 
@@ -104,8 +119,8 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(journalRec(0))
-	j.Append(journalRec(1))
+	appendRec(j, journalRec(0))
+	appendRec(j, journalRec(1))
 	j.Close()
 
 	// Tear the tail: a partial record with no newline.
@@ -124,7 +139,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatalf("after torn tail: next=%d replay=%d, want 2/2", j2.Next(), len(replay))
 	}
 	// The journal must have been truncated so new appends stay parseable.
-	if err := j2.Append(journalRec(2)); err != nil {
+	if err := appendRec(j2, journalRec(2)); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -147,7 +162,7 @@ func TestJournalCorruptMidFileStopsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(journalRec(0))
+	appendRec(j, journalRec(0))
 	j.Close()
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	f.WriteString("not json\n")

@@ -52,6 +52,9 @@ type Item struct {
 	Job      any
 }
 
+// quantum is the deficit credit a tenant accrues per DRR round and weight.
+const quantum = time.Second
+
 // QueueConfig sizes a Queue. Zero values mean defaults.
 type QueueConfig struct {
 	// PerTenantDepth bounds each tenant's queued jobs — the direct analogue
@@ -64,14 +67,9 @@ type QueueConfig struct {
 	// MaxTenants bounds distinct live tenant queues; beyond it, new tenants
 	// are rejected unless an idle tenant can be evicted. Default 64.
 	MaxTenants int
-	// Weights gives named tenants a DRR weight; unlisted tenants get
-	// DefaultWeight. Higher weight → proportionally more dispatch credit.
+	// Weights gives named tenants a DRR weight; unlisted tenants weigh 1.
+	// Higher weight → proportionally more dispatch credit.
 	Weights map[string]int
-	// DefaultWeight is the weight of unlisted tenants. Default 1.
-	DefaultWeight int
-	// Quantum is the deficit credit added per DRR round per unit weight.
-	// Default 1s.
-	Quantum time.Duration
 	// ChargeCap caps one item's deficit charge, so predicted-for-days
 	// whales cost a bounded amount of credit and the round-robin always
 	// makes progress. Default 30s.
@@ -100,12 +98,6 @@ func (c *QueueConfig) fillDefaults() {
 	}
 	if c.MaxTenants < 1 {
 		c.MaxTenants = 64
-	}
-	if c.DefaultWeight < 1 {
-		c.DefaultWeight = 1
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = time.Second
 	}
 	if c.ChargeCap <= 0 {
 		c.ChargeCap = 30 * time.Second
@@ -169,7 +161,7 @@ func (q *Queue) weightOf(tenant string) int {
 	if w, ok := q.cfg.Weights[tenant]; ok && w >= 1 {
 		return w
 	}
-	return q.cfg.DefaultWeight
+	return 1
 }
 
 func (q *Queue) charge(cost time.Duration) time.Duration {
@@ -290,7 +282,7 @@ func (q *Queue) Close() { q.closed = true }
 //     jobs never sit behind whales" guarantee (sustained interactive
 //     saturation deliberately delays whales);
 //  2. within a class, deficit round-robin across tenants: each round every
-//     competing tenant accrues Quantum×weight credit, and the first tenant
+//     competing tenant accrues quantum×weight credit, and the first tenant
 //     (in rotating order) whose deficit covers its head's capped charge
 //     dispatches — weighted max-min fairness over predicted cost;
 //  3. whale heads are only eligible while their tenant and the queue as a
@@ -319,8 +311,8 @@ func (q *Queue) pick() *Item {
 			continue
 		}
 		// Bounded by construction: charges are ≤ ChargeCap and every round
-		// adds ≥ Quantum to each competitor, but keep a hard stop anyway.
-		maxRounds := int(q.cfg.ChargeCap/q.cfg.Quantum) + 2
+		// adds ≥ quantum to each competitor, but keep a hard stop anyway.
+		maxRounds := int(q.cfg.ChargeCap/quantum) + 2
 		for round := 0; round <= maxRounds; round++ {
 			for _, idx := range eligible {
 				t := q.order[idx]
@@ -346,8 +338,8 @@ func (q *Queue) pick() *Item {
 			}
 			for _, idx := range eligible {
 				t := q.order[idx]
-				t.deficit += q.cfg.Quantum * time.Duration(t.weight)
-				if lim := q.cfg.ChargeCap + 2*q.cfg.Quantum*time.Duration(t.weight); t.deficit > lim {
+				t.deficit += quantum * time.Duration(t.weight)
+				if lim := q.cfg.ChargeCap + 2*quantum*time.Duration(t.weight); t.deficit > lim {
 					t.deficit = lim
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,44 +48,105 @@ var ErrNegativeLimit = errors.New("negative limit")
 // An Executor runs the jobs its Front admits: the local job pool in
 // popserved, shard dispatch across workers in popcoord. The front owns
 // everything else about a request — decoding, the store, pricing, the
-// journal, the stream — so the two binaries differ only here and in the
-// routes they serve themselves.
+// journal, the stream, the outcome tally — so the two binaries differ only
+// in how they compute a job's records and in the routes they serve
+// themselves.
 type Executor interface {
 	// Refuse is the executor's own admission check, made after the front
 	// has priced a job and before it claims the job's journal. A sweep asks
 	// once, with a nil prediction, before it decodes its grid.
 	Refuse(pred *qos.Prediction) *Rejection
-	// Submit starts j. A rejection with status 429 means the executor is
-	// full; the sweep's miss path waits and submits again.
-	Submit(j *Job) (Stream, *Rejection)
+	// Submit starts j, which then gets each of its records through j.Emit
+	// and its end through j.End. A rejection with status 429 means the
+	// executor is full; the sweep's miss path waits and submits again.
+	Submit(j *Job) *Rejection
 	// RetryAfter is the Retry-After hint, in seconds, of a retryable
 	// rejection; tenant is empty outside QoS admission.
 	RetryAfter(tenant string) int
 }
 
-// Job is one admitted job as the front hands it to its Executor.
+// Job is one admitted job as the front hands it to its Executor, and the
+// one record path of a served job: the executor calls Emit for each record
+// in replica order and End once, and the front journals, streams and
+// counts what they carry.
 type Job struct {
 	Spec  expt.JobSpec
 	Proto *catalog.Protocol
 	// Ctx ends with the client's request or the job's derived deadline,
 	// whichever comes first; the executor aborts the job when it is done.
+	// An executor may narrow it to a context of its own before the first
+	// Emit: End reads the job as cancelled when Ctx has ended.
 	Ctx    context.Context
 	Tenant string
 	Pred   qos.Prediction
 	// Start is the first replica to run; the ones below it were replayed
 	// from the journal.
 	Start int
-	// Journal, when non-nil, must receive each completed record before the
-	// record is streamed, so a crash costs only the replicas past it.
-	Journal *expt.Journal
-	// Done, when non-nil, must run exactly once, after the executor last
-	// touches Journal: it closes the journal and frees the job id.
-	Done func()
+
+	metrics *FrontMetrics
+	journal *expt.Journal // nil without a job id
+	cleanup func()        // closes the journal and frees the job id; nil without one
+	// records holds room for every record of the window [Start,
+	// Replicas), so Emit never waits on the stream's reader; End closes it
+	// after setting err.
+	records chan jobRecord
+	err     error
 }
 
-// Stream delivers a submitted job's records to emit in replica order, each
-// with its exact wire line, and returns the job's terminal error.
-type Stream func(emit func(rec expt.ReplicaRecord, line []byte)) error
+// jobRecord is one emitted record with its exact wire line.
+type jobRecord struct {
+	rec  expt.ReplicaRecord
+	line []byte
+}
+
+// newJob gives j its record path: the front's metrics End counts into, the
+// journal each record is made durable in before it is streamed, and the
+// clean-up End runs last.
+func newJob(j *Job, m *FrontMetrics, journal *expt.Journal, cleanup func()) *Job {
+	j.metrics, j.journal, j.cleanup = m, journal, cleanup
+	j.records = make(chan jobRecord, j.Spec.Replicas-j.Start)
+	return j
+}
+
+// Emit hands the front the job's next record, in replica order, with its
+// exact newline-terminated wire line. A journaled job appends the record
+// first, so it is durable even if the stream's client is gone.
+func (j *Job) Emit(rec expt.ReplicaRecord, line []byte) {
+	if j.journal != nil {
+		j.journal.AppendLine(rec, line)
+	}
+	j.records <- jobRecord{rec, line}
+}
+
+// End ends the job once its last record is emitted: it counts the job
+// completed (err nil), cancelled (Ctx has ended) or failed, closes the
+// stream with err as its terminal error, and only then closes the journal
+// and frees the job id — the ordering that makes a resumed request safe
+// to admit.
+func (j *Job) End(err error) {
+	switch {
+	case err == nil:
+		j.metrics.JobsCompleted.Add(1)
+	case j.Ctx.Err() != nil:
+		j.metrics.JobsCancelled.Add(1)
+	default:
+		j.metrics.JobsFailed.Add(1)
+	}
+	j.err = err
+	close(j.records)
+	if j.cleanup != nil {
+		j.cleanup()
+	}
+}
+
+// drain delivers the job's records to emit as the executor emits them, and
+// returns the error End was given.
+func (j *Job) drain(emit func(rec expt.ReplicaRecord, line []byte)) error {
+	for r := range j.records {
+		emit(r.rec, r.line)
+	}
+	return j.err
+}
 
 // A Rejection is an executor's refusal of a job or a sweep. The front
 // tallies it and renders it as the JSON error body with a Retry-After hint.
@@ -536,7 +596,7 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 		journal, replay, err = f.journals.open(id, spec)
 		if err != nil {
 			f.journals.release(id)
-			if strings.Contains(err.Error(), "different job spec") {
+			if errors.Is(err, expt.ErrSpecMismatch) {
 				WriteError(w, http.StatusConflict, "%v", err)
 			} else {
 				WriteError(w, http.StatusInternalServerError, "journal: %v", err)
@@ -561,28 +621,20 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 
 	jctx, cancel := context.WithTimeout(r.Context(), f.jobDeadline(pred, r))
 	defer cancel()
-	stream, rej := f.exec.Submit(&Job{
-		Spec:    spec,
-		Proto:   proto,
-		Ctx:     jctx,
-		Tenant:  tenant,
-		Pred:    pred,
-		Start:   start,
-		Journal: journal,
-		Done:    done,
-	})
-	if rej != nil {
+	j := newJob(&Job{Spec: spec, Proto: proto, Ctx: jctx, Tenant: tenant, Pred: pred, Start: start},
+		f.metrics, journal, done)
+	if rej := f.exec.Submit(j); rej != nil {
 		if done != nil {
 			done()
 		}
 		f.reject(w, tenant, pred, rej)
 		return
 	}
-	// The executor now owns the journal and the job-id lock (released via
-	// Done once it is finished with the journal).
+	// The job now owns the journal and the job-id lock (released by its
+	// End once the last record is journaled).
 	f.metrics.JobsAccepted.Add(1)
 	f.qosM.Admitted(tenant, pred.Class)
-	streamJob(w, metaLine(r, spec, cacheHash, false), replay, stream, capt)
+	streamJob(w, metaLine(r, spec, cacheHash, false), replay, j, capt)
 
 	if capt != nil {
 		out := store.Outcome{Records: len(capt.lines), Bytes: capt.bytes}
@@ -656,10 +708,10 @@ func openNDJSON(w http.ResponseWriter) func(line []byte) {
 
 // streamJob writes the stream: the optional metadata record, the replay
 // bytes (verbatim — journal prefix or cached object), then the live records
-// of stream, and finally the in-band error object if the job failed.
-// stream is nil when the whole body comes from replay; capt, when non-nil,
-// receives every live record line for a later store commit.
-func streamJob(w http.ResponseWriter, meta []byte, replay [][]byte, stream Stream, capt *capture) {
+// of j, and finally the in-band error object if the job failed. j is nil
+// when the whole body comes from replay; capt, when non-nil, receives
+// every live record line for a later store commit.
+func streamJob(w http.ResponseWriter, meta []byte, replay [][]byte, j *Job, capt *capture) {
 	write := openNDJSON(w)
 	writeLine := func(line []byte) {
 		if out := fpStream.Eval(); out.Fire {
@@ -680,10 +732,10 @@ func streamJob(w http.ResponseWriter, meta []byte, replay [][]byte, stream Strea
 	for _, line := range replay {
 		writeLine(line)
 	}
-	if stream == nil {
+	if j == nil {
 		return
 	}
-	err := stream(func(rec expt.ReplicaRecord, line []byte) {
+	err := j.drain(func(rec expt.ReplicaRecord, line []byte) {
 		if capt != nil {
 			if rec.Err != "" {
 				capt.failed = true

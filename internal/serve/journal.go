@@ -30,8 +30,8 @@ func newJournalSet(dir string) *journalSet {
 var errJobBusy = fmt.Errorf("job already in flight")
 
 // acquire claims exclusive use of id. The matching release must run exactly
-// once — by the handler on early exits, or by the worker once an enqueued
-// job finishes.
+// once — by the handler on early exits, or by the job's End once it is
+// admitted.
 func (s *journalSet) acquire(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,57 @@ func TestIdleSlotLendsToRunningJob(t *testing.T) {
 	}
 }
 
+// TestLentSlotClaimsInReplicaOrder: a lent slot claims the job's lowest
+// unclaimed replica, as the dispatching slot does, so records never wait in
+// the ordered sink behind a back replica. With two slots, replica 0 holds
+// the dispatching slot until 1..7 have run, so the lent slot runs all
+// seven, in ID order, and fleet_steals_total counts each.
+func TestLentSlotClaimsInReplicaOrder(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	rest := make(chan struct{}) // closed once replicas 1..7 have run
+	reg := NewRegistry()
+	err := reg.Register(&Protocol{
+		Name: "ordered",
+		Kind: "test",
+		Replica: func(ctx context.Context, spec expt.JobSpec, replica int, seed uint64) (expt.ReplicaRecord, error) {
+			if replica == 0 {
+				select {
+				case <-rest:
+				case <-ctx.Done():
+					return expt.ReplicaRecord{}, ctx.Err()
+				}
+			} else {
+				mu.Lock()
+				if order = append(order, replica); len(order) == 7 {
+					close(rest)
+				}
+				mu.Unlock()
+			}
+			return expt.ReplicaRecord{
+				Replica: replica, Protocol: spec.Protocol, N: spec.N,
+				Seed: seed, Converged: true,
+			}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Registry: reg, Workers: 2})
+	postJob(t, ts.URL, "a", `{"protocol":"ordered","n":10,"seed":1,"replicas":8}`)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(order, []int{1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("the lent slot ran replicas %v, want [1 2 3 4 5 6 7]", order)
+	}
+	if steals := s.Metrics().FleetSteals.Load(); steals != 7 {
+		t.Fatalf("fleet_steals_total = %d, want 7 (every replica the lent slot ran)", steals)
+	}
+}
+
 // TestLendingNeverExceedsWorkers: lending fills every slot — a lone job
 // reaches Workers concurrent replica bodies — but never more, alone or
 // with several jobs competing. Finished jobs leave the lending list.
@@ -241,14 +293,11 @@ func TestLentSlotYieldsToQueuedJob(t *testing.T) {
 		aDone <- time.Now()
 	}()
 
-	// The slot that dispatched the job runs replicas from the front; the
-	// lent slot claims from the back, so replica 7 ending marks the lent
-	// slot moving on to the next unclaimed replica (6). Enqueue mid-way
-	// through that one.
-	for r := range started {
-		if r == 7 {
-			break
-		}
+	// Both slots claim in replica order: 0 and 1 start together, then 2
+	// and 3, so the fourth start marks the lent slot on its second replica.
+	// Enqueue mid-way through that one.
+	for range 4 {
+		<-started
 	}
 	time.Sleep(d / 2)
 	bStart := time.Now()

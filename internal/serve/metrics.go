@@ -28,8 +28,8 @@ type FrontMetrics struct {
 
 	JobsAccepted        *obs.Counter
 	JobsRejectedInvalid *obs.Counter
-	// JobsCompleted/Failed/Cancelled are the executor's to count, when a
-	// job's last replica is done.
+	// JobsCompleted/Failed/Cancelled count each admitted job once, when
+	// its executor ends it (Job.End).
 	JobsCompleted *obs.Counter
 	JobsFailed    *obs.Counter
 	JobsCancelled *obs.Counter
@@ -113,7 +113,8 @@ type Metrics struct {
 	InFlight             *obs.GaugeInt
 
 	// FleetSteals counts replicas run on a lent job slot — a slot with no
-	// dispatchable queued job that claimed another job's back replica.
+	// dispatchable queued job that claimed another job's lowest unclaimed
+	// replica.
 	// FleetRetries counts crash-retry attempts (each replica's
 	// fleet.Result.Attempts beyond the first). The job pool tallies both
 	// as each replica reports.

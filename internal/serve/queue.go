@@ -14,55 +14,24 @@ import (
 )
 
 // queuedJob is one submitted Job travelling through the queue to the job
-// slots. The slots journal each record as it completes, stream it into the
-// records channel (in replica order), close the channel, and then run
-// Job.Done; the terminal error, if any, is available from err() once
-// records is closed. Job.Tenant and Job.Pred drive QoS scheduling (fair
-// queueing, whale caps) and the prediction-error feedback loop; their zero
-// values — the default tenant, a zero-cost interactive prediction — are
-// what callers without an admission decision get.
+// slots, which emit its records through the Job in replica order and end
+// it. Job.Tenant and Job.Pred drive QoS scheduling (fair queueing, whale
+// caps) and the prediction-error feedback loop; their zero values — the
+// default tenant, a zero-cost interactive prediction — are what callers
+// without an admission decision get.
 type queuedJob struct {
 	*Job
-	records chan expt.ReplicaRecord
 
-	// Set when a slot dispatches the job. Slots claim the unclaimed
-	// replicas [lo, hi) of replicas — the dispatching slot from the front,
-	// lent slots from the back — and the slot that reports the last one in
-	// flight ends the job. The pool's mu guards lo, hi and inFlight.
+	// Set when a slot dispatches the job. Slots claim replicas in ID order
+	// from the cursor next — the dispatching slot and lent slots alike —
+	// and the slot that reports the last one in flight ends the job. The
+	// pool's mu guards next and inFlight.
 	item     *qos.Item
-	ctx      context.Context
-	release  func() // cancels ctx and detaches it from the pool's hard stop
+	release  func() // cancels Ctx and detaches it from the pool's hard stop
 	replicas []fleet.Job
 	out      *catalog.Records
-	lo, hi   int
+	next     int
 	inFlight int
-
-	mu      sync.Mutex
-	termErr error
-}
-
-func (j *queuedJob) finish(err error) {
-	j.mu.Lock()
-	j.termErr = err
-	j.mu.Unlock()
-}
-
-// err returns the terminal error; valid once records is closed.
-func (j *queuedJob) err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.termErr
-}
-
-// stream is the job's Stream: each record with its wire line as the
-// slots deliver it, then the terminal error.
-func (j *queuedJob) stream(emit func(expt.ReplicaRecord, []byte)) error {
-	for rec := range j.records {
-		if line, err := rec.MarshalLine(); err == nil {
-			emit(rec, line)
-		}
-	}
-	return j.err()
 }
 
 // pool is the per-tenant fair job queue plus the job slots draining it, and
@@ -70,14 +39,16 @@ func (j *queuedJob) stream(emit func(expt.ReplicaRecord, []byte)) error {
 // runs one replica at a time. A slot that frees claims the next replica of
 // the job it dispatched while any is left; otherwise it dispatches a queued
 // job if one is dispatchable; only when none is does it lend itself to the
-// oldest running job, claiming that job's back replica and checking the
-// queue again after it. So total replica parallelism is exactly workers,
-// and lending delays a newly dispatchable job by at most one replica. A
-// slot lent to a whale job holds one of the queue's WhaleGlobal slots while
-// it runs, so whales never fill every slot. Scheduling policy — class
-// priority, weighted deficit-round-robin across tenants, whale concurrency
-// caps — lives in qos.Queue; this type makes every decision under its one
-// lock, runs the replicas and owns the metrics feedback loops.
+// oldest running job, claiming that job's lowest unclaimed replica and
+// checking the queue again after it. Every slot claims in replica order,
+// so a record reaches its job's stream as soon as it and every lower one
+// have finished. Total replica parallelism is exactly workers, and lending
+// delays a newly dispatchable job by at most one replica. A slot lent to a
+// whale job holds one of the queue's WhaleGlobal slots while it runs, so
+// whales never fill every slot. Scheduling policy — class priority,
+// weighted deficit-round-robin across tenants, whale concurrency caps —
+// lives in qos.Queue; this type makes every decision under its one lock,
+// runs the replicas and owns the metrics feedback loops.
 type pool struct {
 	model      *qos.Model
 	qm         *qos.Metrics
@@ -240,7 +211,7 @@ func (p *pool) worker(slot int) {
 	defer p.mu.Unlock()
 	var own *queuedJob // the job this slot dispatched
 	for {
-		if own != nil && own.lo < own.hi {
+		if own != nil && own.next < len(own.replicas) {
 			p.run(own, slot, false)
 			continue
 		}
@@ -268,14 +239,13 @@ func (p *pool) dispatch(it *qos.Item) *queuedJob {
 	p.qm.QueueWait(it.Tenant, time.Since(it.Enqueued))
 	p.qm.WhalesRunning.Set(int64(p.q.WhalesRunning()))
 	p.metrics.InFlight.Add(1)
-	// Merge the request context with the pool's hard stop so either aborts
-	// the job.
+	// Narrow the job's context to one the pool's hard stop also ends, so
+	// either aborts the job and End counts a hard stop as cancelled.
 	ctx, cancel := context.WithCancel(j.Ctx)
 	stop := context.AfterFunc(p.hard, cancel)
-	j.item, j.ctx = it, ctx
+	j.item, j.Ctx = it, ctx
 	j.release = func() { stop(); cancel() }
 	j.replicas = j.Proto.Jobs(j.Spec, j.Start)
-	j.lo, j.hi = 0, len(j.replicas)
 	j.out = catalog.NewRecords(j.Spec, j.Start, func(rec expt.ReplicaRecord) { p.deliver(j, rec) })
 	p.running = append(p.running, j)
 	p.cond.Broadcast()
@@ -288,27 +258,22 @@ func (p *pool) dispatch(it *qos.Item) *queuedJob {
 // gives it back). Caller holds p.mu.
 func (p *pool) lendTo() *queuedJob {
 	for _, j := range p.running {
-		if j.lo < j.hi && (j.item.Class != qos.ClassWhale || p.q.AcquireWhaleSlot()) {
+		if j.next < len(j.replicas) && (j.item.Class != qos.ClassWhale || p.q.AcquireWhaleSlot()) {
 			return j
 		}
 	}
 	return nil
 }
 
-// run claims one of j's unclaimed replicas — the front one, or the back
-// one when this slot is lent to j — runs it on this slot and reports it.
-// Caller holds p.mu, which is released while the replica runs.
+// run claims j's lowest unclaimed replica, runs it on this slot (lent to
+// j, or the slot that dispatched it) and reports it. Caller holds p.mu,
+// which is released while the replica runs.
 func (p *pool) run(j *queuedJob, slot int, lent bool) {
-	i := j.lo
-	if lent {
-		j.hi--
-		i = j.hi
-	} else {
-		j.lo++
-	}
+	i := j.next
+	j.next++
 	j.inFlight++
 	p.mu.Unlock()
-	r := fleet.RunOne(j.ctx, j.replicas[i], slot, p.maxRetries)
+	r := fleet.RunOne(j.Ctx, j.replicas[i], slot, p.maxRetries)
 	p.metrics.ReplicaDuration.Observe(r.Elapsed)
 	if j.Pred.PerReplica > 0 {
 		// Feed the cost model's EWMA and the drift histogram from every
@@ -332,22 +297,14 @@ func (p *pool) run(j *queuedJob, slot int, lent bool) {
 }
 
 // deliver is j's record sink, called in replica order: it tallies the
-// record, journals it and streams it.
+// record and emits it with its wire line.
 func (p *pool) deliver(j *queuedJob, rec expt.ReplicaRecord) {
 	if rec.Err == "" {
 		p.metrics.ReplicasCompleted.Add(1)
 		p.metrics.Interactions.Add(rec.Interactions)
 	}
-	if j.Journal != nil {
-		// Journal first: the record is durable even if the stream's client
-		// is gone, which is exactly what a resumed request harvests.
-		j.Journal.Append(rec)
-	}
-	select {
-	case j.records <- rec:
-	case <-j.ctx.Done():
-		// The consumer is gone; drop the record rather than block the
-		// slot forever.
+	if line, err := rec.MarshalLine(); err == nil {
+		j.Emit(rec, line)
 	}
 }
 
@@ -355,7 +312,7 @@ func (p *pool) deliver(j *queuedJob, rec expt.ReplicaRecord) {
 // leaves running and frees its queue slot under p.mu, then ends with the
 // lock released. Caller holds p.mu.
 func (p *pool) settle(j *queuedJob) {
-	if j.lo < j.hi || j.inFlight > 0 {
+	if j.next < len(j.replicas) || j.inFlight > 0 {
 		return
 	}
 	// slices.Delete clears the vacated tail slot, so an ended job is not
@@ -374,25 +331,15 @@ func (p *pool) settle(j *queuedJob) {
 	p.mu.Lock()
 }
 
-// end tallies an ended job's outcome and closes its stream. For journaled
-// jobs it runs Done — which closes the journal — only after the last
-// record was appended: the ordering that makes a resumed request safe to
-// admit.
+// end ends j with its first failure in replica order — the cause of its
+// context when that has ended — before releasing the context, so End sees
+// a hard stop as a cancellation.
 func (p *pool) end(j *queuedJob) {
-	switch err := j.out.Err(); {
-	case err == nil:
-		p.metrics.JobsCompleted.Add(1)
-	case j.ctx.Err() != nil:
-		j.finish(context.Cause(j.ctx))
-		p.metrics.JobsCancelled.Add(1)
-	default:
-		j.finish(err)
-		p.metrics.JobsFailed.Add(1)
+	err := j.out.Err()
+	if err != nil && j.Ctx.Err() != nil {
+		err = context.Cause(j.Ctx)
 	}
-	j.release()
 	p.metrics.InFlight.Add(-1)
-	close(j.records)
-	if j.Done != nil {
-		j.Done()
-	}
+	j.End(err)
+	j.release()
 }

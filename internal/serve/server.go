@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"popkit/internal/catalog"
-	"popkit/internal/expt"
 	"popkit/internal/qos"
 )
 
@@ -209,14 +208,11 @@ func (s *Server) Refuse(pred *qos.Prediction) *Rejection {
 	return rej
 }
 
-// Submit enqueues j on its tenant's queue; a full queue is a 429. The pool
-// journals each record as it completes and runs j.Done once the journal is
-// closed.
-func (s *Server) Submit(j *Job) (Stream, *Rejection) {
-	qj := &queuedJob{Job: j, records: make(chan expt.ReplicaRecord, j.Spec.Replicas-j.Start)}
-	err := s.pool.tryEnqueue(qj)
+// Submit enqueues j on its tenant's queue; a full queue is a 429.
+func (s *Server) Submit(j *Job) *Rejection {
+	err := s.pool.tryEnqueue(&queuedJob{Job: j})
 	if err == nil {
-		return qj.stream, nil
+		return nil
 	}
 	reason := "queue_full"
 	switch {
@@ -225,7 +221,7 @@ func (s *Server) Submit(j *Job) (Stream, *Rejection) {
 	case errors.Is(err, qos.ErrTenantLimit):
 		reason = "tenant_limit"
 	}
-	return nil, &Rejection{
+	return &Rejection{
 		Status: http.StatusTooManyRequests,
 		Reason: reason,
 		Msg:    fmt.Sprintf("job queue full (%d queued); retry later", s.pool.depth()),

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -287,6 +288,34 @@ func TestJobTimeoutSurfacesError(t *testing.T) {
 	}
 }
 
+// TestFailedReplicaCountsJobFailed: a job whose replica fails ends with the
+// in-band error line and counts jobs_failed once, neither completed nor
+// cancelled.
+func TestFailedReplicaCountsJobFailed(t *testing.T) {
+	reg := NewRegistry()
+	err := reg.Register(&Protocol{
+		Name: "fail",
+		Kind: "test",
+		Replica: func(context.Context, expt.JobSpec, int, uint64) (expt.ReplicaRecord, error) {
+			return expt.ReplicaRecord{}, errors.New("replica failed on purpose")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Registry: reg, Workers: 1})
+	resp := postSpec(t, ts.URL, `{"protocol":"fail","n":10,"seed":1,"replicas":2}`)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(body, []byte(`{"error":"replica 0`)) {
+		t.Fatalf("failure not surfaced in stream: %s", body)
+	}
+	m := s.Metrics()
+	if f, c, x := m.JobsFailed.Load(), m.JobsCompleted.Load(), m.JobsCancelled.Load(); f != 1 || c != 0 || x != 0 {
+		t.Fatalf("jobs failed/completed/cancelled = %d/%d/%d, want 1/0/0", f, c, x)
+	}
+}
+
 // TestHTTPMatchesDirectRun is the determinism-across-the-network-boundary
 // guarantee: the HTTP stream must be byte-identical to what the registry
 // (and therefore popsim -ndjson, which calls the same code) produces.
@@ -537,14 +566,11 @@ func TestPoolDrainAndAbort(t *testing.T) {
 	m := NewMetrics()
 	p := newPool(qos.QueueConfig{PerTenantDepth: 4}, 1, 0, m, nil, nil)
 	proto, _ := reg.Lookup("block")
-	j := &queuedJob{
-		Job: &Job{
-			Spec:  expt.JobSpec{Protocol: "block", N: 10, Seed: 1, Replicas: 1},
-			Proto: proto,
-			Ctx:   context.Background(),
-		},
-		records: make(chan expt.ReplicaRecord, 1),
-	}
+	j := &queuedJob{Job: newJob(&Job{
+		Spec:  expt.JobSpec{Protocol: "block", N: 10, Seed: 1, Replicas: 1},
+		Proto: proto,
+		Ctx:   context.Background(),
+	}, m.FrontMetrics, nil, nil)}
 	if err := p.tryEnqueue(j); err != nil {
 		t.Fatal(err)
 	}
@@ -586,14 +612,11 @@ func TestPoolCloseWakesEverySlot(t *testing.T) {
 	m, model, qm := NewMetrics(), qos.MustNewModel(qos.ModelOptions{}), qos.NewMetrics(nil)
 	for i := 0; i < 20000; i++ {
 		p := newPool(qos.QueueConfig{}, 2, 0, m, model, qm)
-		j := &queuedJob{
-			Job: &Job{
-				Spec:  expt.JobSpec{Protocol: "nop", N: 10, Seed: uint64(i), Replicas: 1},
-				Proto: proto,
-				Ctx:   context.Background(),
-			},
-			records: make(chan expt.ReplicaRecord, 1),
-		}
+		j := &queuedJob{Job: newJob(&Job{
+			Spec:  expt.JobSpec{Protocol: "nop", N: 10, Seed: uint64(i), Replicas: 1},
+			Proto: proto,
+			Ctx:   context.Background(),
+		}, m.FrontMetrics, nil, nil)}
 		if err := p.tryEnqueue(j); err != nil {
 			t.Fatal(err)
 		}

@@ -108,11 +108,10 @@ func (f *Front) executeJob(ctx context.Context, spec expt.JobSpec, tenant string
 	}
 	jctx, cancel := context.WithTimeout(ctx, f.jobDeadline(pred, nil))
 	defer cancel()
-	j := &Job{Spec: spec, Proto: proto, Ctx: jctx, Tenant: tenant, Pred: pred}
-	var stream Stream
+	j := newJob(&Job{Spec: spec, Proto: proto, Ctx: jctx, Tenant: tenant, Pred: pred}, f.metrics, nil, nil)
 	for {
-		var rej *Rejection
-		if stream, rej = f.exec.Submit(j); rej == nil {
+		rej := f.exec.Submit(j)
+		if rej == nil {
 			break
 		}
 		if rej.Status != http.StatusTooManyRequests {
@@ -127,7 +126,7 @@ func (f *Front) executeJob(ctx context.Context, spec expt.JobSpec, tenant string
 
 	lines := make([][]byte, 0, spec.Replicas)
 	var failed string
-	err = stream(func(rec expt.ReplicaRecord, line []byte) {
+	err = j.drain(func(rec expt.ReplicaRecord, line []byte) {
 		if rec.Err == "" {
 			lines = append(lines, line)
 		} else if failed == "" {

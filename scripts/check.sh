@@ -41,8 +41,8 @@ go test -race ./internal/fleet/... ./internal/engine/... ./internal/fault/... ./
 echo "== go test -race -count=5 (job pool scheduling) =="
 # A lost wakeup between the slots and close() shows only in rare
 # interleavings, so one pass can miss it: repeat the pool's scheduling
-# tests (lending, whale caps, yielding, drain, close's wakeup).
-go test -race -count=5 -run '^(TestIdleSlotLendsToRunningJob|TestLendingNeverExceedsWorkers|TestWhaleLendingCap|TestLentSlotYieldsToQueuedJob|TestPoolDrainAndAbort|TestPoolCloseWakesEverySlot)$' ./internal/serve/
+# tests (lending, claim order, whale caps, yielding, drain, close's wakeup).
+go test -race -count=5 -run '^(TestIdleSlotLendsToRunningJob|TestLentSlotClaimsInReplicaOrder|TestLendingNeverExceedsWorkers|TestWhaleLendingCap|TestLentSlotYieldsToQueuedJob|TestPoolDrainAndAbort|TestPoolCloseWakesEverySlot)$' ./internal/serve/
 
 echo "== go test -race (expt fleet cross-check) =="
 go test -race -run 'TestFleetWorkerCrossCheck|TestReplicateOrder' ./internal/expt/
