@@ -62,82 +62,64 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"popkit/internal/cluster"
+	"popkit/internal/serve"
 )
 
 func main() { os.Exit(run()) }
 
+// options is popcoord's command line: the coordinator's Config and the
+// settings only the binary reads.
+type options struct {
+	cluster.Config
+	addr, workerURLs string
+	drain            time.Duration
+	verbose          bool
+}
+
+// bind registers the command line's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
+	fs.StringVar(&o.workerURLs, "workers", "", "comma-separated popserved base URLs (e.g. http://127.0.0.1:8080)")
+	fs.IntVar(&o.ShardSize, "shard-size", 0, "max replicas per shard (0 = auto: ~2 shards per live worker)")
+	fs.DurationVar(&o.ProbeInterval, "probe-interval", time.Second, "worker health-check period")
+	fs.DurationVar(&o.ProbeTimeout, "probe-timeout", 500*time.Millisecond, "per-probe timeout")
+	fs.IntVar(&o.ClientRetries, "client-retries", 2, "streaming-client retries per dispatch before failing over")
+	fs.IntVar(&o.DispatchRetries, "dispatch-retries", 4, "consecutive no-progress dispatches before a shard fails")
+	fs.DurationVar(&o.drain, "drain", 15*time.Second, "graceful-shutdown drain deadline")
+	fs.BoolVar(&o.verbose, "v", false, "log dispatch failures and worker transitions to stderr")
+	o.Front.FrontFlags(fs)
+	for _, name := range []string{"max-n", "max-replicas"} {
+		fs.Lookup(name).Usage += " (must not exceed the workers' cap)"
+	}
+}
+
 func run() int {
-	var (
-		addr            = flag.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
-		workers         = flag.String("workers", "", "comma-separated popserved base URLs (e.g. http://127.0.0.1:8080)")
-		shardSize       = flag.Int("shard-size", 0, "max replicas per shard (0 = auto: ~2 shards per live worker)")
-		probeInterval   = flag.Duration("probe-interval", time.Second, "worker health-check period")
-		probeTimeout    = flag.Duration("probe-timeout", 500*time.Millisecond, "per-probe timeout")
-		clientRetries   = flag.Int("client-retries", 2, "streaming-client retries per dispatch before failing over")
-		dispatchRetries = flag.Int("dispatch-retries", 4, "consecutive no-progress dispatches before a shard fails")
-		journalDir      = flag.String("journal", "", "directory for job_id checkpoint journals (empty disables resume)")
-		jobTimeout      = flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = derive per job from the cost model, capped at 15m; an explicit value caps the derived deadline)")
-		minJobTimeout   = flag.Duration("min-job-timeout", 0, "floor of the derived per-job deadline (0 → 10s)")
-		costModel       = flag.String("cost-model", "", "JSON ns-per-interaction grid overriding the baked-in cost model (popbench output)")
-		costBudget      = flag.Duration("cost-budget", 0, "reject jobs whose predicted cost exceeds this with 413 (0 = no budget)")
-		maxN            = flag.Int("max-n", 5_000_000, "largest accepted population size (must not exceed the workers' cap)")
-		maxReplicas     = flag.Int("max-replicas", 1024, "largest accepted replica count (must not exceed the workers' cap)")
-		storeDir        = flag.String("store", "", "directory for the content-addressed result store (empty disables caching)")
-		storeMaxBytes   = flag.Int64("store-max-bytes", 0, "store size cap in bytes before LRU eviction (0 → 256 MiB, negative → unlimited)")
-		storeMaxEnts    = flag.Int("store-max-entries", 0, "store entry cap before LRU eviction (0 → 4096)")
-		maxSweepPoints  = flag.Int("max-sweep-points", 0, "largest accepted sweep grid expansion (0 → 1024)")
-		drain           = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
-		verbose         = flag.Bool("v", false, "log dispatch failures and worker transitions to stderr")
-	)
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
-	if *shardSize < 0 || *clientRetries < 0 || *dispatchRetries < 1 || *maxN < 2 || *maxReplicas < 1 {
+	if o.ShardSize < 0 || o.ClientRetries < 0 || o.DispatchRetries < 1 || o.Front.MaxN < 2 || o.Front.MaxReplicas < 1 {
 		fmt.Fprintln(os.Stderr, "popcoord: -shard-size and -client-retries must be ≥ 0, -dispatch-retries and -max-replicas ≥ 1, -max-n ≥ 2")
 		return 2
 	}
-
-	cfg := cluster.Config{
-		ShardSize:       *shardSize,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		ClientRetries:   *clientRetries,
-		DispatchRetries: *dispatchRetries,
-		JournalDir:      *journalDir,
-		JobTimeout:      *jobTimeout,
-		MinJobTimeout:   *minJobTimeout,
-		CostModelPath:   *costModel,
-		CostBudget:      *costBudget,
-		MaxN:            *maxN,
-		MaxReplicas:     *maxReplicas,
-		StoreDir:        *storeDir,
-		StoreMaxBytes:   *storeMaxBytes,
-		StoreMaxEntries: *storeMaxEnts,
-		MaxSweepPoints:  *maxSweepPoints,
+	if o.verbose {
+		o.Logf = log.New(os.Stderr, "", 0).Printf
 	}
-	if *verbose {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	for _, u := range strings.Split(*workers, ",") {
+	for _, u := range strings.Split(o.workerURLs, ",") {
 		if u = strings.TrimSpace(u); u != "" {
-			cfg.Workers = append(cfg.Workers, u)
+			o.Workers = append(o.Workers, u)
 		}
 	}
 
-	coord, err := cluster.New(cfg)
+	coord, err := cluster.New(o.Config)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "popcoord: %v\n", err)
 		return 2
@@ -145,39 +127,14 @@ func run() int {
 	live := coord.Start()
 	defer coord.Stop()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "popcoord: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Handler: coord.Handler()}
 
 	// The scripts parse this line to discover the bound port.
 	fmt.Fprintf(os.Stderr, "popcoord: listening on http://%s (workers=%d live=%d)\n",
-		ln.Addr(), len(cfg.Workers), live)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "popcoord: %v\n", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behaviour: a second ^C kills us
-
-	fmt.Fprintf(os.Stderr, "popcoord: shutting down, draining in-flight jobs (deadline %s)\n", *drain)
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "popcoord: drain deadline exceeded: %v\n", err)
-		hs.Close()
-		code = 1
-	}
-	fmt.Fprintln(os.Stderr, "popcoord: drained, bye")
-	return code
+		ln.Addr(), len(o.Workers), live)
+	return serve.Serve("popcoord", ln, coord.Handler(), o.drain, nil, nil, nil)
 }

@@ -68,18 +68,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"popkit/internal/fault"
@@ -88,41 +84,44 @@ import (
 
 func main() { os.Exit(run()) }
 
+// options is popserved's command line: the server's Config and the
+// settings only the binary reads.
+type options struct {
+	serve.Config
+	addr, tenantWeights, failpoints string
+	drain                           time.Duration
+	listFailpoints                  bool
+}
+
+// bind registers the command line's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
+	fs.IntVar(&o.QueueDepth, "queue", 64, "job queue depth (full queue rejects with 429)")
+	fs.IntVar(&o.Workers, "workers", runtime.GOMAXPROCS(0), "job slots, each running one replica at a time (idle slots help running jobs)")
+	fs.StringVar(&o.tenantWeights, "tenant-weights", "", "comma-separated tenant=weight pairs for fair queueing, e.g. 'ci=1,research=4' (unlisted tenants weigh 1)")
+	fs.IntVar(&o.MaxTenants, "max-tenants", 0, "max distinct tenants with queued jobs before new tenants get 429 (0 → 64)")
+	fs.IntVar(&o.WhalePerTenant, "whale-per-tenant", 0, "concurrently running whale-class jobs per tenant (0 → 1)")
+	fs.IntVar(&o.WhaleGlobal, "whale-global", 0, "concurrently running whale-class jobs, plus slots lent to them, overall (0 → workers−1, min 1)")
+	fs.DurationVar(&o.drain, "drain", 15*time.Second, "graceful-shutdown drain deadline")
+	fs.IntVar(&o.MaxRetries, "retries", 2, "re-runs per crashed replica before its failure reaches the stream")
+	fs.BoolVar(&o.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling; off by default)")
+	fs.StringVar(&o.failpoints, "failpoints", "", "enable failpoints, e.g. 'serve/stream=panic(after=2,times=1)' (also: POPKIT_FAILPOINTS)")
+	fs.BoolVar(&o.listFailpoints, "list-failpoints", false, "print the failpoint registry and exit")
+	o.FrontFlags(fs)
+}
+
 func run() int {
-	var (
-		addr           = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		queue          = flag.Int("queue", 64, "job queue depth (full queue rejects with 429)")
-		workers        = flag.Int("workers", runtime.GOMAXPROCS(0), "job slots, each running one replica at a time (idle slots help running jobs)")
-		jobTimeout     = flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = derive per job from the cost model, capped at 15m; an explicit value caps the derived deadline)")
-		minJobTimeout  = flag.Duration("min-job-timeout", 0, "floor of the derived per-job deadline (0 → 10s)")
-		costModel      = flag.String("cost-model", "", "JSON ns-per-interaction grid overriding the baked-in cost model (popbench output)")
-		costBudget     = flag.Duration("cost-budget", 0, "reject jobs whose predicted cost exceeds this with 413 (0 = no budget)")
-		tenantWeights  = flag.String("tenant-weights", "", "comma-separated tenant=weight pairs for fair queueing, e.g. 'ci=1,research=4' (unlisted tenants weigh 1)")
-		maxTenants     = flag.Int("max-tenants", 0, "max distinct tenants with queued jobs before new tenants get 429 (0 → 64)")
-		whalePerTenant = flag.Int("whale-per-tenant", 0, "concurrently running whale-class jobs per tenant (0 → 1)")
-		whaleGlobal    = flag.Int("whale-global", 0, "concurrently running whale-class jobs, plus slots lent to them, overall (0 → workers−1, min 1)")
-		drain          = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
-		maxN           = flag.Int("max-n", 5_000_000, "largest accepted population size")
-		maxReplicas    = flag.Int("max-replicas", 1024, "largest accepted replica count")
-		journalDir     = flag.String("journal", "", "directory for job_id checkpoint journals (empty disables resume)")
-		retries        = flag.Int("retries", 2, "re-runs per crashed replica before its failure reaches the stream")
-		storeDir       = flag.String("store", "", "directory for the content-addressed result store (empty disables caching)")
-		storeMaxBytes  = flag.Int64("store-max-bytes", 0, "store size cap in bytes before LRU eviction (0 → 256 MiB, negative → unlimited)")
-		storeMaxEnts   = flag.Int("store-max-entries", 0, "store entry cap before LRU eviction (0 → 4096)")
-		maxSweepPoints = flag.Int("max-sweep-points", 0, "largest accepted sweep grid expansion (0 → 1024)")
-		pprofFlag      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling; off by default)")
-		failpoints     = flag.String("failpoints", "", "enable failpoints, e.g. 'serve/stream=panic(after=2,times=1)' (also: POPKIT_FAILPOINTS)")
-		listFailpoints = flag.Bool("list-failpoints", false, "print the failpoint registry and exit")
-	)
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
-	if *listFailpoints {
+	if o.listFailpoints {
 		for _, info := range fault.List() {
 			fmt.Printf("%-16s %s\n", info.Name, info.Doc)
 		}
 		return 0
 	}
-	if *queue < 1 || *workers < 1 || *maxN < 2 || *maxReplicas < 1 || *retries < 0 ||
-		*maxTenants < 0 || *whalePerTenant < 0 || *whaleGlobal < 0 {
+	if o.QueueDepth < 1 || o.Workers < 1 || o.MaxN < 2 || o.MaxReplicas < 1 || o.MaxRetries < 0 ||
+		o.MaxTenants < 0 || o.WhalePerTenant < 0 || o.WhaleGlobal < 0 {
 		fmt.Fprintln(os.Stderr, "popserved: -queue, -workers, -max-replicas must be ≥ 1, -max-n ≥ 2, everything else ≥ 0")
 		return 2
 	}
@@ -130,91 +129,35 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 		return 2
 	}
-	if *failpoints != "" {
-		if err := fault.Enable(*failpoints); err != nil {
+	if o.failpoints != "" {
+		if err := fault.Enable(o.failpoints); err != nil {
 			fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 			return 2
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 		return 1
 	}
-	weights, err := parseTenantWeights(*tenantWeights)
-	if err != nil {
+	if o.TenantWeights, err = parseTenantWeights(o.tenantWeights); err != nil {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 		return 2
 	}
-	srv, err := serve.New(serve.Config{
-		QueueDepth:      *queue,
-		Workers:         *workers,
-		MaxRetries:      *retries,
-		JournalDir:      *journalDir,
-		JobTimeout:      *jobTimeout,
-		MinJobTimeout:   *minJobTimeout,
-		CostModelPath:   *costModel,
-		CostBudget:      *costBudget,
-		TenantWeights:   weights,
-		MaxTenants:      *maxTenants,
-		WhalePerTenant:  *whalePerTenant,
-		WhaleGlobal:     *whaleGlobal,
-		MaxN:            *maxN,
-		MaxReplicas:     *maxReplicas,
-		EnablePprof:     *pprofFlag,
-		StoreDir:        *storeDir,
-		StoreMaxBytes:   *storeMaxBytes,
-		StoreMaxEntries: *storeMaxEnts,
-		MaxSweepPoints:  *maxSweepPoints,
-	})
-	if errors.Is(err, serve.ErrNegativeLimit) {
-		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
-		return 2
-	}
+	srv, err := serve.New(o.Config)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
+		if errors.Is(err, serve.ErrNegativeLimit) {
+			return 2
+		}
 		return 1
 	}
-	hs := &http.Server{Handler: srv.Handler()}
 
 	// The scripts parse this line to discover the bound port.
 	fmt.Fprintf(os.Stderr, "popserved: listening on http://%s (workers=%d queue=%d)\n",
-		ln.Addr(), *workers, *queue)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
-		srv.Abort()
-		srv.Close()
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behaviour: a second ^C kills us
-
-	// Flip to draining before the listener closes: while the drain runs,
-	// new simulate requests get a retryable 503 + Retry-After and /healthz
-	// answers "draining", so cluster coordinators stop routing shards here
-	// and fail over instead of erroring.
-	srv.SetDraining(true)
-	fmt.Fprintf(os.Stderr, "popserved: shutting down, draining in-flight jobs (deadline %s)\n", *drain)
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "popserved: drain deadline exceeded, aborting in-flight jobs: %v\n", err)
-		srv.Abort()
-		hs.Close()
-		code = 1
-	}
-	srv.Close()
-	fmt.Fprintln(os.Stderr, "popserved: drained, bye")
-	return code
+		ln.Addr(), o.Workers, o.QueueDepth)
+	return serve.Serve("popserved", ln, srv.Handler(), o.drain, srv.SetDraining, srv.Abort, srv.Close)
 }
 
 // parseTenantWeights parses "a=3,b=1" into the fair-queueing weight map.

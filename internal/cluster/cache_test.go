@@ -45,7 +45,7 @@ func TestCoordinatorRepeatPostServedFromStore(t *testing.T) {
 	defer ws.Close()
 	defer wts.Close()
 
-	c, base := newCoordinator(t, Config{Workers: []string{wts.URL}, StoreDir: t.TempDir()})
+	c, base := newCoordinator(t, Config{Workers: []string{wts.URL}, Front: serve.Config{StoreDir: t.TempDir()}})
 
 	first := postResp(t, base, "/v1/jobs", testSpecJSON)
 	if got := first.Header.Get("X-Popkit-Cache"); got != "miss" {
@@ -95,7 +95,7 @@ func TestCoordinatorRepeatPostServedFromStore(t *testing.T) {
 // opens the stream with the same metadata record a store-backed popserved
 // sends — on a miss and on a hit — and the records after it match too.
 func TestMetaRecordMatchesPopserved(t *testing.T) {
-	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, StoreDir: t.TempDir()})
+	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, Front: serve.Config{StoreDir: t.TempDir()}})
 	solo := newPopserved(t, serve.Config{StoreDir: t.TempDir()})
 	for _, cache := range []string{"miss", "hit"} {
 		got := postResp(t, base, "/v1/jobs?meta=1", testSpecJSON)
@@ -157,8 +157,8 @@ func postSweepC(t *testing.T, base, body string) ([]expt.SweepResult, expt.Sweep
 // the sweep/store counters surface in both metrics formats.
 func TestCoordinatorSweepDedupesOverlap(t *testing.T) {
 	c, base := newCoordinator(t, Config{
-		Workers:  []string{newWorker(t), newWorker(t)},
-		StoreDir: t.TempDir(),
+		Workers: []string{newWorker(t), newWorker(t)},
+		Front:   serve.Config{StoreDir: t.TempDir()},
 	})
 
 	first := `{"base":{"protocol":"leader","n":256,"replicas":2},"grid":{"seed":[1,2]}}`
@@ -227,7 +227,7 @@ func TestCoordinatorSweepNeedsWorkersOnlyForMisses(t *testing.T) {
 	wts := httptest.NewServer(ws.Handler())
 	defer ws.Close()
 	defer wts.Close()
-	c, base := newCoordinator(t, Config{Workers: []string{wts.URL}, StoreDir: t.TempDir()})
+	c, base := newCoordinator(t, Config{Workers: []string{wts.URL}, Front: serve.Config{StoreDir: t.TempDir()}})
 
 	warm := `{"base":{"protocol":"leader","n":256,"replicas":2},"grid":{"seed":[1,2]}}`
 	if _, sum := postSweepC(t, base, warm); sum.Misses != 2 {

@@ -34,20 +34,24 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sync"
 	"time"
 
-	"popkit/internal/catalog"
 	"popkit/internal/serve"
 )
 
-// Config sizes the coordinator.
+// Config sizes the coordinator: its request front and its shard dispatch.
 type Config struct {
-	// Registry validates and normalizes job specs; nil means
-	// catalog.NewRegistry(). It must match the workers' registry, since the
-	// workers re-normalize the shard specs they receive.
-	Registry *catalog.Registry
+	// Front holds the request front's settings, passed to serve.NewFront as
+	// is. Its Registry must match the workers', which re-normalize the
+	// shard specs they receive, and its MaxN and MaxReplicas must not
+	// exceed theirs. A coordinator has no job pool, so New rejects a Front
+	// that sets a pool field (QueueDepth through WhaleGlobal).
+	// Front.SweepWorkers defaults to 4: each missed sweep point fans out
+	// across the workers, so a handful go a long way.
+	Front serve.Config
 	// Workers is the initial set of popserved base URLs. More can be
 	// registered at runtime via POST /v1/workers.
 	Workers []string
@@ -60,50 +64,13 @@ type Config struct {
 	// ProbeTimeout bounds one /healthz probe. Default 500ms.
 	ProbeTimeout time.Duration
 	// ClientRetries is the per-dispatch retry budget of the streaming
-	// client against one worker (client.Options.MaxRetries). Default 2.
+	// client against one worker (client.Options.MaxRetries). 0 means none:
+	// a failed dispatch fails over to another worker at once.
 	ClientRetries int
 	// DispatchRetries bounds consecutive no-progress dispatch attempts per
 	// shard — re-dispatches that deliver at least one new replica reset the
 	// budget, like the client's own retry accounting. Default 4.
 	DispatchRetries int
-	// JournalDir, when non-empty, enables coordinator checkpoint/resume
-	// for jobs that carry a job_id (same journal format as popserved).
-	JournalDir string
-	// JobTimeout caps one job's wall clock. 0 means the deadline is derived
-	// per job from the cost model's prediction (capped at 15 minutes); an
-	// explicit value caps the derived deadline — it is an operator override,
-	// never extended by a prediction. Workers apply their own per-shard
-	// timeout on top, inheriting the remaining budget via the
-	// X-Popkit-Deadline-Ms header on every shard dispatch.
-	JobTimeout time.Duration
-	// MinJobTimeout floors the derived deadline so a mispredicted tiny job
-	// still gets a usable window. Default 10s.
-	MinJobTimeout time.Duration
-	// CostModelPath optionally overrides the baked-in ns-per-interaction
-	// grid with a measured one (popbench output). Missing file → baked grid.
-	CostModelPath string
-	// CostBudget, when > 0, rejects any job whose predicted total cost
-	// exceeds it with 413 — the coordinator-level admission guardrail.
-	CostBudget time.Duration
-	// MaxN / MaxReplicas cap accepted specs; they must not exceed the
-	// workers' own caps. Defaults 5e6 and 1024.
-	MaxN        int
-	MaxReplicas int
-	// StoreDir, when non-empty, enables the coordinator-side content-
-	// addressed result store: completed cacheable jobs are committed under
-	// their canonical spec hash and repeat POSTs stream the stored bytes
-	// without dispatching a single shard. Coordinator and worker stores are
-	// independent caches of the same pure function, so they never disagree.
-	StoreDir string
-	// StoreMaxBytes / StoreMaxEntries cap the store (0 → 256 MiB / 4096).
-	StoreMaxBytes   int64
-	StoreMaxEntries int
-	// MaxSweepPoints caps POST /v1/sweep grid expansion. Default 1024.
-	MaxSweepPoints int
-	// SweepWorkers bounds concurrently resolving sweep points per request —
-	// each miss fans out across the worker fleet, so a handful go a long
-	// way. Default 4.
-	SweepWorkers int
 	// HTTPClient overrides http.DefaultClient for probes and shard streams.
 	HTTPClient *http.Client
 	// Logf, when set, receives one line per dispatch failure and worker
@@ -111,8 +78,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// fillDefaults fills the dispatch settings; serve.NewFront fills the
-// front's.
+// fillDefaults fills the dispatch settings and the sweep concurrency;
+// serve.NewFront fills the rest of the front's.
 func (c *Config) fillDefaults() {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
@@ -120,14 +87,11 @@ func (c *Config) fillDefaults() {
 	if c.ProbeTimeout == 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
 	}
-	if c.ClientRetries == 0 {
-		c.ClientRetries = 2
-	}
 	if c.DispatchRetries == 0 {
 		c.DispatchRetries = 4
 	}
-	if c.SweepWorkers == 0 {
-		c.SweepWorkers = 4
+	if c.Front.SweepWorkers == 0 {
+		c.Front.SweepWorkers = 4
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient
@@ -151,27 +115,17 @@ type Coordinator struct {
 // New builds a coordinator with cfg's initial workers registered (but not
 // yet probed — call Start, or ProbeNow for a synchronous first check).
 func New(cfg Config) (*Coordinator, error) {
+	if f := cfg.Front; f.QueueDepth != 0 || f.Workers != 0 || f.MaxRetries != 0 || f.TenantWeights != nil ||
+		f.MaxTenants != 0 || f.WhalePerTenant != 0 || f.WhaleGlobal != 0 {
+		return nil, errors.New("cluster: a coordinator has no job pool: Front must not set QueueDepth, Workers, MaxRetries, TenantWeights, MaxTenants, WhalePerTenant or WhaleGlobal")
+	}
 	cfg.fillDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
 		started: time.Now(),
 		stopCh:  make(chan struct{}),
 	}
-	front, err := serve.NewFront(serve.Config{
-		Registry:        cfg.Registry,
-		JournalDir:      cfg.JournalDir,
-		JobTimeout:      cfg.JobTimeout,
-		MinJobTimeout:   cfg.MinJobTimeout,
-		CostModelPath:   cfg.CostModelPath,
-		CostBudget:      cfg.CostBudget,
-		MaxN:            cfg.MaxN,
-		MaxReplicas:     cfg.MaxReplicas,
-		StoreDir:        cfg.StoreDir,
-		StoreMaxBytes:   cfg.StoreMaxBytes,
-		StoreMaxEntries: cfg.StoreMaxEntries,
-		MaxSweepPoints:  cfg.MaxSweepPoints,
-		SweepWorkers:    cfg.SweepWorkers,
-	}, "popkit_cluster_", "jobs", c,
+	front, err := serve.NewFront(cfg.Front, "popkit_cluster_", "jobs", c,
 		serve.Route{Name: "workers", Pattern: "/v1/workers", Handler: c.handleWorkers},
 		serve.Route{Name: "healthz", Pattern: "/healthz", Handler: c.handleHealthz},
 		serve.Route{Name: "metrics", Pattern: "/metrics", Handler: c.handleMetrics})

@@ -228,7 +228,7 @@ func TestCoordinatorJournalResume(t *testing.T) {
 		ShardSize:       12, // one shard so the kill leaves a clean prefix
 		ClientRetries:   0,
 		DispatchRetries: 1,
-		JournalDir:      dir,
+		Front:           serve.Config{JournalDir: dir},
 	})
 	status, body := post(t, base, "/v1/jobs", spec)
 	if status != http.StatusOK {
@@ -245,8 +245,8 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	// with the worker back up.
 	f.revive()
 	c2, base2 := newCoordinator(t, Config{
-		Workers:    []string{flakyURL},
-		JournalDir: dir,
+		Workers: []string{flakyURL},
+		Front:   serve.Config{JournalDir: dir},
 	})
 	status, got := post(t, base2, "/v1/jobs", spec)
 	if status != http.StatusOK {
@@ -359,7 +359,7 @@ func ask(t *testing.T, method, url, tenant, body string) answer {
 // and both answer with the same status, Content-Type, Allow and body
 // bytes. GET /v1/protocols is byte-identical too.
 func TestValidationAndMethodErrors(t *testing.T) {
-	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, CostBudget: time.Minute})
+	_, base := newCoordinator(t, Config{Workers: []string{newWorker(t)}, Front: serve.Config{CostBudget: time.Minute}})
 	solo := newPopserved(t, serve.Config{CostBudget: time.Minute})
 	for _, tc := range []struct {
 		name, method, tenant, body string
@@ -395,26 +395,66 @@ func TestValidationAndMethodErrors(t *testing.T) {
 func TestNegativeLimitsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		flag  string
-		serve serve.Config
-		coord Config
+		front serve.Config
 	}{
-		{"-job-timeout", serve.Config{JobTimeout: -time.Second}, Config{JobTimeout: -time.Second}},
-		{"-min-job-timeout", serve.Config{MinJobTimeout: -time.Second}, Config{MinJobTimeout: -time.Second}},
-		{"-cost-budget", serve.Config{CostBudget: -time.Second}, Config{CostBudget: -time.Second}},
-		{"-max-sweep-points", serve.Config{MaxSweepPoints: -1}, Config{MaxSweepPoints: -1}},
+		{"-job-timeout", serve.Config{JobTimeout: -time.Second}},
+		{"-min-job-timeout", serve.Config{MinJobTimeout: -time.Second}},
+		{"-cost-budget", serve.Config{CostBudget: -time.Second}},
+		{"-max-sweep-points", serve.Config{MaxSweepPoints: -1}},
 	} {
-		if s, err := serve.New(tc.serve); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
+		if s, err := serve.New(tc.front); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
 			if s != nil {
 				s.Close()
 			}
 			t.Errorf("popserved with negative %s: err = %v, want %v naming the flag", tc.flag, err, serve.ErrNegativeLimit)
 		}
-		if c, err := New(tc.coord); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
+		if c, err := New(Config{Front: tc.front}); !errors.Is(err, serve.ErrNegativeLimit) || !strings.Contains(err.Error(), tc.flag) {
 			if c != nil {
 				c.Stop()
 			}
 			t.Errorf("popcoord with negative %s: err = %v, want %v naming the flag", tc.flag, err, serve.ErrNegativeLimit)
 		}
+	}
+}
+
+// TestNewRejectsPoolSettings: a coordinator has no job pool, so a Front
+// that sets one of the pool's fields is a configuration error.
+func TestNewRejectsPoolSettings(t *testing.T) {
+	for name, front := range map[string]serve.Config{
+		"QueueDepth":     {QueueDepth: 1},
+		"Workers":        {Workers: 1},
+		"MaxRetries":     {MaxRetries: 1},
+		"TenantWeights":  {TenantWeights: map[string]int{"a": 1}},
+		"MaxTenants":     {MaxTenants: 1},
+		"WhalePerTenant": {WhalePerTenant: 1},
+		"WhaleGlobal":    {WhaleGlobal: 1},
+	} {
+		if c, err := New(Config{Front: front}); err == nil {
+			c.Stop()
+			t.Errorf("New with Front.%s set: no error", name)
+		}
+	}
+}
+
+// TestZeroClientRetriesMeansOneAttempt: ClientRetries 0 gives each dispatch
+// one POST, so a one-replica job against a worker that answers probes but
+// fails every POST makes DispatchRetries + 1 attempts in all.
+func TestZeroClientRetriesMeansOneAttempt(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+			serve.WriteError(w, http.StatusInternalServerError, "boom")
+		}
+	}))
+	t.Cleanup(ts.Close)
+	_, base := newCoordinator(t, Config{Workers: []string{ts.URL}, ClientRetries: 0})
+	status, body := post(t, base, "/v1/jobs", `{"protocol":"leader","n":100,"seed":1,"replicas":1}`)
+	if status != http.StatusOK || !bytes.Contains(body, []byte(`"error"`)) {
+		t.Fatalf("status %d, want 200 with an in-band error: %s", status, body)
+	}
+	if got := posts.Load(); got != 5 {
+		t.Fatalf("worker saw %d POSTs, want 5 (DispatchRetries 4, plus the first dispatch)", got)
 	}
 }
 
@@ -505,7 +545,7 @@ func checkOutcomes(t *testing.T, c *Coordinator, failed, completed, cancelled ui
 func TestFailedShardCountsJobFailed(t *testing.T) {
 	reg := outcomeRegistry(t)
 	c, base := newCoordinator(t, Config{
-		Registry:        reg,
+		Front:           serve.Config{Registry: reg},
 		Workers:         []string{newPopserved(t, serve.Config{Registry: reg, Workers: 1})},
 		ClientRetries:   1,
 		DispatchRetries: 1,
@@ -522,9 +562,8 @@ func TestFailedShardCountsJobFailed(t *testing.T) {
 func TestDeadlineCountsJobCancelled(t *testing.T) {
 	reg := outcomeRegistry(t)
 	c, base := newCoordinator(t, Config{
-		Registry:   reg,
-		Workers:    []string{newPopserved(t, serve.Config{Registry: reg, Workers: 1})},
-		JobTimeout: 200 * time.Millisecond,
+		Front:   serve.Config{Registry: reg, JobTimeout: 200 * time.Millisecond},
+		Workers: []string{newPopserved(t, serve.Config{Registry: reg, Workers: 1})},
 	})
 	status, body := post(t, base, "/v1/jobs", `{"protocol":"block","n":10,"seed":1,"replicas":1}`)
 	if status != http.StatusOK || !bytes.Contains(body, []byte("deadline")) {

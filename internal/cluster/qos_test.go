@@ -148,9 +148,9 @@ func TestShardRedispatchInheritsDeadline(t *testing.T) {
 		wb.arm(3)
 	}
 	c, base := newCoordinator(t, Config{
-		Workers:    []string{urlA, urlB},
-		ShardSize:  12, // one shard, so the deadline chain is linear
-		JobTimeout: 8 * time.Second,
+		Workers:   []string{urlA, urlB},
+		ShardSize: 12, // one shard, so the deadline chain is linear
+		Front:     serve.Config{JobTimeout: 8 * time.Second},
 	})
 	status, got := post(t, base, "/v1/jobs", testSpecJSON)
 	if status != http.StatusOK {
@@ -209,8 +209,8 @@ func TestClusterForwardsTenantToWorkers(t *testing.T) {
 // land in the per-tenant qos section of /metrics (JSON and Prometheus).
 func TestCoordinatorCostBudgetRejects(t *testing.T) {
 	_, base := newCoordinator(t, Config{
-		Workers:    []string{newWorker(t)},
-		CostBudget: time.Minute,
+		Workers: []string{newWorker(t)},
+		Front:   serve.Config{CostBudget: time.Minute},
 	})
 
 	// exactmajority at n=2e6 predicts ~n·ln n rounds — hours, not a minute.

@@ -120,9 +120,9 @@ func (j *Job) Emit(rec expt.ReplicaRecord, line []byte) {
 
 // End ends the job once its last record is emitted: it counts the job
 // completed (err nil), cancelled (Ctx has ended) or failed, closes the
-// stream with err as its terminal error, and only then closes the journal
-// and frees the job id — the ordering that makes a resumed request safe
-// to admit.
+// journal and frees the job id, and only then closes the stream with err
+// as its terminal error, so a client that has read the whole stream can
+// resume or replay the job id at once.
 func (j *Job) End(err error) {
 	switch {
 	case err == nil:
@@ -132,11 +132,11 @@ func (j *Job) End(err error) {
 	default:
 		j.metrics.JobsFailed.Add(1)
 	}
-	j.err = err
-	close(j.records)
 	if j.cleanup != nil {
 		j.cleanup()
 	}
+	j.err = err
+	close(j.records)
 }
 
 // drain delivers the job's records to emit as the executor emits them, and
@@ -199,12 +199,10 @@ type Front struct {
 // NewFront builds a binary's request front over exec. prefix names its
 // metric families ("popkit_" or "popkit_cluster_"), jobRoute names its job
 // endpoint /v1/<jobRoute>, and own lists the routes exec serves itself.
-// Only cfg's front settings are read: Registry, MaxN, MaxReplicas, the
-// timeouts, the cost model and budget, JournalDir, the store, the sweep
-// limits and EnablePprof. The failure modes are a negative limit
-// (ErrNegativeLimit), an unusable cost model (a grid file that exists but
-// does not parse, or inverted class thresholds) and an unusable store
-// directory.
+// Only cfg's front settings are read (see Config). The failure modes are a
+// negative limit (ErrNegativeLimit), an unusable cost model (a grid file
+// that exists but does not parse, or inverted class thresholds) and an
+// unusable store directory.
 func NewFront(cfg Config, prefix, jobRoute string, exec Executor, own ...Route) (*Front, error) {
 	if err := cfg.fillFront(); err != nil {
 		return nil, err
@@ -291,10 +289,10 @@ func (c *Config) fillFront() error {
 		c.MinJobTimeout = 10 * time.Second
 	}
 	if c.MaxN == 0 {
-		c.MaxN = 5_000_000
+		c.MaxN = defaultMaxN
 	}
 	if c.MaxReplicas == 0 {
-		c.MaxReplicas = 1024
+		c.MaxReplicas = defaultMaxReplicas
 	}
 	if c.MaxSweepPoints == 0 {
 		c.MaxSweepPoints = 1024

@@ -13,23 +13,13 @@ import (
 	"popkit/internal/qos"
 )
 
-// Config sizes the service.
+// Config sizes the service. The request front (NewFront) reads the fields
+// from Registry through SweepWorkers, and FrontFlags binds the flags both
+// binaries share to them. The fields from QueueDepth on size popserved's
+// job pool (New); cluster.New rejects them, as a coordinator has no pool.
 type Config struct {
 	// Registry names the runnable protocols; nil means catalog.NewRegistry().
 	Registry *catalog.Registry
-	// QueueDepth bounds the number of accepted-but-not-started jobs; a
-	// full queue rejects with 429. Default 64.
-	QueueDepth int
-	// Workers is the number of job slots, each running one replica at a
-	// time. A slot runs a dispatched job's replicas; when no queued job is
-	// dispatchable it runs unclaimed replicas of the oldest running job
-	// instead, so up to Workers jobs run at once and an idle slot still
-	// works. Default: runtime.GOMAXPROCS(0).
-	Workers int
-	// MaxRetries re-runs a replica that panicked or hit an injected fault,
-	// restarting it from its own seed so recovery is byte-identical.
-	// Default 0 (no retries).
-	MaxRetries int
 	// JournalDir, when non-empty, enables checkpoint/resume: jobs that
 	// carry a job_id append each completed record to
 	// JournalDir/<job_id>.ndjson, and a later request with the same id and
@@ -56,16 +46,6 @@ type Config struct {
 	// total cost (defaults 1s / 30s; see qos.ModelOptions).
 	InteractiveMax time.Duration
 	WhaleMin       time.Duration
-	// TenantWeights gives named tenants a DRR weight (unlisted tenants get
-	// weight 1). MaxTenants bounds distinct live tenant queues (default 64).
-	TenantWeights map[string]int
-	MaxTenants    int
-	// WhalePerTenant / WhaleGlobal cap concurrently running whale-class
-	// jobs per tenant and server-wide; WhaleGlobal also counts job slots
-	// lent to running whales. Defaults: 1 per tenant; globally Workers−1
-	// (min 1), so whales can never occupy every slot.
-	WhalePerTenant int
-	WhaleGlobal    int
 	// MaxN caps the population size a request may ask for. Default 5e6.
 	MaxN int
 	// MaxReplicas caps replicas per request. Default 1024.
@@ -89,8 +69,32 @@ type Config struct {
 	// expand to. Default 1024.
 	MaxSweepPoints int
 	// SweepWorkers bounds concurrently resolving sweep points per request.
-	// Default: Workers.
+	// Default: Workers (a coordinator's: 4).
 	SweepWorkers int
+
+	// QueueDepth bounds the number of accepted-but-not-started jobs; a
+	// full queue rejects with 429. Default 64.
+	QueueDepth int
+	// Workers is the number of job slots, each running one replica at a
+	// time. A slot runs a dispatched job's replicas; when no queued job is
+	// dispatchable it runs unclaimed replicas of the oldest running job
+	// instead, so up to Workers jobs run at once and an idle slot still
+	// works. Default: runtime.GOMAXPROCS(0).
+	Workers int
+	// MaxRetries re-runs a replica that panicked or hit an injected fault,
+	// restarting it from its own seed so recovery is byte-identical.
+	// Default 0 (no retries).
+	MaxRetries int
+	// TenantWeights gives named tenants a DRR weight (unlisted tenants get
+	// weight 1). MaxTenants bounds distinct live tenant queues (default 64).
+	TenantWeights map[string]int
+	MaxTenants    int
+	// WhalePerTenant / WhaleGlobal cap concurrently running whale-class
+	// jobs per tenant and server-wide; WhaleGlobal also counts job slots
+	// lent to running whales. Defaults: 1 per tenant; globally Workers−1
+	// (min 1), so whales can never occupy every slot.
+	WhalePerTenant int
+	WhaleGlobal    int
 }
 
 // fillDefaults fills the job pool's settings; NewFront fills the rest.

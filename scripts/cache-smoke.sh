@@ -19,28 +19,11 @@ cd "$(dirname "$0")/.."
 command -v curl >/dev/null || { echo "cache-smoke: curl required" >&2; exit 2; }
 command -v jq   >/dev/null || { echo "cache-smoke: jq required" >&2; exit 2; }
 
-tmp=$(mktemp -d)
-srv_pid=""
-trap 'kill "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 go build -o "$tmp/popserved" ./cmd/popserved
 
-start_server() {
-    local log=$1
-    # Create the log before the port poll below can read it.
-    : > "$log"
-    "$tmp/popserved" -addr 127.0.0.1:0 -store "$tmp/store" 2> "$log" &
-    srv_pid=$!
-    base=""
-    for _ in $(seq 1 100); do
-        base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$log" | head -n 1)
-        [ -n "$base" ] && break
-        sleep 0.05
-    done
-    [ -n "$base" ] || { echo "cache-smoke: popserved did not announce its port" >&2; cat "$log" >&2; exit 1; }
-}
-
-start_server "$tmp/log"
+start "$tmp/log" "$tmp/popserved" -addr 127.0.0.1:0 -store "$tmp/store"
 spec='{"protocol":"exactmajority","n":2000,"seed":11,"replicas":4,"gap":1}'
 
 echo "== repeat POST served from the store =="
@@ -90,8 +73,8 @@ jq -e '.jobs_accepted == 4' "$tmp/m2.json" >/dev/null \
 echo "   overlap sweep: hit,hit,miss — only the miss set ran"
 
 echo "== store survives restart =="
-kill -TERM "$srv_pid"; wait "$srv_pid"; srv_pid=""
-start_server "$tmp/log2"
+stop
+start "$tmp/log2" "$tmp/popserved" -addr 127.0.0.1:0 -store "$tmp/store"
 curl -fsS -D "$tmp/h3" -d "$spec" "$base/v1/simulate" > "$tmp/r3.ndjson"
 grep -qi '^x-popkit-cache: hit' "$tmp/h3" \
     || { echo "cache-smoke: restarted server missed a persisted object" >&2; cat "$tmp/h3" >&2; exit 1; }

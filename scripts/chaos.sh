@@ -23,28 +23,11 @@ cd "$(dirname "$0")/.."
 command -v curl >/dev/null || { echo "chaos: curl required" >&2; exit 2; }
 command -v jq   >/dev/null || { echo "chaos: jq required" >&2; exit 2; }
 
-tmp=$(mktemp -d)
-srv_pid=""
-trap 'kill -9 "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 echo "== build (-race) =="
 go build -race -o "$tmp/popsim" ./cmd/popsim
 go build -race -o "$tmp/popserved" ./cmd/popserved
-
-start_server() {
-    local log=$1; shift
-    # Create the log before the port poll below can read it.
-    : > "$log"
-    "$tmp/popserved" -addr 127.0.0.1:0 "$@" 2> "$log" &
-    srv_pid=$!
-    base=""
-    for _ in $(seq 1 200); do
-        base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$log" | head -n 1)
-        [ -n "$base" ] && break
-        sleep 0.05
-    done
-    [ -n "$base" ] || { echo "chaos: popserved did not announce its port" >&2; cat "$log" >&2; exit 1; }
-}
 
 echo "== phase 1: replica crashes recovered by deterministic retry =="
 sim="$tmp/popsim -p exactmajority -n 50000 -seed 42 -replicas 8 -gap 1 -ndjson"
@@ -64,7 +47,7 @@ echo "== phase 2: kill -9 mid-job, journal resume across restart =="
 spec='{"protocol":"exactmajority","n":500000,"seed":42,"replicas":6,"gap":1,"job_id":"k1"}'
 "$tmp/popsim" -p exactmajority -n 500000 -seed 42 -replicas 6 -gap 1 -ndjson > "$tmp/base2.ndjson"
 jdir="$tmp/journals"
-start_server "$tmp/srv2a.log" -journal "$jdir" -workers 1 -job-timeout 120s
+start "$tmp/srv2a.log" "$tmp/popserved" -addr 127.0.0.1:0 -journal "$jdir" -workers 1 -job-timeout 120s
 curl -s --max-time 120 -d "$spec" "$base/v1/simulate" > "$tmp/cut.ndjson" &
 curl_pid=$!
 # Wait for durable progress (header + ≥2 records), then murder the server.
@@ -73,24 +56,23 @@ for _ in $(seq 1 600); do
     sleep 0.05
 done
 [ -f "$jdir/k1.ndjson" ] || { echo "chaos: journal never appeared" >&2; exit 1; }
-kill -9 "$srv_pid"
+kill -9 "$last_pid"
 wait "$curl_pid" 2>/dev/null || true
-wait "$srv_pid" 2>/dev/null || true
-srv_pid=""
+wait "$last_pid" 2>/dev/null || true
 journaled=$(($(wc -l < "$jdir/k1.ndjson") - 1))
 echo "   killed popserved with $journaled/6 replicas journaled"
 
-start_server "$tmp/srv2b.log" -journal "$jdir" -workers 1 -job-timeout 120s
+start "$tmp/srv2b.log" "$tmp/popserved" -addr 127.0.0.1:0 -journal "$jdir" -workers 1 -job-timeout 120s
 curl -fsS --max-time 120 -d "$spec" "$base/v1/simulate" > "$tmp/resumed.ndjson"
 cmp "$tmp/base2.ndjson" "$tmp/resumed.ndjson" \
     || { echo "chaos: resumed stream diverges from fault-free run" >&2; exit 1; }
 curl -fsS "$base/metrics" | jq -e '.jobs_resumed >= 1' >/dev/null \
     || { echo "chaos: restarted server did not count a resume" >&2; exit 1; }
-kill -TERM "$srv_pid"; wait "$srv_pid" 2>/dev/null || true; srv_pid=""
+stop 2>/dev/null || true
 echo "   byte-identical after kill -9 + restart ($(wc -c < "$tmp/resumed.ndjson") bytes)"
 
 echo "== phase 3: mid-stream connection cut, retrying client resumes =="
-start_server "$tmp/srv3.log" -journal "$tmp/journals3" -workers 1 -job-timeout 120s \
+start "$tmp/srv3.log" "$tmp/popserved" -addr 127.0.0.1:0 -journal "$tmp/journals3" -workers 1 -job-timeout 120s \
     -failpoints 'serve/stream=panic(after=2,times=1)'
 "$tmp/popsim" -p exactmajority -n 500000 -seed 42 -replicas 6 -gap 1 -ndjson \
     -server "$base" -job-id c1 -retries 8 > "$tmp/client.ndjson" 2> "$tmp/client.log"
@@ -99,7 +81,7 @@ grep -q 'retrying' "$tmp/client.log" \
     || { echo "chaos: stream was never cut — failpoint did not fire" >&2; exit 1; }
 cmp "$tmp/base2.ndjson" "$tmp/client.ndjson" \
     || { echo "chaos: client-recovered stream diverges" >&2; exit 1; }
-kill -TERM "$srv_pid"; wait "$srv_pid" 2>/dev/null || true; srv_pid=""
+stop 2>/dev/null || true
 echo "   byte-identical across a severed connection"
 
 echo "chaos: OK"

@@ -16,31 +16,10 @@ cd "$(dirname "$0")/.."
 
 command -v curl >/dev/null || { echo "cluster-smoke: curl required" >&2; exit 2; }
 
-tmp=$(mktemp -d)
-pids=()
-trap 'kill -9 ${pids[@]+"${pids[@]}"} 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 go build -o "$tmp/popserved" ./cmd/popserved
 go build -o "$tmp/popcoord" ./cmd/popcoord
-
-# start LOG CMD... — boots CMD, waits for its "listening on" line, and sets
-# $base (the announced URL) and $last_pid.
-start() {
-    local log=$1; shift
-    # Create the log before the port poll below can read it.
-    : > "$log"
-    "$@" 2> "$log" &
-    last_pid=$!
-    disown "$last_pid" # keep bash from reporting the later kill -9
-    pids+=("$last_pid")
-    base=""
-    for _ in $(seq 1 200); do
-        base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$log" | head -n 1)
-        [ -n "$base" ] && break
-        sleep 0.05
-    done
-    [ -n "$base" ] || { echo "cluster-smoke: $1 never announced its port" >&2; cat "$log" >&2; exit 1; }
-}
 
 spec='{"protocol":"exactmajority","n":2000,"seed":42,"replicas":12,"gap":2}'
 
@@ -72,6 +51,7 @@ sleep 0.7
 curl -fsS --max-time 2 "$w2/healthz" | grep -q '"status":"ok"' \
     || { echo "cluster-smoke: busy worker's /healthz did not answer" >&2; exit 1; }
 
+disown "$w2_pid" # keep bash from reporting the kill -9
 kill -9 "$w2_pid"
 wait "$curl_pid" \
     || { echo "cluster-smoke: job failed after worker kill" >&2; cat "$tmp/coord.log" >&2; exit 1; }

@@ -28,39 +28,14 @@ CONC="${1:-32}"
 command -v curl >/dev/null || { echo "loadtest: curl required" >&2; exit 2; }
 command -v jq   >/dev/null || { echo "loadtest: jq required" >&2; exit 2; }
 
-tmp=$(mktemp -d)
-srv_pid=""
-trap 'kill "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 echo "== build =="
 go build -o "$tmp/popserved" ./cmd/popserved
 go build -o "$tmp/popsim" ./cmd/popsim
 
-# start_server LOGFILE [flags...] — boots popserved on a free port and sets
-# $srv_pid and $base from the "listening on" line.
-start_server() {
-    local log=$1; shift
-    # Create the log before the port poll below can read it.
-    : > "$log"
-    "$tmp/popserved" -addr 127.0.0.1:0 "$@" 2> "$log" &
-    srv_pid=$!
-    base=""
-    for _ in $(seq 1 100); do
-        base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$log" | head -n 1)
-        [ -n "$base" ] && break
-        sleep 0.05
-    done
-    [ -n "$base" ] || { echo "loadtest: popserved did not announce its port" >&2; cat "$log" >&2; exit 1; }
-}
-
-stop_server() {
-    kill -TERM "$srv_pid" 2>/dev/null || true
-    wait "$srv_pid" 2>/dev/null || true
-    srv_pid=""
-}
-
 echo "== phase 1: liveness =="
-start_server "$tmp/main.log"
+start "$tmp/main.log" "$tmp/popserved" -addr 127.0.0.1:0
 curl -fsS "$base/healthz" | jq -e '.status == "ok"' >/dev/null
 curl -fsS "$base/v1/protocols" | jq -e '.protocols | length >= 8' >/dev/null
 
@@ -87,10 +62,10 @@ jq -e --argjson c "$CONC" \
     '.jobs_accepted >= $c and .jobs_completed >= $c and .jobs_failed == 0 and .interactions_total > 0' \
     "$tmp/metrics.json" >/dev/null \
     || { echo "loadtest: metrics inconsistent" >&2; cat "$tmp/metrics.json" >&2; exit 1; }
-stop_server
+stop 2>/dev/null || true
 
 echo "== phase 4: queue backpressure (1 worker, 1 slot) =="
-start_server "$tmp/full.log" -workers 1 -queue 1 -job-timeout 8s -drain 2s
+start "$tmp/full.log" "$tmp/popserved" -addr 127.0.0.1:0 -workers 1 -queue 1 -job-timeout 8s -drain 2s
 # Long jobs occupy the worker and the single queue slot; the burst must
 # then see at least one 429 and at least one accepted stream.
 for i in 1 2 3 4 5 6; do
@@ -98,7 +73,7 @@ for i in 1 2 3 4 5 6; do
         -d '{"protocol":"exactmajority","n":2000000,"seed":1,"replicas":4,"gap":1}' \
         "$base/v1/simulate" > "$tmp/full.code.$i" &
 done
-wait $(jobs -p | grep -v "^$srv_pid$") 2>/dev/null || true
+wait $(jobs -p | grep -v "^$last_pid$") 2>/dev/null || true
 codes=$(cat "$tmp"/full.code.* | sort | uniq -c)
 echo "$codes" | sed 's/^/   /'
 grep -q '429' "$tmp"/full.code.* || { echo "loadtest: no 429 under overload" >&2; exit 1; }
@@ -131,10 +106,10 @@ done
 jq -es 'length == 1 and all(.converged)' "$tmp/honor.body" >/dev/null \
     || { echo "loadtest: post-backoff stream invalid" >&2; exit 1; }
 echo "   accepted after backoff"
-stop_server
+stop 2>/dev/null || true
 
 echo "== phase 5: CLI vs HTTP determinism =="
-start_server "$tmp/det.log"
+start "$tmp/det.log" "$tmp/popserved" -addr 127.0.0.1:0
 spec='{"protocol":"exactmajority","n":2000,"seed":42,"replicas":4,"gap":1}'
 "$tmp/popsim" -p exactmajority -n 2000 -seed 42 -replicas 4 -gap 1 -ndjson > "$tmp/cli.ndjson"
 curl -fsS -d "$spec" "$base/v1/simulate" > "$tmp/http.ndjson"
@@ -148,16 +123,15 @@ curl -fsS --max-time 30 \
     "$base/v1/simulate" > "$tmp/drain.ndjson" &
 curl_pid=$!
 sleep 0.3
-kill -TERM "$srv_pid"
+kill -TERM "$last_pid"
 wait "$curl_pid" || { echo "loadtest: in-flight stream was cut off by SIGTERM" >&2; exit 1; }
 jq -es 'length == 2 and all(.converged)' "$tmp/drain.ndjson" >/dev/null \
     || { echo "loadtest: drained stream incomplete" >&2; cat "$tmp/drain.ndjson" >&2; exit 1; }
-wait "$srv_pid" || { echo "loadtest: server exited non-zero on drain" >&2; cat "$tmp/det.log" >&2; exit 1; }
-srv_pid=""
+wait "$last_pid" || { echo "loadtest: server exited non-zero on drain" >&2; cat "$tmp/det.log" >&2; exit 1; }
 grep -q 'drained, bye' "$tmp/det.log" || { echo "loadtest: no clean drain" >&2; exit 1; }
 
 echo "== phase 7: hot cache ($CONC identical POSTs, 1 execution) =="
-start_server "$tmp/cache.log" -store "$tmp/store"
+start "$tmp/cache.log" "$tmp/popserved" -addr 127.0.0.1:0 -store "$tmp/store"
 pids=()
 for i in $(seq 1 "$CONC"); do
     curl -fsS --max-time 60 \
@@ -177,10 +151,10 @@ jq -e --argjson c "$CONC" '.jobs_accepted == 1 and .store.hits == $c - 1 and .st
     "$tmp/cache-metrics.json" >/dev/null \
     || { echo "loadtest: hot cache did not collapse to one execution" >&2; cat "$tmp/cache-metrics.json" >&2; exit 1; }
 echo "   $CONC identical POSTs: 1 job accepted, $((CONC-1)) store hits, all byte-identical"
-stop_server
+stop 2>/dev/null || true
 
 echo "== phase 8: mixed tenants (whale flood vs interactive burst) =="
-start_server "$tmp/mix.log" -workers 2 -queue 64
+start "$tmp/mix.log" "$tmp/popserved" -addr 127.0.0.1:0 -workers 2 -queue 64
 # Whale lane: coalescence at n=1e6 is whale-classed (Θ(n) rounds price at
 # hours of serial interactions) but each replica leaps to done in ~0.1s,
 # so the flood saturates the whale cap without dragging out the test.
@@ -219,6 +193,6 @@ jq -e --argjson c "$CONC" '
 echo "   $CONC interactive streams complete with zero rejections under whale flood"
 kill "${mix_pids[@]}" 2>/dev/null || true
 wait "${mix_pids[@]}" 2>/dev/null || true
-stop_server
+stop 2>/dev/null || true
 
 echo "loadtest: OK"

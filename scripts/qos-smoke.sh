@@ -20,34 +20,11 @@ cd "$(dirname "$0")/.."
 command -v curl >/dev/null || { echo "qos-smoke: curl required" >&2; exit 2; }
 command -v jq   >/dev/null || { echo "qos-smoke: jq required" >&2; exit 2; }
 
-tmp=$(mktemp -d)
-srv_pid=""
-trap 'kill "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 echo "== build =="
 go build -o "$tmp/popserved" ./cmd/popserved
 go build -o "$tmp/popsim" ./cmd/popsim
-
-start_server() {
-    local log=$1; shift
-    # Create the log before the port poll below can read it.
-    : > "$log"
-    "$tmp/popserved" -addr 127.0.0.1:0 "$@" 2> "$log" &
-    srv_pid=$!
-    base=""
-    for _ in $(seq 1 100); do
-        base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$log" | head -n 1)
-        [ -n "$base" ] && break
-        sleep 0.05
-    done
-    [ -n "$base" ] || { echo "qos-smoke: popserved did not announce its port" >&2; cat "$log" >&2; exit 1; }
-}
-
-stop_server() {
-    kill -TERM "$srv_pid" 2>/dev/null || true
-    wait "$srv_pid" 2>/dev/null || true
-    srv_pid=""
-}
 
 # The interactive probe: milliseconds of real work, fixed seed so every run
 # must be byte-identical, and small enough that it stays interactive-classed
@@ -64,7 +41,7 @@ echo "== baseline: popsim -ndjson bytes for the interactive spec =="
 "$tmp/popsim" -p exactmajority -n 400 -seed 7 -replicas 2 -gap 2 -ndjson > "$tmp/want.ndjson"
 
 echo "== phase 1: whale flood vs interactive tenant (2 workers, whale cap 1) =="
-start_server "$tmp/qos.log" -workers 2 -queue 16 -max-n 20000000
+start "$tmp/qos.log" "$tmp/popserved" -addr 127.0.0.1:0 -workers 2 -queue 16 -max-n 20000000
 whale_pids=()
 for i in 1 2 3 4 5 6; do
     curl -s --max-time 120 -H 'X-Popkit-Tenant: megacorp' -d "$whale" \
@@ -108,12 +85,12 @@ echo "   per-tenant accounting present in JSON and Prometheus metrics"
 # the drain below is quick, then verify it is clean.
 kill "${whale_pids[@]}" 2>/dev/null || true
 wait "${whale_pids[@]}" 2>/dev/null || true
-stop_server
+stop 2>/dev/null || true
 grep -q 'drained, bye' "$tmp/qos.log" \
     || { echo "qos-smoke: no clean drain after the flood" >&2; cat "$tmp/qos.log" >&2; exit 1; }
 
 echo "== phase 2: -cost-budget admission (structured 413) =="
-start_server "$tmp/budget.log" -workers 2 -cost-budget 5s -max-n 20000000
+start "$tmp/budget.log" "$tmp/popserved" -addr 127.0.0.1:0 -workers 2 -cost-budget 5s -max-n 20000000
 code=$(curl -s -o "$tmp/413.json" -w '%{http_code}' \
     -H 'X-Popkit-Tenant: megacorp' -d "$whale" "$base/v1/simulate")
 [ "$code" = 413 ] || { echo "qos-smoke: over-budget whale got status $code, want 413" >&2; cat "$tmp/413.json" >&2; exit 1; }
@@ -126,6 +103,6 @@ cmp -s "$tmp/cheap.ndjson" "$tmp/want.ndjson" \
     || { echo "qos-smoke: cheap job under budget not byte-identical" >&2; exit 1; }
 jq -e '.qos.tenants.megacorp.rejected.over_budget == 1' <(curl -fsS "$base/metrics") >/dev/null \
     || { echo "qos-smoke: over_budget rejection not accounted" >&2; exit 1; }
-stop_server
+stop 2>/dev/null || true
 
 echo "qos-smoke: OK"

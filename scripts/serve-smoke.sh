@@ -6,29 +6,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tmp=$(mktemp -d)
-srv_pid=""
-trap 'kill "$srv_pid" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$tmp"' EXIT
+. scripts/lib.sh
 
 go build -o "$tmp/popserved" ./cmd/popserved
 go build -o "$tmp/popsim" ./cmd/popsim
-# Create the log before the port poll below can read it.
-: > "$tmp/log"
 # One executor plus a stream failpoint (400ms per record, first job only):
 # that pins the single worker on a slow job long enough to prove /healthz
 # answers without it.
-"$tmp/popserved" -addr 127.0.0.1:0 -pprof -workers 1 -store "$tmp/store" \
-    -failpoints 'serve/stream=sleep(d=400ms,times=2)' 2> "$tmp/log" &
-srv_pid=$!
-
-# The server announces "listening on http://HOST:PORT" on stderr.
-base=""
-for _ in $(seq 1 100); do
-    base=$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$tmp/log" | head -n 1)
-    [ -n "$base" ] && break
-    sleep 0.05
-done
-[ -n "$base" ] || { echo "serve-smoke: popserved did not announce its port" >&2; cat "$tmp/log" >&2; exit 1; }
+start "$tmp/log" "$tmp/popserved" -addr 127.0.0.1:0 -pprof -workers 1 -store "$tmp/store" \
+    -failpoints 'serve/stream=sleep(d=400ms,times=2)'
 
 curl -fsS "$base/healthz" | grep -q '"status":"ok"'
 curl -fsS "$base/v1/protocols" | grep -q '"exactmajority"'
@@ -91,7 +77,6 @@ grep -q '^popkit_http_request_duration_seconds_bucket{endpoint="simulate"' "$tmp
 curl -fsS "$base/debug/pprof/profile?seconds=1" > "$tmp/cpu.pprof"
 [ -s "$tmp/cpu.pprof" ] || { echo "serve-smoke: empty CPU profile from /debug/pprof" >&2; exit 1; }
 
-kill -TERM "$srv_pid"
-wait "$srv_pid"
+stop
 grep -q 'drained, bye' "$tmp/log" || { echo "serve-smoke: no clean drain" >&2; cat "$tmp/log" >&2; exit 1; }
 echo "serve-smoke: OK"
