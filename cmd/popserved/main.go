@@ -129,11 +129,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
 		return 2
 	}
-	if o.failpoints != "" {
-		if err := fault.Enable(o.failpoints); err != nil {
-			fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
-			return 2
-		}
+	if err := fault.Enable(o.failpoints); err != nil {
+		fmt.Fprintf(os.Stderr, "popserved: %v\n", err)
+		return 2
 	}
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -157,7 +155,7 @@ func run() int {
 	// The scripts parse this line to discover the bound port.
 	fmt.Fprintf(os.Stderr, "popserved: listening on http://%s (workers=%d queue=%d)\n",
 		ln.Addr(), o.Workers, o.QueueDepth)
-	return serve.Serve("popserved", ln, srv.Handler(), o.drain, srv.SetDraining, srv.Abort, srv.Close)
+	return serve.Serve("popserved", ln, srv.Handler(), o.drain, func() { srv.SetDraining(true) }, srv.Abort, srv.Close)
 }
 
 // parseTenantWeights parses "a=3,b=1" into the fair-queueing weight map.

@@ -47,8 +47,8 @@ type Config struct {
 	// Front holds the request front's settings, passed to serve.NewFront as
 	// is. Its Registry must match the workers', which re-normalize the
 	// shard specs they receive, and its MaxN and MaxReplicas must not
-	// exceed theirs. A coordinator has no job pool, so New rejects a Front
-	// that sets a pool field (QueueDepth through WhaleGlobal).
+	// exceed theirs. New rejects a Front that sets a field after
+	// SweepWorkers, which only popserved takes (see serve.Config).
 	// Front.SweepWorkers defaults to 4: each missed sweep point fans out
 	// across the workers, so a handful go a long way.
 	Front serve.Config
@@ -115,9 +115,9 @@ type Coordinator struct {
 // New builds a coordinator with cfg's initial workers registered (but not
 // yet probed — call Start, or ProbeNow for a synchronous first check).
 func New(cfg Config) (*Coordinator, error) {
-	if f := cfg.Front; f.QueueDepth != 0 || f.Workers != 0 || f.MaxRetries != 0 || f.TenantWeights != nil ||
-		f.MaxTenants != 0 || f.WhalePerTenant != 0 || f.WhaleGlobal != 0 {
-		return nil, errors.New("cluster: a coordinator has no job pool: Front must not set QueueDepth, Workers, MaxRetries, TenantWeights, MaxTenants, WhalePerTenant or WhaleGlobal")
+	if f := cfg.Front; f.InteractiveMax != 0 || f.WhaleMin != 0 || f.EnablePprof || f.QueueDepth != 0 || f.Workers != 0 ||
+		f.MaxRetries != 0 || f.TenantWeights != nil || f.MaxTenants != 0 || f.WhalePerTenant != 0 || f.WhaleGlobal != 0 {
+		return nil, errors.New("cluster: Front sets a field only popserved takes (InteractiveMax, WhaleMin, EnablePprof or a job-pool field)")
 	}
 	cfg.fillDefaults()
 	c := &Coordinator{

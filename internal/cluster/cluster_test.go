@@ -418,9 +418,13 @@ func TestNegativeLimitsRejected(t *testing.T) {
 }
 
 // TestNewRejectsPoolSettings: a coordinator has no job pool, so a Front
-// that sets one of the pool's fields is a configuration error.
+// that sets one of the pool's fields is a configuration error, as is one
+// that sets a front field only popserved takes.
 func TestNewRejectsPoolSettings(t *testing.T) {
 	for name, front := range map[string]serve.Config{
+		"InteractiveMax": {InteractiveMax: time.Second},
+		"WhaleMin":       {WhaleMin: time.Minute},
+		"EnablePprof":    {EnablePprof: true},
 		"QueueDepth":     {QueueDepth: 1},
 		"Workers":        {Workers: 1},
 		"MaxRetries":     {MaxRetries: 1},

@@ -13,10 +13,10 @@ import (
 	"popkit/internal/qos"
 )
 
-// Config sizes the service. The request front (NewFront) reads the fields
-// from Registry through SweepWorkers, and FrontFlags binds the flags both
-// binaries share to them. The fields from QueueDepth on size popserved's
-// job pool (New); cluster.New rejects them, as a coordinator has no pool.
+// Config sizes the service. The fields up to SweepWorkers are the front
+// settings both binaries take; FrontFlags binds their shared flags. The
+// rest are popserved's only, and cluster.New rejects them: InteractiveMax,
+// WhaleMin and EnablePprof, which NewFront also reads, and the pool's (New).
 type Config struct {
 	// Registry names the runnable protocols; nil means catalog.NewRegistry().
 	Registry *catalog.Registry
@@ -42,18 +42,10 @@ type Config struct {
 	// structured 413 at admission — before any compute is spent. 0 means
 	// no budget.
 	CostBudget time.Duration
-	// InteractiveMax / WhaleMin are the size-class thresholds on predicted
-	// total cost (defaults 1s / 30s; see qos.ModelOptions).
-	InteractiveMax time.Duration
-	WhaleMin       time.Duration
 	// MaxN caps the population size a request may ask for. Default 5e6.
 	MaxN int
 	// MaxReplicas caps replicas per request. Default 1024.
 	MaxReplicas int
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ (popserved
-	// -pprof). Off by default: profiling endpoints expose internals and cost
-	// CPU, so they are opt-in.
-	EnablePprof bool
 	// StoreDir, when non-empty, enables the content-addressed result store:
 	// completed cacheable jobs (no job_id, no start window) are committed
 	// under the hash of their canonical spec, and a repeat POST of an
@@ -72,6 +64,14 @@ type Config struct {
 	// Default: Workers (a coordinator's: 4).
 	SweepWorkers int
 
+	// InteractiveMax / WhaleMin are the size-class thresholds on predicted
+	// total cost (defaults 1s / 30s; see qos.ModelOptions).
+	InteractiveMax time.Duration
+	WhaleMin       time.Duration
+	// EnablePprof mounts net/http/pprof under /debug/pprof/ (popserved
+	// -pprof). Off by default: profiling endpoints expose internals and cost
+	// CPU, so they are opt-in.
+	EnablePprof bool
 	// QueueDepth bounds the number of accepted-but-not-started jobs; a
 	// full queue rejects with 429. Default 64.
 	QueueDepth int

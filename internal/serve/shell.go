@@ -34,12 +34,20 @@ func (c *Config) FrontFlags(fs *flag.FlagSet) {
 
 // Serve runs a binary's HTTP server: it serves h on ln until SIGINT or
 // SIGTERM, shuts down gracefully and returns the exit code. name starts
-// every line it writes to stderr. The hooks may be nil. setDraining(true)
-// runs before the listener closes; if in-flight requests outlast drain,
+// every line it writes to stderr. The hooks may be nil. draining runs
+// before the listener closes; if in-flight requests outlast drain,
 // abort runs and their connections are closed; finish runs last, before
 // "drained, bye". If serving fails, abort and finish run and the code is
 // 1; otherwise it is 0 after a clean drain and 1 after a blown deadline.
-func Serve(name string, ln net.Listener, h http.Handler, drain time.Duration, setDraining func(bool), abort, finish func()) int {
+func Serve(name string, ln net.Listener, h http.Handler, drain time.Duration, draining, abort, finish func()) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // restore default signal behaviour: a second ^C kills us
+	return serve(ctx, name, ln, h, drain, draining, abort, finish)
+}
+
+// serve is Serve with the shutdown starting when ctx ends.
+func serve(ctx context.Context, name string, ln net.Listener, h http.Handler, drain time.Duration, draining, abort, finish func()) int {
 	run := func(hook func()) {
 		if hook != nil {
 			hook()
@@ -48,9 +56,6 @@ func Serve(name string, ln net.Listener, h http.Handler, drain time.Duration, se
 	hs := &http.Server{Handler: h}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
@@ -59,15 +64,8 @@ func Serve(name string, ln net.Listener, h http.Handler, drain time.Duration, se
 		return 1
 	case <-ctx.Done():
 	}
-	stop() // restore default signal behaviour: a second ^C kills us
 
-	// Flip to draining before the listener closes: while the drain runs, a
-	// popserved answers new simulate requests with a retryable 503 +
-	// Retry-After and /healthz with "draining", so coordinators stop
-	// routing shards here and fail over instead of erroring.
-	if setDraining != nil {
-		setDraining(true)
-	}
+	run(draining) // before the listener closes (see Server.SetDraining)
 	fmt.Fprintf(os.Stderr, "%s: shutting down, draining in-flight jobs (deadline %s)\n", name, drain)
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()

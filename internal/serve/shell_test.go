@@ -1,14 +1,12 @@
 package serve
 
 import (
+	"context"
 	"flag"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"reflect"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -29,17 +27,11 @@ func TestFrontFlagsBindConfig(t *testing.T) {
 	}
 }
 
-// TestServeShutdownOrder pins Serve's hooks: after SIGTERM it marks the
+// TestServeShutdownOrder pins Serve's hooks, driving its body with a
+// context in place of the signal: once the context ends it marks the
 // server draining and drains, aborting a request that outlasts the drain
 // deadline, and runs finish last; if serving fails, abort and finish run.
 func TestServeShutdownOrder(t *testing.T) {
-	// Catch SIGTERM for the rest of the test binary's life, so a signal
-	// sent while Serve is not listening cannot end the process.
-	signal.Notify(make(chan os.Signal, 1), syscall.SIGTERM)
-	self, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name            string
 		broken, blocked bool // a closed listener; a request outlasting the drain
@@ -72,10 +64,11 @@ func TestServeShutdownOrder(t *testing.T) {
 			close(entered)
 			<-release
 		})
+		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan int, 1)
 		go func() {
-			done <- Serve("test", ln, h, 50*time.Millisecond,
-				func(bool) { note("draining") },
+			done <- serve(ctx, "test", ln, h, 50*time.Millisecond,
+				func() { note("draining") },
 				func() { note("abort"); close(release) },
 				func() { note("finish") })
 		}()
@@ -83,20 +76,11 @@ func TestServeShutdownOrder(t *testing.T) {
 			go http.Get("http://" + ln.Addr().String())
 			<-entered
 		}
-		// Serve listens for signals only once it runs, so repeat SIGTERM
-		// until it returns.
-		var code int
-	wait:
-		for {
-			select {
-			case code = <-done:
-				break wait
-			case <-time.After(10 * time.Millisecond):
-				if !tc.broken {
-					self.Signal(syscall.SIGTERM)
-				}
-			}
+		if !tc.broken {
+			cancel()
 		}
+		code := <-done
+		cancel()
 		mu.Lock()
 		if code != tc.code || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: code %d, hooks %v; want %d, %v", tc.name, code, got, tc.code, tc.want)
