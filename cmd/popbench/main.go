@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -51,11 +52,16 @@ import (
 	"popkit/internal/stats"
 )
 
-// benchRecord is one experiment's entry in BENCH_results.json.
+// benchRecord is one experiment's entry in BENCH_results.json. Each record
+// carries the run configuration that produced it, because a run replaces
+// only the records of the experiments it ran (mergeExperiments).
 type benchRecord struct {
-	ID     string  `json:"id"`
-	Claim  string  `json:"claim"`
-	WallMS float64 `json:"wall_ms"`
+	ID       string  `json:"id"`
+	Claim    string  `json:"claim"`
+	Seeds    int     `json:"seeds"`
+	Quick    bool    `json:"quick"`
+	BaseSeed uint64  `json:"base_seed"`
+	WallMS   float64 `json:"wall_ms"`
 	// Interactions counts simulated scheduler activations (including ones
 	// the counted kernels leapt over); NsPerInteraction = wall time divided
 	// by it, the headline throughput number for kernel comparisons.
@@ -65,22 +71,23 @@ type benchRecord struct {
 	Figures          []string       `json:"figures,omitempty"`
 }
 
-// benchFile is the top-level BENCH_results.json document; the config block
-// makes runs diffable across PRs.
+// benchFile is the top-level BENCH_results.json document. Its config block
+// describes the last experiment run; each record carries its own.
 type benchFile struct {
 	Seeds    int     `json:"seeds"`
 	Quick    bool    `json:"quick"`
 	BaseSeed uint64  `json:"base_seed"`
 	Workers  int     `json:"workers"`
 	WallMS   float64 `json:"wall_ms"`
-	// Interrupted marks a run cut short by SIGINT/SIGTERM: Experiments then
-	// holds only the entries that completed before the signal.
+	// Interrupted marks a run cut short by SIGINT/SIGTERM: the experiments
+	// it did not finish keep the records earlier runs left, if any.
 	Interrupted bool `json:"interrupted,omitempty"`
 	// ReplicaLatency summarizes per-replica wall-clock time across every
-	// experiment of the run (count, mean, p50/p90/p95/p99, µs buckets) —
-	// the latency distribution behind the throughput numbers.
+	// experiment of the last run (count, mean, p50/p90/p95/p99, µs
+	// buckets) — the latency distribution behind the throughput numbers.
 	ReplicaLatency obs.HistogramSnapshot `json:"replica_latency"`
-	Experiments    []benchRecord         `json:"experiments"`
+	// Experiments holds one record per experiment id, in expt.All() order.
+	Experiments []json.RawMessage `json:"experiments"`
 	// QoS carries the cost-model calibration block a prior `popbench -qos`
 	// run left in the file; a full experiment run preserves it verbatim.
 	QoS json.RawMessage `json:"qos,omitempty"`
@@ -226,29 +233,55 @@ func run() int {
 
 	bench := benchFile{Seeds: *seeds, Quick: *quick, BaseSeed: *seed, Workers: *workers}
 	begin := time.Now()
-	exitCode := 0
+	recs, interrupted, exitCode := runExperiments(ctx, wanted, cfg, *out, os.Stdout)
+	bench.Interrupted = interrupted
+	bench.WallMS = float64(time.Since(begin).Microseconds()) / 1000
+	bench.ReplicaLatency = replicaHist.Snapshot()
+
+	benchPath := filepath.Join(*out, "BENCH_results.json")
+	if err := writeBench(benchPath, bench, recs); err != nil {
+		fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
+		exitCode = 1
+	} else {
+		fmt.Fprintf(os.Stderr, "popbench: wrote %s\n", benchPath)
+	}
+	if bench.Interrupted {
+		fmt.Fprintln(os.Stderr, "popbench: interrupted; partial results flushed")
+		return 130
+	}
+	return exitCode
+}
+
+// runExperiments runs the wanted experiments in order, printing each one's
+// heading, tables and footer to stdout and writing its figure CSVs into
+// out. It stops before the next experiment once ctx is cancelled, and
+// reports that as interrupted; an experiment cut short mid-run gets one
+// line under its heading saying so, and no record.
+func runExperiments(ctx context.Context, wanted []expt.Experiment, cfg expt.Config, out string, stdout io.Writer) (recs []benchRecord, interrupted bool, exitCode int) {
 	for _, e := range wanted {
 		if ctx.Err() != nil {
-			bench.Interrupted = true
-			break
+			return recs, true, exitCode
 		}
-		fmt.Printf("## %s — %s\n\n", e.ID, e.Claim)
+		fmt.Fprintf(stdout, "## %s — %s\n\n", e.ID, e.Claim)
 		start := time.Now()
 		res, err := runExperiment(ctx, e, cfg)
 		if err != nil {
 			// Interrupted mid-experiment: drop this experiment's partial
 			// output but still flush everything that completed before it.
+			fmt.Fprintf(stdout, "_%s interrupted (%v); no table written_\n\n", e.ID, ctx.Err())
 			fmt.Fprintf(os.Stderr, "popbench: %s %v\n", e.ID, err)
-			bench.Interrupted = true
-			break
+			return recs, true, exitCode
 		}
 		elapsed := time.Since(start)
 		for _, tb := range res.Tables {
-			fmt.Println(tb.Markdown())
+			fmt.Fprintln(stdout, tb.Markdown())
 		}
 		rec := benchRecord{
 			ID:           e.ID,
 			Claim:        e.Claim,
+			Seeds:        cfg.Seeds,
+			Quick:        cfg.Quick,
+			BaseSeed:     cfg.BaseSeed,
 			WallMS:       float64(elapsed.Microseconds()) / 1000,
 			Interactions: res.Interactions,
 			Tables:       res.Tables,
@@ -263,48 +296,81 @@ func run() int {
 		sort.Strings(figNames) // stable order keeps BENCH_results.json diffable
 		for _, name := range figNames {
 			csv := res.Figures[name]
-			path := filepath.Join(*out, name)
+			path := filepath.Join(out, name)
 			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "popbench: writing %s: %v\n", path, err)
 				exitCode = 1
 				continue
 			}
 			rec.Figures = append(rec.Figures, name)
-			fmt.Printf("wrote %s (%d bytes)\n\n", path, len(csv))
+			fmt.Fprintf(stdout, "wrote %s (%d bytes)\n\n", path, len(csv))
 		}
-		bench.Experiments = append(bench.Experiments, rec)
-		fmt.Printf("_%s completed in %s_\n\n", e.ID, elapsed.Round(time.Millisecond))
+		recs = append(recs, rec)
+		fmt.Fprintf(stdout, "_%s completed in %s_\n\n", e.ID, elapsed.Round(time.Millisecond))
 	}
-	bench.WallMS = float64(time.Since(begin).Microseconds()) / 1000
-	bench.ReplicaLatency = replicaHist.Snapshot()
+	return recs, false, exitCode
+}
 
-	benchPath := filepath.Join(*out, "BENCH_results.json")
-	// Carry over the qos calibration block of an earlier `popbench -qos`
-	// run, so regenerating the experiments does not erase it.
-	if raw, err := os.ReadFile(benchPath); err == nil {
-		var prior struct {
-			QoS     json.RawMessage `json:"qos"`
-			Compare json.RawMessage `json:"compare"`
+// writeBench writes bench to path. It carries over the qos and compare
+// sections of an earlier `popbench -qos` or `-compare` run, and merges the
+// experiments section: the records of fresh replace those with the same id,
+// and every other record an earlier run left stays as it was.
+func writeBench(path string, bench benchFile, fresh []benchRecord) error {
+	var prior struct {
+		QoS         json.RawMessage   `json:"qos"`
+		Compare     json.RawMessage   `json:"compare"`
+		Experiments []json.RawMessage `json:"experiments"`
+	}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &prior); err != nil {
+			return fmt.Errorf("existing %s is not JSON (%v); refusing to overwrite", path, err)
 		}
-		if json.Unmarshal(raw, &prior) == nil {
-			bench.QoS = prior.QoS
-			bench.Compare = prior.Compare
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	bench.QoS, bench.Compare = prior.QoS, prior.Compare
+	var err error
+	if bench.Experiments, err = mergeExperiments(prior.Experiments, fresh); err != nil {
+		return fmt.Errorf("merging %s: %w", path, err)
+	}
+	data, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding %s: %w", path, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
+}
+
+// mergeExperiments returns one record per experiment id in expt.All()
+// order: fresh's record where it has one, else prior's, kept as it was.
+// A prior record whose id expt.All() no longer lists is dropped.
+func mergeExperiments(prior []json.RawMessage, fresh []benchRecord) ([]json.RawMessage, error) {
+	byID := map[string]json.RawMessage{}
+	for _, raw := range prior {
+		var rec struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("experiment record: %w", err)
+		}
+		byID[rec.ID] = raw
+	}
+	for _, rec := range fresh {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return nil, err
+		}
+		byID[rec.ID] = raw
+	}
+	var merged []json.RawMessage
+	for _, e := range expt.All() {
+		if raw, ok := byID[e.ID]; ok {
+			merged = append(merged, raw)
 		}
 	}
-	if data, err := json.MarshalIndent(bench, "", "  "); err != nil {
-		fmt.Fprintf(os.Stderr, "popbench: encoding %s: %v\n", benchPath, err)
-		exitCode = 1
-	} else if err := os.WriteFile(benchPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "popbench: writing %s: %v\n", benchPath, err)
-		exitCode = 1
-	} else {
-		fmt.Fprintf(os.Stderr, "popbench: wrote %s\n", benchPath)
-	}
-	if bench.Interrupted {
-		fmt.Fprintln(os.Stderr, "popbench: interrupted; partial results flushed")
-		return 130
-	}
-	return exitCode
+	return merged, nil
 }
 
 // runExperiment runs one experiment, converting the panic replicate raises

@@ -136,6 +136,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // success of a Bernoulli(p) trial, i.e. a sample of the geometric
 // distribution with support {0, 1, 2, …}. For p ≥ 1 it returns 0; p must be
 // > 0. Used by the counted engine to leap over non-reactive interactions.
+//
+// The floor comes from certifiedLeap's table logarithms wherever they
+// settle it, which is all but a small fraction of leaps, and from
+// math.Log otherwise; both give the same integer from the same draw.
 func (r *RNG) Geometric(p float64) uint64 {
 	if p >= 1 {
 		return 0
@@ -145,6 +149,9 @@ func (r *RNG) Geometric(p float64) uint64 {
 	}
 	// Inverse transform: floor(ln(U) / ln(1-p)) with U in (0,1].
 	u := 1 - r.Float64() // (0, 1]
+	if k, ok := certifiedLeap(u, 1-p); ok {
+		return k
+	}
 	lq := math.Log(1 - p)
 	if lq == 0 {
 		// 1-p rounds to 1 (p ≤ 2⁻⁵⁴), so ln(1-p) would be 0 and every

@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 # The default benchmark set. scripts/check.sh reads this line and runs the
 # set once, so keep it a single-quoted assignment.
-default_pattern='BenchmarkBatchStep|BenchmarkBatchRunTracked|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample'
+default_pattern='BenchmarkBatchStep|BenchmarkBatchRunTracked|BenchmarkAggregateStep|BenchmarkDenseStep|BenchmarkAliasSample|BenchmarkGeometric'
 
 ref="${1:-HEAD~1}"
 pattern="${2:-$default_pattern}"
